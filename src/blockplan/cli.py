@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .config import RunConfig, apply_overrides, config_to_dict, load_config
+from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from .errors import BlockplanError, CapacityError, ConfigError
 from .harness import AblationGrid, brute_force_oracle, scaling_suite
 from .runs import episode_records, plan_records, plan_summary_line
@@ -76,7 +76,10 @@ def cmd_execute(args) -> int:
 def _parse_cells(spec: str, default_horizon: int) -> tuple[tuple[int, int, int, int], ...]:
     cells = []
     for part in spec.split(";"):
-        nums = [int(x) for x in part.split(",")]
+        try:
+            nums = [int(x) for x in part.split(",")]
+        except ValueError:
+            nums = []
         if len(nums) == 3:
             nums.append(default_horizon)
         if len(nums) != 4:
@@ -89,9 +92,10 @@ def cmd_ablate(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
     cells = _parse_cells(args.cells, cfg.planner.horizon)
-    grid = AblationGrid(
-        cells=cells, episodes_per_cell=args.episodes, seed_base=cfg.seeds[0]
-    )
+    try:
+        grid = AblationGrid(cells=cells, episodes_per_cell=args.episodes, seed_base=cfg.seeds[0])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     summary = scaling_suite(
         grid,
         cfg.task.goal(),
@@ -119,9 +123,12 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     goal = cfg.task.goal()
     x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0]), cfg.world)
-    value, seq = brute_force_oracle(
-        x0, goal, args.horizon, cfg.world, cfg.model, enumeration_cap=args.cap
-    )
+    try:
+        value, seq = brute_force_oracle(
+            x0, goal, args.horizon, cfg.world, cfg.model, enumeration_cap=args.cap
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     print(f"oracle value over horizon {args.horizon}: {value}")
     for a in seq:
         print(f"  {a.text(x0)}")
@@ -129,13 +136,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    stored = read_trace(args.trace)
-    header = stored[0]
-    from .config import config_from_dict
-
-    cfg = config_from_dict(header["config"]["run"])
-    mode = header["config"]["mode"]
-    seed = int(header["config"]["seed"])
+    try:
+        stored = read_trace(args.trace)
+        run = stored[0]["config"]
+        cfg, mode, seed = config_from_dict(run["run"]), run["mode"], int(run["seed"])
+    except (ValueError, KeyError, TypeError) as e:
+        reason = f"{type(e).__name__}: {e}"
+        raise ConfigError(f"{args.trace}: not a replayable trace ({reason})") from None
     if mode == "plan":
         regenerated = plan_records(cfg, seed)
     elif mode == "execute":

@@ -5,11 +5,14 @@ dotted path (e.g. ``planner.beams=4``)."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field, fields
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .executor import ExecutionConfig, Extractor
+from .executor import ExecutionConfig
 from .planner import PlannerConfig
 from .submodels import FaultConfig, ModelConfig
 from .world import Corner, GoalKind, TaskGoal, WorldConfig
@@ -19,6 +22,9 @@ from .world import Corner, GoalKind, TaskGoal, WorldConfig
 class TaskSelection:
     kind: GoalKind = GoalKind.GROUP_BY_COLOR
     corner: Corner | None = None
+
+    def __post_init__(self):
+        self.goal()  # rejects a kind and corner that make no goal
 
     def goal(self) -> TaskGoal:
         return TaskGoal(self.kind, self.corner)
@@ -43,64 +49,70 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
 
 
-_SECTION_TYPES = {
-    "world": WorldConfig,
-    "model": ModelConfig,
-    "faults": FaultConfig,
-    "planner": PlannerConfig,
-    "execution": ExecutionConfig,
-    "task": TaskSelection,
-}
-
-_ENUM_FIELDS = {
-    ("execution", "extractor"): Extractor,
-    ("task", "kind"): GoalKind,
-    ("task", "corner"): Corner,
-}
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved field types of a config class (read-only; shared by callers)."""
+    return get_type_hints(cls)
 
 
-def _coerce(section: str, name: str, value):
-    enum_type = _ENUM_FIELDS.get((section, name))
-    if enum_type is not None and value is not None and not isinstance(value, enum_type):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(path: str, hint, value):
+    """``value`` checked against the type ``hint`` of the field at ``path``.
+
+    Enum values are converted, a list of ints for a tuple field becomes a
+    tuple, and a section (a dataclass-typed field) is built from its object;
+    anything else is returned unchanged or rejected with `ConfigError`.
+    """
+    options = get_args(hint)
+    if type(None) in options:  # an optional field
+        if value is None:
+            return None
+        (hint,) = [t for t in options if t is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    if get_origin(hint) is tuple:  # tuple[int, ...]
+        if isinstance(value, (list, tuple)) and all(_is_int(v) for v in value):
+            return tuple(value)
+        raise ConfigError(f"{path}: expected a list of ints, got {value!r}")
+    if issubclass(hint, Enum):
         try:
-            return enum_type(value)
-        except ValueError as e:
-            raise ConfigError(f"{section}.{name}: {e}") from None
+            return hint(value)
+        except ValueError:
+            raise ConfigError(f"{path}: {value!r} is not a valid {hint.__name__}") from None
+    if hint is float:
+        ok = _is_int(value) or isinstance(value, float)
+    elif hint is int:
+        ok = _is_int(value)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
     return value
 
 
-def _build_section(section: str, data: dict):
-    cls = _SECTION_TYPES[section]
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _build(cls, data: dict, section: str = ""):
+    """``cls`` built from a JSON object, each value checked against the type
+    of its field; ``section`` is the dotted path of ``data`` ("" at top level)."""
+    where = f"section '{section}'" if section else "the configuration"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    hints = _field_types(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    kwargs = {k: _coerce(section, k, v) for k, v in data.items()}
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    prefix = f"{section}." if section else ""
+    kwargs = {key: _typed(prefix + key, hints[key], value) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except (ValueError, ConfigError) as e:
-        raise ConfigError(f"in section '{section}': {e}") from None
+        raise ConfigError(f"in section '{section}': {e}" if section else str(e)) from None
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    top_known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - top_known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section '{key}' must be an object")
-            kwargs[key] = _build_section(key, value)
-        elif key == "seeds":
-            kwargs[key] = tuple(int(s) for s in value)
-        else:
-            kwargs[key] = value
-    try:
-        return RunConfig(**kwargs)
-    except (ValueError, ConfigError) as e:
-        raise ConfigError(str(e)) from None
+    return _build(RunConfig, data)
 
 
 def load_config(path: str) -> RunConfig:
@@ -109,8 +121,6 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return config_from_dict(data)
 
 

@@ -8,9 +8,10 @@ a fixed prefix of the plan, replan, until completion or budget exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from . import tracing
 from .errors import ConfigError
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import derive
@@ -115,15 +116,13 @@ def execute_segmentwise(
             )
             issued += 1
             if trace is not None:
-                from .tracing import state_digest
-
                 trace.append(
                     {
                         "kind": "Control",
                         "step": steps_used + issued,
                         "block": u.target_block,
                         "displacement": [u.displacement[0], u.displacement[1]],
-                        "state_hash": state_digest(env_state),
+                        "state_hash": tracing.state_digest(env_state),
                     }
                 )
             if is_complete(env_state, goal, wcfg):
@@ -217,13 +216,7 @@ def run_open_loop(
     if is_complete(initial, goal, wcfg):
         return EpisodeResult(100.0, True, 0, 0)
     plan = planner.plan(initial, goal, pcfg, root_seed=derive(pcfg.root_seed, 0))
-    all_frames = ExecutionConfig(
-        controls_per_frame=ecfg.controls_per_frame,
-        frames_per_plan=len(plan.frames()) - 1,
-        total_budget=ecfg.total_budget,
-        extractor=ecfg.extractor,
-        env_seed=ecfg.env_seed,
-    )
+    all_frames = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
     env_state, issued = execute_segmentwise(
         initial, plan, goal, all_frames, wcfg, mcfg, controller=planner.submodels.controller
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CapacityError
+from .executor import run_episode, run_open_loop
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import SeedLike, derive
 from .submodels import (
@@ -21,6 +22,8 @@ from .submodels import (
     FaultConfig,
     ModelConfig,
     action_grammar,
+    heuristic,
+    idealized_outcome,
     simulator_submodels,
 )
 from .world import (
@@ -99,8 +102,8 @@ def brute_force_oracle(
     order. Depth-first over the grammar tree; the node count must stay under
     ``enumeration_cap``.
     """
-    from .submodels import heuristic, rollout_final_position
-
+    if H < 0:
+        raise ValueError(f"horizon must be >= 0, got {H}")
     grammar = action_grammar(x0)
     g = len(grammar)
     nodes = sum(g**h for h in range(1, H + 1))
@@ -115,11 +118,7 @@ def brute_force_oracle(
         best_val = -math.inf
         best_seq: list[AbstractAction] = []
         for action in grammar:
-            p = rollout_final_position(state, action, wcfg, mcfg)
-            pos = state.positions.copy()
-            pos[state.index_of(action.subject)] = p
-            child = state.with_positions(pos)
-            val, seq = recurse(child, depth + 1)
+            val, seq = recurse(idealized_outcome(state, action, wcfg, mcfg), depth + 1)
             if val > best_val:
                 best_val = val
                 best_seq = [action] + seq
@@ -158,9 +157,7 @@ def replay_plan(
         for _ in range(controls_per_action):
             delta = target - state.pos(action.subject)
             d = float((delta @ delta) ** 0.5)
-            if d > wcfg.u_max:
-                delta = delta / d * wcfg.u_max
-            u = ControlAction(action.subject, (float(delta[0]), float(delta[1])))
+            u = ControlAction.bounded(action.subject, delta, d, wcfg.u_max)
             state = step_true(state, u, derive(seed, step), wcfg)
             step += 1
             if is_complete(state, goal, wcfg):
@@ -228,19 +225,9 @@ def scaling_suite(
     cells, identical initial-state seeds in every cell."""
     rows: list[CellSummary] = []
     for B, A, D, H in grid.cells:
-        cfg = PlannerConfig(
-            beams=B,
-            text_branch=A,
-            video_branch=D,
-            horizon=H,
-            guard_threshold=base_cfg.guard_threshold,
-            replace_period=base_cfg.replace_period,
-            policy_temperature=base_cfg.policy_temperature,
-            root_seed=base_cfg.root_seed,
-        )
         summary = plan_accuracy_suite(
             [task],
-            cfg,
+            replace(base_cfg, beams=B, text_branch=A, video_branch=D, horizon=H),
             grid.episodes_per_cell,
             n_blocks=n_blocks,
             wcfg=wcfg,
@@ -267,20 +254,15 @@ def execution_suite(
     open_loop: bool = False,
 ) -> SuiteSummary:
     """Closed-loop (or open-loop baseline) episodes over seeded environments."""
-    from dataclasses import replace as dc_replace
-
-    from .executor import run_episode, run_open_loop
-
     planner = Planner(simulator_submodels(wcfg, mcfg, faults))
     t0 = time.perf_counter()
     rewards = []
     completions = 0
     for ep in range(n):
         x0 = sample_initial_state(n_blocks, derive(seed_base, ep), wcfg)
-        eseed = dc_replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
-        pseed = dc_replace(pcfg, root_seed=pcfg.root_seed)
+        eseed = replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
         runner = run_open_loop if open_loop else run_episode
-        res = runner(x0, task, pseed, eseed, planner=planner, wcfg=wcfg, mcfg=mcfg)
+        res = runner(x0, task, pcfg, eseed, planner=planner, wcfg=wcfg, mcfg=mcfg)
         rewards.append(res.final_reward)
         completions += int(res.completed)
     row = CellSummary(

@@ -7,6 +7,8 @@ the stored trace.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .config import RunConfig
 from .executor import run_episode
 from .planner import Planner
@@ -32,8 +34,6 @@ def plan_records(cfg: RunConfig, seed: int) -> list[dict]:
 
 def episode_records(cfg: RunConfig, seed: int) -> list[dict]:
     """Run one closed-loop episode; emit per-control records and the outcome."""
-    from dataclasses import replace
-
     goal = cfg.task.goal()
     x0 = sample_initial_state(cfg.n_blocks, derive(seed), cfg.world)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))

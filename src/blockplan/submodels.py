@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,16 +261,16 @@ def rollout_final_position(
     mcfg: ModelConfig = ModelConfig(),
 ) -> np.ndarray:
     """Closed form for the pushed block's final position of a noise-free,
-    fault-free rollout: advance (S-1) * v_model toward the target, capped at
-    the target itself. Kept in exact agreement with `rollout_dynamics` (tested)."""
+    fault-free rollout: advance ``push_reach`` toward the target, capped at
+    the target itself. A rollout's (S-1) * v_model of travel is push_reach, so
+    this agrees with `rollout_dynamics` (tested)."""
     target = action.target.resolve(state, action.subject, wcfg)
-    p = state.pos(action.subject).copy()
-    budget = (mcfg.frames_per_rollout - 1) * mcfg.v_model
+    p = state.pos(action.subject)
     delta = target - p
     d = float(np.linalg.norm(delta))
-    if d <= budget or d < 1e-15:
+    if d <= mcfg.push_reach or d < 1e-15:
         return target
-    return p + delta / d * budget
+    return p + delta / d * mcfg.push_reach
 
 
 # --- Heuristic ---------------------------------------------------------------
@@ -341,10 +341,7 @@ def goal_policy(
     idx = int(np.argmax(norms))
     if norms[idx] <= mcfg.goal_eps:
         return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
-    d = deltas[idx]
-    if norms[idx] > wcfg.u_max:
-        d = d / norms[idx] * wcfg.u_max
-    return ControlAction(target_block=state.ids[idx], displacement=(float(d[0]), float(d[1])))
+    return ControlAction.bounded(state.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
 
 
 def inverse_dynamics(
@@ -358,10 +355,7 @@ def inverse_dynamics(
     deltas = frame_b.positions - frame_a.positions
     norms = np.linalg.norm(deltas, axis=1)
     idx = int(np.argmax(norms))
-    d = deltas[idx]
-    if norms[idx] > wcfg.u_max:
-        d = d / norms[idx] * wcfg.u_max
-    return ControlAction(target_block=frame_a.ids[idx], displacement=(float(d[0]), float(d[1])))
+    return ControlAction.bounded(frame_a.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
 
 
 # --- Scripted proposal policy ------------------------------------------------
@@ -373,18 +367,10 @@ def idealized_outcome(
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
 ) -> WorldState:
-    """Noise-free one-action outcome: subject moves min(push_reach, distance)
-    toward the target. Used only to score proposals."""
-    target = action.target.resolve(state, action.subject, wcfg)
-    idx = state.index_of(action.subject)
-    p = state.positions[idx]
-    delta = target - p
-    d = float(np.linalg.norm(delta))
+    """Noise-free, fault-free one-action outcome: the state with the subject at
+    its `rollout_final_position`."""
     pos = state.positions.copy()
-    if d <= mcfg.push_reach or d < 1e-15:
-        pos[idx] = target
-    else:
-        pos[idx] = p + delta / d * mcfg.push_reach
+    pos[state.index_of(action.subject)] = rollout_final_position(state, action, wcfg, mcfg)
     return state.with_positions(pos)
 
 
@@ -450,9 +436,6 @@ class Submodels:
     rollout: "callable"
     value: "callable"
     controller: "callable"
-    wcfg: WorldConfig = field(default_factory=WorldConfig)
-    mcfg: ModelConfig = field(default_factory=ModelConfig)
-    faults: FaultConfig = field(default_factory=FaultConfig)
 
 
 def simulator_submodels(
@@ -485,7 +468,4 @@ def simulator_submodels(
         rollout=_rollout,
         value=_value,
         controller=_controller,
-        wcfg=wcfg,
-        mcfg=mcfg,
-        faults=faults,
     )

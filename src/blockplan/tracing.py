@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, IO
+from typing import Any
 
 import numpy as np
 
@@ -95,33 +95,17 @@ def plan_to_dict(plan: Plan) -> dict:
 # --- Trace files -------------------------------------------------------------
 
 
-class TraceWriter:
-    """One writer per trace file; records carry strictly increasing ordinals."""
-
-    def __init__(self, fh: IO[str], config_dict: dict):
-        self._fh = fh
-        self._ordinal = 0
-        self.write(
-            {
-                "kind": "Header",
-                "schema_version": SCHEMA_VERSION,
-                "config_hash": digest(config_dict),
-                "config": config_dict,
-            }
-        )
-
-    def write(self, record: dict) -> None:
-        rec = dict(record)
-        rec["ordinal"] = self._ordinal
-        self._fh.write(canonical_json(rec) + "\n")
-        self._ordinal += 1
-
-
 def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
+    """Write a header record, then ``records``; every record gets its ordinal."""
+    header = {
+        "kind": "Header",
+        "schema_version": SCHEMA_VERSION,
+        "config_hash": digest(config_dict),
+        "config": config_dict,
+    }
     with open(path, "w") as fh:
-        writer = TraceWriter(fh, config_dict)
-        for rec in records:
-            writer.write(rec)
+        for ordinal, rec in enumerate([header, *records]):
+            fh.write(canonical_json({**rec, "ordinal": ordinal}) + "\n")
 
 
 def read_trace(path: str) -> list[dict]:
@@ -131,6 +115,8 @@ def read_trace(path: str) -> list[dict]:
             line = line.strip()
             if line:
                 records.append(json.loads(line))
+    if not all(isinstance(r, dict) for r in records):
+        raise ValueError(f"{path}: every record must be a JSON object")
     if not records or records[0].get("kind") != "Header":
         raise ValueError(f"{path}: not a trace file (missing header record)")
     ordinals = [r.get("ordinal") for r in records]

@@ -138,6 +138,12 @@ class ControlAction:
     target_block: int
     displacement: tuple[float, float]
 
+    @classmethod
+    def bounded(cls, block: int, delta: np.ndarray, norm: float, u_max: float) -> "ControlAction":
+        """Move ``block`` by ``delta``, scaled to ``u_max`` if its ``norm`` exceeds it."""
+        d = delta / norm * u_max if norm > u_max else delta
+        return cls(block, (float(d[0]), float(d[1])))
+
     @property
     def vec(self) -> np.ndarray:
         return np.array(self.displacement, dtype=float)

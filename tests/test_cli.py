@@ -4,6 +4,7 @@ import os
 import pytest
 
 from blockplan.cli import main
+from blockplan.config import RunConfig, config_to_dict
 from blockplan.tracing import read_trace
 
 
@@ -16,6 +17,56 @@ def outdir(tmp_path, monkeypatch):
 
 def run(args):
     return main(args)
+
+
+def assert_config_error(capsys):
+    """The run ended on one ``error:`` line on stderr, not a traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _wrong_typed_overrides():
+    """(path, ``--set`` value) pairs whose value has the wrong type for the field."""
+    for path, default in _leaves(config_to_dict(RunConfig())):
+        enum_or_str = default is None or isinstance(default, str)
+        values = ["5" if enum_or_str else "abc", "{}", "[1]", "null"]
+        if default is None:
+            values.remove("null")  # task.corner is optional
+        if isinstance(default, list):
+            values[2] = '["abc"]'  # [1] is a valid seed list
+        for value in values:
+            yield pytest.param(path, value, id=f"{path}={value}")
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("path,value", list(_wrong_typed_overrides()))
+    def test_wrong_typed_value_exit_two(self, outdir, capsys, path, value):
+        assert run(["plan", "--set", f"{path}={value}"]) == 2
+        assert_config_error(capsys)
+
+    def test_move_to_area_without_corner_exit_two(self, outdir, capsys):
+        assert run(["plan", "--set", "task.kind=move_to_area"]) == 2
+        assert_config_error(capsys)
+
+    def test_non_numeric_cells_exit_two(self, outdir, capsys):
+        assert run(["ablate", "--cells", "a,b,c", "--episodes", "1"]) == 2
+        assert_config_error(capsys)
+
+    def test_zero_episodes_exit_two(self, outdir, capsys):
+        assert run(["ablate", "--episodes", "0"]) == 2
+        assert_config_error(capsys)
+
+    def test_negative_oracle_horizon_exit_two(self, outdir, capsys):
+        assert run(["oracle", "--horizon", "-1", "--set", "n_blocks=2"]) == 2
+        assert_config_error(capsys)
 
 
 class TestPlanCommand:
@@ -175,3 +226,28 @@ class TestReplayCommand:
 
     def test_missing_trace_exit_two(self, outdir):
         assert run(["replay", str(outdir / "nope.jsonl")]) == 2
+
+    @pytest.fixture
+    def plan_trace(self, outdir, capsys):
+        run(["plan", "--seed", "6", "--set", "planner.horizon=2"])
+        capsys.readouterr()
+        return outdir / "plan_6.jsonl"
+
+    def test_truncated_trace_exit_two(self, plan_trace, capsys):
+        text = plan_trace.read_text()
+        plan_trace.write_text(text[: len(text) // 2])
+        assert run(["replay", str(plan_trace)]) == 2
+        assert_config_error(capsys)
+
+    def test_header_without_run_config_exit_two(self, plan_trace, capsys):
+        lines = plan_trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["config"]["run"]
+        plan_trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert run(["replay", str(plan_trace)]) == 2
+        assert_config_error(capsys)
+
+    def test_non_object_record_exit_two(self, plan_trace, capsys):
+        plan_trace.write_text(plan_trace.read_text() + "[1, 2]\n")
+        assert run(["replay", str(plan_trace)]) == 2
+        assert_config_error(capsys)
