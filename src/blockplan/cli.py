@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
-Exit codes: 0 success, 1 runtime failure, 2 invalid config / capacity error,
-3 replay divergence. The output directory can be overridden with the
-``BLOCKPLAN_OUT`` environment variable.
+Exit codes: 0 success, 1 runtime failure, 2 invalid config / capacity error /
+unreadable path, 3 replay divergence. The output directory can be overridden
+with the ``BLOCKPLAN_OUT`` environment variable.
 """
 
 from __future__ import annotations
@@ -213,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, CapacityError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BlockplanError as e:

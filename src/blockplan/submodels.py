@@ -9,12 +9,11 @@ vanishing objects), a steps-to-go heuristic, and two low-level controllers
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidActionError, InvalidGoalError
+from .errors import ConfigError, InvalidActionError, InvalidGoalError
 from .seeding import SeedLike, rng_from
 from .world import (
     SENTINEL_POS,
@@ -43,6 +42,15 @@ class ModelConfig:
     frames_per_rollout: int = 16
     sigma_model: float = 0.003
     goal_eps: float = 1e-3
+
+    def __post_init__(self):
+        if not self.push_reach > 0:
+            raise ConfigError(f"push_reach must be > 0, got {self.push_reach}")
+        for name in ("sigma_model", "goal_eps"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.frames_per_rollout < 2:
+            raise ConfigError(f"frames_per_rollout must be >= 2, got {self.frames_per_rollout}")
 
     @property
     def v_model(self) -> float:
@@ -131,36 +139,6 @@ class AbstractAction:
         return f"push {subj} to {self.target.name(state)}"
 
 
-_ACTION_RE = re.compile(r"^push ([a-z]+)(\d+) to (\S+)$")
-
-
-def parse_action(text: str, state: WorldState) -> AbstractAction:
-    """Parse the exact grammar back to (subject, target)."""
-    m = _ACTION_RE.match(text)
-    if not m:
-        raise InvalidActionError(f"unparseable action text: {text!r}")
-    color_s, idx_s, tgt_s = m.groups()
-    subject = int(idx_s)
-    if subject not in state.ids or state.color_of(subject).value != color_s:
-        raise InvalidActionError(f"no block {color_s}{idx_s} in state")
-    corner_names = {c.value for c in Corner}
-    if tgt_s in corner_names:
-        target = Target("corner", corner=Corner(tgt_s))
-    elif tgt_s == "center":
-        target = Target("center")
-    elif tgt_s.endswith("_group"):
-        target = Target("color_centroid", color=Color(tgt_s[: -len("_group")]))
-    else:
-        tm = re.match(r"^([a-z]+)(\d+)$", tgt_s)
-        if not tm:
-            raise InvalidActionError(f"unknown target {tgt_s!r}")
-        bid = int(tm.group(2))
-        if bid not in state.ids or state.color_of(bid).value != tm.group(1):
-            raise InvalidActionError(f"no block target {tgt_s!r} in state")
-        target = Target("block", block=bid)
-    return AbstractAction(subject=subject, target=target)
-
-
 def action_grammar(state: WorldState) -> list[AbstractAction]:
     """Enumerate the full closed grammar in a fixed, deterministic order."""
     actions: list[AbstractAction] = []
@@ -175,6 +153,15 @@ def action_grammar(state: WorldState) -> list[AbstractAction]:
         for color in present_colors:
             actions.append(AbstractAction(subject, Target("color_centroid", color=color)))
     return actions
+
+
+def parse_action(text: str, state: WorldState) -> AbstractAction:
+    """The action of `action_grammar` whose text is ``text``: the inverse of
+    `AbstractAction.text`."""
+    for action in action_grammar(state):
+        if action.text(state) == text:
+            return action
+    raise InvalidActionError(f"not an action of this state's grammar: {text!r}")
 
 
 # --- Rollout dynamics model --------------------------------------------------

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, InvalidActionError
+from .errors import CapacityError, ConfigError, InvalidActionError
 from .seeding import SeedLike, rng_from
 
 # Tolerance for the post-transition non-overlap invariant. Clamping at the
@@ -68,6 +68,16 @@ class WorldConfig:
     line_dist: float = 0.05
     # Collision resolution: pairwise disk separation iterated to fixpoint.
     collision_iters: int = 8
+
+    def __post_init__(self):
+        for name in ("width", "height", "block_radius", "u_max"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("sigma_env", "group_dist", "area_dx", "area_dy", "line_dist"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.collision_iters < 1:
+            raise ConfigError(f"collision_iters must be >= 1, got {self.collision_iters}")
 
     @property
     def board(self) -> tuple[float, float]:
@@ -256,45 +266,13 @@ def step_true(
     return state.with_positions(pos, step_count=state.step_count + 1)
 
 
-def _satisfied_mask(state: WorldState, goal: TaskGoal, cfg: WorldConfig) -> np.ndarray:
-    """Per-block goal-satisfaction predicate."""
-    n = state.n_blocks
-    out = np.zeros(n, dtype=bool)
-    if goal.kind is GoalKind.MOVE_TO_AREA:
-        c = cfg.corner_point(goal.corner)
-        dx = np.abs(state.positions[:, 0] - c[0])
-        dy = np.abs(state.positions[:, 1] - c[1])
-        out = (dx <= cfg.area_dx) & (dy <= cfg.area_dy)
-    elif goal.kind is GoalKind.MAKE_LINE:
-        out = np.abs(state.positions[:, 0] - cfg.width / 2.0) <= cfg.line_dist
-    else:  # GROUP_BY_COLOR: within group_dist of every same-color peer.
-        for i in range(n):
-            peers = [
-                j
-                for j in range(n)
-                if j != i and state.colors[j] == state.colors[i]
-            ]
-            if not peers:
-                out[i] = True
-                continue
-            d = np.linalg.norm(state.positions[peers] - state.positions[i], axis=1)
-            out[i] = bool(np.all(d <= cfg.group_dist))
-    return out
-
-
-def block_region_distance(
-    state: WorldState, goal: TaskGoal, block_index: int, cfg: WorldConfig
+def _region_distance(
+    state: WorldState, goal: TaskGoal, block_index: int, p: np.ndarray, cfg: WorldConfig
 ) -> float:
-    """Distance from one block to its goal-satisfying region (0 if satisfied).
-
-    Off-board sentinel positions are first projected onto the board so the
-    distance stays finite. For group-by-color the distance is to the disk of
-    the farthest same-color peer, a lower bound on the distance to the full
-    intersection region.
-    """
-    p = state.positions[block_index]
-    if p[0] < 0.0 or p[1] < 0.0:
-        p = np.clip(p, [0.0, 0.0], [cfg.width, cfg.height])
+    """Distance from position ``p`` of one block to its goal-satisfying region
+    (0 inside it). For group-by-color the distance is to the disk of the
+    farthest same-color peer, a lower bound on the distance to the full
+    intersection region."""
     if goal.kind is GoalKind.MOVE_TO_AREA:
         c = cfg.corner_point(goal.corner)
         dx = max(0.0, abs(p[0] - c[0]) - cfg.area_dx)
@@ -313,17 +291,35 @@ def block_region_distance(
     return max(0.0, float(np.max(d)) - cfg.group_dist)
 
 
+def block_region_distance(
+    state: WorldState, goal: TaskGoal, block_index: int, cfg: WorldConfig
+) -> float:
+    """Distance from one block to its goal-satisfying region (0 if satisfied).
+
+    Off-board sentinel positions are first projected onto the board so the
+    distance stays finite.
+    """
+    p = state.positions[block_index]
+    if p[0] < 0.0 or p[1] < 0.0:
+        p = np.clip(p, [0.0, 0.0], [cfg.width, cfg.height])
+    return _region_distance(state, goal, block_index, p, cfg)
+
+
+def _satisfied(state: WorldState, goal: TaskGoal, cfg: WorldConfig):
+    """Per block, whether its own (unprojected) position lies in its goal region."""
+    return (_region_distance(state, goal, i, p, cfg) == 0.0 for i, p in enumerate(state.positions))
+
+
 def reward(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> float:
     """Percentage of blocks satisfying the goal predicate, in [0, 100]."""
     if state.n_blocks == 0:
         return 100.0
-    mask = _satisfied_mask(state, goal, cfg)
-    return 100.0 * float(np.count_nonzero(mask)) / state.n_blocks
+    return 100.0 * sum(_satisfied(state, goal, cfg)) / state.n_blocks
 
 
 def is_complete(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> bool:
     """True iff every block satisfies the goal predicate (reward 100)."""
-    return bool(np.all(_satisfied_mask(state, goal, cfg)))
+    return all(_satisfied(state, goal, cfg))
 
 
 def sample_initial_state(

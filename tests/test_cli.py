@@ -46,6 +46,23 @@ def _wrong_typed_overrides():
             yield pytest.param(path, value, id=f"{path}={value}")
 
 
+# One value just outside each range-checked world and model field.
+OUT_OF_RANGE = [
+    *(f"world.{name}={v}" for name in ("width", "height", "block_radius", "u_max") for v in (0, -1)),
+    *(
+        f"world.{name}=-0.1"
+        for name in ("sigma_env", "group_dist", "area_dx", "area_dy", "line_dist")
+    ),
+    "world.collision_iters=0",
+    "model.push_reach=0",
+    "model.push_reach=-0.1",
+    "model.sigma_model=-0.1",
+    "model.goal_eps=-0.1",
+    "model.frames_per_rollout=0",
+    "model.frames_per_rollout=1",
+]
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize("path,value", list(_wrong_typed_overrides()))
     def test_wrong_typed_value_exit_two(self, outdir, capsys, path, value):
@@ -66,6 +83,41 @@ class TestConfigBoundary:
 
     def test_negative_oracle_horizon_exit_two(self, outdir, capsys):
         assert run(["oracle", "--horizon", "-1", "--set", "n_blocks=2"]) == 2
+        assert_config_error(capsys)
+
+    @pytest.mark.parametrize("override", OUT_OF_RANGE)
+    def test_out_of_range_value_exit_two(self, outdir, capsys, override):
+        assert run(["plan", "--set", override]) == 2
+        assert_config_error(capsys)
+
+    def test_lowest_in_range_values_run(self, outdir):
+        overrides = [
+            "world.collision_iters=1",
+            "world.sigma_env=0",
+            "world.group_dist=0",
+            "world.area_dx=0",
+            "world.area_dy=0",
+            "world.line_dist=0",
+            "model.frames_per_rollout=2",
+            "model.sigma_model=0",
+            "model.goal_eps=0",
+            "planner.horizon=1",
+        ]
+        assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 0
+
+    def test_directory_as_config_exit_two(self, outdir, capsys, tmp_path):
+        assert run(["plan", "--config", str(tmp_path)]) == 2
+        assert_config_error(capsys)
+
+    def test_directory_as_trace_exit_two(self, outdir, capsys, tmp_path):
+        assert run(["replay", str(tmp_path)]) == 2
+        assert_config_error(capsys)
+
+    def test_output_dir_naming_a_file_exit_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("BLOCKPLAN_OUT", raising=False)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["plan", "--set", f"output_dir={taken}", "--set", "planner.horizon=1"]) == 2
         assert_config_error(capsys)
 
 

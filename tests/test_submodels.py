@@ -75,7 +75,16 @@ class TestGrammar:
 
     def test_parse_rejects_garbage(self):
         s = sample_initial_state(3, seed=0)
-        for bad in ("shove red0 to center", "push red9 to center", "push red0 to nowhere", ""):
+        for bad in (
+            "shove red0 to center",
+            "push red9 to center",
+            "push red0 to nowhere",
+            "",
+            "push red00 to center",
+            "push red0 to blue01",
+            "push red0 to red0",
+            "push red0 to yellow_group",
+        ):
             with pytest.raises(InvalidActionError):
                 parse_action(bad, s)
 
