@@ -17,7 +17,7 @@ from .errors import BlockplanError, CapacityError, ConfigError
 from .harness import AblationGrid, brute_force_oracle, scaling_suite
 from .runs import episode_records, plan_records, plan_summary_line
 from .seeding import derive
-from .tracing import digest, first_divergence, read_trace, write_trace
+from .tracing import first_divergence, read_trace, write_trace
 from .world import sample_initial_state
 
 
@@ -105,7 +105,6 @@ def cmd_ablate(args) -> int:
         mcfg=cfg.model,
         faults=cfg.faults,
     )
-    summary.config_hash = digest(config_to_dict(cfg))
     csv_path = os.path.join(out, "ablation.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(summary.csv_lines()) + "\n")

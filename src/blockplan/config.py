@@ -47,6 +47,8 @@ class RunConfig:
             raise ConfigError("n_blocks must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
 
 
 @functools.cache

@@ -37,6 +37,8 @@ class ExecutionConfig:
         for name in ("controls_per_frame", "frames_per_plan", "total_budget"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.env_seed < 0:
+            raise ConfigError(f"env_seed must be >= 0, got {self.env_seed}")
 
 
 @dataclass
@@ -80,37 +82,32 @@ def execute_segmentwise(
 
     frames = plan.frames()
     n_exec = min(cfg.frames_per_plan, len(frames) - 1)
-    issued = 0
-
-    def budget_left() -> int:
-        return cfg.total_budget - (steps_used + issued)
-
-    if budget_left() <= 0 or n_exec <= 0:
-        return env_state, 0
-
     if cfg.extractor is Extractor.INVERSE_DYNAMICS:
-        plan_pairs = [(frames[t], frames[t + 1]) for t in range(n_exec)]
-        controls_per_target = 1
-        targets = plan_pairs
-    elif cfg.extractor is Extractor.GOAL_POLICY_LAST_FRAME:
-        per_seg = len(plan.segments[0].frames) if plan.segments else 2
-        last_idx = [i for i in _segment_last_indices(len(plan.segments), per_seg) if 1 <= i <= n_exec]
-        targets = [frames[i] for i in last_idx]
-        controls_per_target = cfg.controls_per_frame
-    else:
-        targets = frames[1 : n_exec + 1]
-        controls_per_target = cfg.controls_per_frame
+        tracked, repeats = range(1, n_exec + 1), 1
 
-    for target in targets:
-        for _ in range(controls_per_target):
-            if budget_left() <= 0:
+        def control(state, t):
+            return inverse_dynamics(frames[t - 1], frames[t], wcfg)
+
+    else:
+        if cfg.extractor is Extractor.GOAL_POLICY_LAST_FRAME:
+            per_seg = len(plan.segments[0].frames) if plan.segments else 2
+            last_idx = _segment_last_indices(len(plan.segments), per_seg)
+            tracked = [t for t in last_idx if 1 <= t <= n_exec]
+        else:
+            tracked = range(1, n_exec + 1)
+        repeats = cfg.controls_per_frame
+
+        def control(state, t):
+            return controller(state, frames[t])
+
+    issued = 0
+    for t in tracked:
+        for _ in range(repeats):
+            if steps_used + issued >= cfg.total_budget:
                 return env_state, issued
-            if cfg.extractor is Extractor.INVERSE_DYNAMICS:
-                u = inverse_dynamics(target[0], target[1], wcfg)
-            else:
-                u = controller(env_state, target)
-                if u is None:
-                    break  # goal frame out of the controller's reach
+            u = control(env_state, t)
+            if u is None:
+                break  # goal frame out of the controller's reach
             env_state = step_true(
                 env_state, u, derive(cfg.env_seed, steps_used + issued), wcfg
             )

@@ -55,7 +55,6 @@ class AblationGrid:
 @dataclass
 class CellSummary:
     label: str
-    config: dict
     episodes: int
     naive_success: float = 0.0
     replay_success: float = 0.0
@@ -67,8 +66,6 @@ class CellSummary:
 @dataclass
 class SuiteSummary:
     rows: list[CellSummary]
-    seed_base: int
-    config_hash: str = ""
 
     def csv_lines(self) -> list[str]:
         header = (
@@ -197,19 +194,13 @@ def plan_accuracy_suite(
         rows.append(
             CellSummary(
                 label=goal.kind.value,
-                config={
-                    "beams": cfg.beams,
-                    "text_branch": cfg.text_branch,
-                    "video_branch": cfg.video_branch,
-                    "horizon": cfg.horizon,
-                },
                 episodes=n,
                 naive_success=naive / n,
                 replay_success=replayed / n,
                 wall_clock=time.perf_counter() - t0,
             )
         )
-    return SuiteSummary(rows=rows, seed_base=seed_base)
+    return SuiteSummary(rows=rows)
 
 
 def scaling_suite(
@@ -238,7 +229,7 @@ def scaling_suite(
         row = summary.rows[0]
         row.label = f"B{B}_A{A}_D{D}_H{H}"
         rows.append(row)
-    return SuiteSummary(rows=rows, seed_base=grid.seed_base)
+    return SuiteSummary(rows=rows)
 
 
 def execution_suite(
@@ -267,10 +258,9 @@ def execution_suite(
         completions += int(res.completed)
     row = CellSummary(
         label=("open_loop" if open_loop else ecfg.extractor.value),
-        config={"beams": pcfg.beams, "horizon": pcfg.horizon},
         episodes=n,
         mean_reward=sum(rewards) / n,
         completion_rate=completions / n,
         wall_clock=time.perf_counter() - t0,
     )
-    return SuiteSummary(rows=[row], seed_base=seed_base)
+    return SuiteSummary(rows=[row])

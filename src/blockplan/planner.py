@@ -12,10 +12,10 @@ the result is independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .seeding import SeedLike, derive, seed_tuple
+from .seeding import SeedLike, derive
 from .submodels import Rollout, Submodels, simulator_submodels
 from .world import TaskGoal, WorldState
 
@@ -42,8 +42,10 @@ class PlannerConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.guard_threshold > 0:
             raise ConfigError(f"guard_threshold must be > 0, got {self.guard_threshold}")
-        if self.policy_temperature < 0:
-            raise ConfigError("policy_temperature must be >= 0")
+        if not self.policy_temperature >= 0:
+            raise ConfigError(f"policy_temperature must be >= 0, got {self.policy_temperature}")
+        if self.root_seed < 0:
+            raise ConfigError(f"root_seed must be >= 0, got {self.root_seed}")
 
 
 @dataclass
@@ -57,6 +59,17 @@ class PlanBeam:
     @property
     def last_frame(self) -> WorldState:
         return self.segments[-1].last if self.segments else self.start
+
+    def finish(self, beam_index: int) -> "Plan":
+        """The finished plan this beam holds: its value trace is each segment's
+        end heuristic, its final value the beam's value."""
+        return Plan(
+            start=self.start,
+            segments=list(self.segments),
+            heuristic_trace=[s.end_heuristic for s in self.segments],
+            final_value=self.value,
+            beam_index=beam_index,
+        )
 
 
 @dataclass
@@ -99,17 +112,10 @@ def replace_beams(beams: list[PlanBeam]) -> tuple[list[PlanBeam], int, int]:
     Ties break toward the lowest beam index. Returns (beams, src, dst);
     a single beam is returned unchanged.
     """
-    if len(beams) < 2:
-        return beams, 0, 0
-    values = [b.value for b in beams]
-    src = max(range(len(beams)), key=lambda i: (values[i], -i))
-    dst = min(range(len(beams)), key=lambda i: (values[i], i))
+    src = max(range(len(beams)), key=lambda i: (beams[i].value, -i))
+    dst = min(range(len(beams)), key=lambda i: (beams[i].value, i))
     if src != dst:
-        beams[dst] = PlanBeam(
-            start=beams[src].start,
-            segments=list(beams[src].segments),
-            value=beams[src].value,
-        )
+        beams[dst] = replace(beams[src], segments=list(beams[src].segments))
     return beams, src, dst
 
 
@@ -164,11 +170,10 @@ class Planner:
         goal: TaskGoal,
         cfg: PlannerConfig,
         step_index: int,
-        beam_index: int = 0,
-        root_seed: SeedLike | None = None,
+        beam_index: int,
+        root: SeedLike,
     ) -> PlanBeam:
         """Append the best surviving rollout of A x D candidates to the beam."""
-        root = cfg.root_seed if root_seed is None else root_seed
         frame = beam.last_frame
         candidates = self._candidates(frame, goal, cfg, root, beam_index, step_index, 0)
         kept = [r for r in candidates if apply_guard(r, cfg.guard_threshold)]
@@ -225,31 +230,19 @@ class Planner:
     ) -> Plan:
         """Run the full H-step beam search and return the best plan."""
         root = cfg.root_seed if root_seed is None else root_seed
-        seed_tuple(root)  # validate early
         self.events = []
         beams = [PlanBeam(start=x0, value=self.submodels.value(x0, goal)) for _ in range(cfg.beams)]
-        traces: list[list[float]] = [[] for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b in range(cfg.beams):
                 self.expand_step(beams[b], goal, cfg, h, b, root)
-                traces[b].append(beams[b].value)
-            if cfg.beams > 1 and h % cfg.replace_period == 0:
+            if h % cfg.replace_period == 0:
                 beams, src, dst = replace_beams(beams)
                 if src != dst:
-                    traces[dst] = list(traces[src])
                     self.events.append(
                         {"kind": "BeamReplace", "step": h, "src": src, "dst": dst}
                     )
         best = max(range(cfg.beams), key=lambda i: (beams[i].value, -i))
-        chosen = beams[best]
-        final_value = self.submodels.value(chosen.last_frame, goal)
-        return Plan(
-            start=x0,
-            segments=list(chosen.segments),
-            heuristic_trace=list(traces[best]),
-            final_value=final_value,
-            beam_index=best,
-        )
+        return beams[best].finish(best)
 
 
 def greedy_chain(
@@ -266,7 +259,6 @@ def greedy_chain(
     sm = submodels if submodels is not None else simulator_submodels()
     root = cfg.root_seed if root_seed is None else root_seed
     beam = PlanBeam(start=x0, value=sm.value(x0, goal))
-    trace: list[float] = []
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
         action = sm.propose(
@@ -281,11 +273,4 @@ def greedy_chain(
         r.end_heuristic = sm.value(r.last, goal)
         beam.segments.append(r)
         beam.value = r.end_heuristic
-        trace.append(beam.value)
-    return Plan(
-        start=x0,
-        segments=beam.segments,
-        heuristic_trace=trace,
-        final_value=sm.value(beam.last_frame, goal),
-        beam_index=0,
-    )
+    return beam.finish(0)

@@ -199,8 +199,6 @@ def rollout_dynamics(
     deliberately an imperfect stand-in for the true dynamics.
     """
     subj = state.index_of(action.subject)
-    if action.target.kind == "block":
-        state.index_of(action.target.block)  # validates existence
     rng = rng_from(seed)
     target = action.target.resolve(state, action.subject, wcfg)
     S = mcfg.frames_per_rollout
@@ -230,9 +228,7 @@ def rollout_dynamics(
             step = delta
             if mcfg.sigma_model > 0:
                 step = step + rng.normal(0.0, mcfg.sigma_model, 2)
-            pos[subj] = np.clip(
-                pos[subj] + step, [0.0, 0.0], [wcfg.width, wcfg.height]
-            )
+            pos[subj] = np.clip(pos[subj] + step, 0.0, wcfg.board)
         if t == vanish_frame:
             vanished = True
         if vanished:
@@ -381,8 +377,8 @@ def propose_actions(
     """
     if A < 1:
         raise ValueError("A must be >= 1")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not temperature >= 0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
     grammar = action_grammar(state)
     scores = np.array(
         [heuristic(idealized_outcome(state, a, wcfg, mcfg), goal, wcfg, mcfg) for a in grammar]

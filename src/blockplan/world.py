@@ -130,9 +130,6 @@ class WorldState:
     def color_of(self, block_id: int) -> Color:
         return self.colors[self.index_of(block_id)]
 
-    def is_vanished(self, block_id: int) -> bool:
-        return bool(np.array_equal(self.pos(block_id), SENTINEL_POS))
-
     def with_positions(self, positions: np.ndarray, step_count: int | None = None) -> "WorldState":
         return replace(
             self,
@@ -205,13 +202,6 @@ ALL_GOALS = (
 )
 
 
-def _clamp_to_board(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
-    out = positions.copy()
-    out[:, 0] = np.clip(out[:, 0], 0.0, cfg.width)
-    out[:, 1] = np.clip(out[:, 1], 0.0, cfg.height)
-    return out
-
-
 def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
     """Push overlapping disks apart, then re-clamp, iterated to a fixpoint."""
     pos = positions.copy()
@@ -234,7 +224,7 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
                 pos[i] -= shift * normal
                 pos[j] += shift * normal
                 moved = True
-        pos = _clamp_to_board(pos, cfg)
+        pos = np.clip(pos, 0.0, cfg.board)
         if not moved:
             break
     return pos
@@ -261,7 +251,7 @@ def step_true(
     noise = rng.normal(0.0, cfg.sigma_env, 2) if cfg.sigma_env > 0 else np.zeros(2)
     pos = state.positions.copy()
     pos[idx] = pos[idx] + u.vec + noise
-    pos = _clamp_to_board(pos, cfg)
+    pos = np.clip(pos, 0.0, cfg.board)
     pos = _resolve_collisions(pos, cfg)
     return state.with_positions(pos, step_count=state.step_count + 1)
 
@@ -301,7 +291,7 @@ def block_region_distance(
     """
     p = state.positions[block_index]
     if p[0] < 0.0 or p[1] < 0.0:
-        p = np.clip(p, [0.0, 0.0], [cfg.width, cfg.height])
+        p = np.clip(p, 0.0, cfg.board)
     return _region_distance(state, goal, block_index, p, cfg)
 
 

@@ -60,6 +60,10 @@ OUT_OF_RANGE = [
     "model.goal_eps=-0.1",
     "model.frames_per_rollout=0",
     "model.frames_per_rollout=1",
+    "seeds=[-1]",
+    "planner.root_seed=-1",
+    "execution.env_seed=-1",
+    "planner.policy_temperature=NaN",
 ]
 
 

@@ -236,6 +236,20 @@ class TestPlanner:
         steps = [e["step"] for e in planner.events if e["kind"] == "BeamReplace"]
         assert all(st % 5 == 0 for st in steps)
 
+    def test_trace_and_final_value_follow_replaced_beams(self):
+        # Beam replacement copies one beam over another; the returned value
+        # trace and final value must still be those of the chosen segments.
+        goal = make_line()
+        cfg = PlannerConfig(beams=2, replace_period=2, horizon=6)
+        replacements = 0
+        for seed in range(4):
+            planner = Planner()
+            plan = planner.plan(sample_initial_state(6, seed=seed), goal, cfg, root_seed=seed)
+            replacements += sum(e["kind"] == "BeamReplace" for e in planner.events)
+            assert plan.heuristic_trace == [s.end_heuristic for s in plan.segments]
+            assert plan.final_value == heuristic(plan.frames()[-1], goal)
+        assert replacements > 0
+
     def test_invalid_root_seed(self):
         s = sample_initial_state(3, seed=0)
         with pytest.raises(ValueError):

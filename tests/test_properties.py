@@ -1,14 +1,17 @@
-"""Property tests over generated states: the grammar's parse round-trip and the
-agreement of the goal predicate, the reward and the heuristic."""
+"""Property tests over generated states: the grammar's parse round-trip, the
+agreement of the goal predicate, the reward and the heuristic, and what the
+true dynamics keep."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockplan.seeding import derive
 from blockplan.submodels import FaultConfig, action_grammar, heuristic, parse_action, rollout_dynamics
 from blockplan.world import (
     SENTINEL_POS,
     Color,
+    ControlAction,
     Corner,
     WorldConfig,
     WorldState,
@@ -18,6 +21,7 @@ from blockplan.world import (
     move_to_area,
     reward,
     sample_initial_state,
+    step_true,
 )
 
 WCFG = WorldConfig()
@@ -83,3 +87,31 @@ def test_complete_implies_zero_heuristic(s, goal):
         assume(len(mine) < 2 or not vanished[mine].all())
     if is_complete(s, goal, WCFG):
         assert heuristic(s, goal, WCFG) == 0.0
+
+
+@st.composite
+def control_chains(draw):
+    """A state of 1-12 sampled blocks and a chain of up to 20 controls, each
+    within u_max, with the seed its true steps derive from."""
+    s = sample_initial_state(draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1)), WCFG)
+    component = st.floats(-WCFG.u_max, WCFG.u_max)
+    controls = draw(
+        st.lists(st.tuples(st.sampled_from(s.ids), component, component), min_size=1, max_size=20)
+    )
+    chain = [
+        ControlAction.bounded(b, np.array([dx, dy]), np.hypot(dx, dy), WCFG.u_max)
+        for b, dx, dy in controls
+    ]
+    return s, chain, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(control_chains())
+def test_step_true_keeps_blocks_on_the_board(example):
+    s, chain, seed = example
+    for k, u in enumerate(chain):
+        nxt = step_true(s, u, derive(seed, k), WCFG)
+        assert nxt.ids == s.ids and nxt.colors == s.colors
+        assert nxt.step_count == s.step_count + 1
+        assert np.all(nxt.positions >= 0.0) and np.all(nxt.positions <= WCFG.board)
+        s = nxt

@@ -370,3 +370,8 @@ class TestProposals:
             propose_actions(s, make_line(), A=0, temperature=0.3, seed=0)
         with pytest.raises(ValueError):
             propose_actions(s, make_line(), A=2, temperature=-1.0, seed=0)
+
+    def test_nan_temperature_rejected(self):
+        s = sample_initial_state(3, seed=0)
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            propose_actions(s, make_line(), A=2, temperature=float("nan"), seed=0)
