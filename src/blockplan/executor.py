@@ -203,23 +203,20 @@ def run_open_loop(
     goal: TaskGoal,
     pcfg: PlannerConfig,
     ecfg: ExecutionConfig,
-    planner: Planner | None = None,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
 ) -> EpisodeResult:
-    """Baseline without replanning: plan once, execute the whole plan with
-    ``planner.submodels.controller``."""
-    planner = planner if planner is not None else Planner(simulator_submodels(wcfg, mcfg))
-    if is_complete(initial, goal, wcfg):
+    """Baseline without replanning: plan once with the default simulator
+    submodels, execute the whole plan with their controller."""
+    if is_complete(initial, goal):
         return EpisodeResult(100.0, True, 0, 0)
+    planner = Planner()
     plan = planner.plan(initial, goal, pcfg, root_seed=derive(pcfg.root_seed, 0))
     all_frames = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
     env_state, issued = execute_segmentwise(
-        initial, plan, goal, all_frames, wcfg, mcfg, controller=planner.submodels.controller
+        initial, plan, goal, all_frames, controller=planner.submodels.controller
     )
     return EpisodeResult(
-        final_reward=reward(env_state, goal, wcfg),
-        completed=is_complete(env_state, goal, wcfg),
+        final_reward=reward(env_state, goal),
+        completed=is_complete(env_state, goal),
         steps_used=issued,
         replan_count=1,
     )

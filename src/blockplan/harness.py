@@ -140,7 +140,8 @@ def replay_plan(
     Each abstract action gets the control budget a real push is worth,
     ceil(push_reach / u_max) controls toward the action's resolved target, so
     teleported or hidden progress in the plan's frames cannot be reproduced.
-    Success iff any replayed state completes the goal.
+    Success iff any replayed state completes the goal. An action naming a
+    block the state lacks raises `InvalidActionError`.
     """
     controls_per_action = max(1, math.ceil(mcfg.push_reach / wcfg.u_max))
     state = x0
@@ -148,8 +149,6 @@ def replay_plan(
     if is_complete(state, goal, wcfg):
         return True
     for action in plan.actions:
-        if action.subject not in state.ids:
-            continue
         target = action.target.resolve(state, action.subject, wcfg)
         for _ in range(controls_per_action):
             delta = target - state.pos(action.subject)
@@ -238,22 +237,18 @@ def execution_suite(
     ecfg,
     n: int,
     n_blocks: int = 4,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
-    faults: FaultConfig = FaultConfig(),
     seed_base: int = 0,
     open_loop: bool = False,
 ) -> SuiteSummary:
     """Closed-loop (or open-loop baseline) episodes over seeded environments."""
-    planner = Planner(simulator_submodels(wcfg, mcfg, faults))
     t0 = time.perf_counter()
     rewards = []
     completions = 0
     for ep in range(n):
-        x0 = sample_initial_state(n_blocks, derive(seed_base, ep), wcfg)
+        x0 = sample_initial_state(n_blocks, derive(seed_base, ep))
         eseed = replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
         runner = run_open_loop if open_loop else run_episode
-        res = runner(x0, task, pcfg, eseed, planner=planner, wcfg=wcfg, mcfg=mcfg)
+        res = runner(x0, task, pcfg, eseed)
         rewards.append(res.final_reward)
         completions += int(res.completed)
     row = CellSummary(

@@ -50,7 +50,8 @@ class PlannerConfig:
 
 @dataclass
 class PlanBeam:
-    """One candidate long-horizon plan under construction."""
+    """One candidate long-horizon plan under construction; ``value`` is the
+    value of its last frame."""
 
     start: WorldState
     segments: list[Rollout] = field(default_factory=list)
@@ -134,7 +135,7 @@ class Planner:
 
     def _candidates(
         self,
-        frame: WorldState,
+        beam: PlanBeam,
         goal: TaskGoal,
         cfg: PlannerConfig,
         root: SeedLike,
@@ -142,7 +143,9 @@ class Planner:
         step_index: int,
         salt: int,
     ) -> list[Rollout]:
+        """A x D rollouts from the beam's last frame, whose value is ``beam.value``."""
         sm = self.submodels
+        frame = beam.last_frame
         actions = sm.propose(
             frame,
             goal,
@@ -150,7 +153,6 @@ class Planner:
             cfg.policy_temperature,
             derive(root, salt, _SEED_PROPOSE, beam_index, step_index),
         )
-        start_value = sm.value(frame, goal)
         rollouts: list[Rollout] = []
         for i, action in enumerate(actions):
             for j in range(cfg.video_branch):
@@ -159,7 +161,7 @@ class Planner:
                     action,
                     derive(root, salt, _SEED_ROLLOUT, beam_index, step_index, i, j),
                 )
-                r.start_heuristic = start_value
+                r.start_heuristic = beam.value
                 r.end_heuristic = sm.value(r.last, goal)
                 rollouts.append(r)
         return rollouts
@@ -172,10 +174,10 @@ class Planner:
         step_index: int,
         beam_index: int,
         root: SeedLike,
-    ) -> PlanBeam:
+    ) -> None:
         """Append the best surviving rollout of A x D candidates to the beam."""
         frame = beam.last_frame
-        candidates = self._candidates(frame, goal, cfg, root, beam_index, step_index, 0)
+        candidates = self._candidates(beam, goal, cfg, root, beam_index, step_index, 0)
         kept = [r for r in candidates if apply_guard(r, cfg.guard_threshold)]
         n_discarded = len(candidates) - len(kept)
         if n_discarded:
@@ -192,7 +194,7 @@ class Planner:
             # Total discard is not covered by the search rule: resample once
             # with fresh seeds, then fall back to the least-suspect candidate.
             resampled = self._candidates(
-                frame, goal, cfg, root, beam_index, step_index, _SEED_RESAMPLE
+                beam, goal, cfg, root, beam_index, step_index, _SEED_RESAMPLE
             )
             kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
             if not kept:
@@ -217,7 +219,6 @@ class Planner:
                 "value": chosen.end_heuristic,
             }
         )
-        return beam
 
     # -- full search ------------------------------------------------------
 
@@ -231,7 +232,8 @@ class Planner:
         """Run the full H-step beam search and return the best plan."""
         root = cfg.root_seed if root_seed is None else root_seed
         self.events = []
-        beams = [PlanBeam(start=x0, value=self.submodels.value(x0, goal)) for _ in range(cfg.beams)]
+        v0 = self.submodels.value(x0, goal)
+        beams = [PlanBeam(start=x0, value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b in range(cfg.beams):
                 self.expand_step(beams[b], goal, cfg, h, b, root)
@@ -245,19 +247,12 @@ class Planner:
         return beams[best].finish(best)
 
 
-def greedy_chain(
-    x0: WorldState,
-    goal: TaskGoal,
-    cfg: PlannerConfig,
-    submodels: Submodels | None = None,
-    root_seed: SeedLike | None = None,
-) -> Plan:
+def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
     """No-search baseline: chain propose(1) -> rollout -> append with no
     selection and no guard (the "no value function" structure). With
     beams = text_branch = video_branch = 1 and a non-binding guard, `Planner.plan`
     reduces to exactly this chain."""
-    sm = submodels if submodels is not None else simulator_submodels()
-    root = cfg.root_seed if root_seed is None else root_seed
+    sm = simulator_submodels()
     beam = PlanBeam(start=x0, value=sm.value(x0, goal))
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
@@ -266,9 +261,9 @@ def greedy_chain(
             goal,
             1,
             cfg.policy_temperature,
-            derive(root, 0, _SEED_PROPOSE, 0, h),
+            derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
         )[0]
-        r = sm.rollout(frame, action, derive(root, 0, _SEED_ROLLOUT, 0, h, 0, 0))
+        r = sm.rollout(frame, action, derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0, h, 0, 0))
         r.start_heuristic = sm.value(frame, goal)
         r.end_heuristic = sm.value(r.last, goal)
         beam.segments.append(r)

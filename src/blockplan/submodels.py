@@ -215,9 +215,7 @@ def rollout_dynamics(
 
     frames = [state]
     pos = state.positions.copy()
-    vanished = False
     for t in range(1, S):
-        pos = pos.copy()
         if t == teleport_frame:
             pos[subj] = target
         else:
@@ -229,9 +227,7 @@ def rollout_dynamics(
             if mcfg.sigma_model > 0:
                 step = step + rng.normal(0.0, mcfg.sigma_model, 2)
             pos[subj] = np.clip(pos[subj] + step, 0.0, wcfg.board)
-        if t == vanish_frame:
-            vanished = True
-        if vanished:
+        if 0 < vanish_frame <= t:
             pos[vanish_idx] = SENTINEL_POS
         frames.append(state.with_positions(pos))
     return Rollout(frames=frames, action=action)

@@ -81,14 +81,14 @@ def state_digest(state: WorldState) -> str:
 
 
 def plan_to_dict(plan: Plan) -> dict:
-    frames = plan.frames()
+    frames = [state_to_dict(f) for f in plan.frames()]
     return {
         "actions": [a.text(plan.start) for a in plan.actions],
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],
         "final_value": round9(plan.final_value),
         "beam_index": plan.beam_index,
-        "frames": [state_to_dict(f) for f in frames],
-        "frame_hashes": [state_digest(f) for f in frames],
+        "frames": frames,
+        "frame_hashes": [digest(d) for d in frames],
     }
 
 

@@ -26,6 +26,9 @@ EPS_GEOM = 1e-6
 # Never produced by true dynamics.
 SENTINEL_POS = (-1.0, -1.0)
 
+# Rejection-sampling attempts per block before `sample_initial_state` gives up.
+MAX_TRIES_PER_BLOCK = 2000
+
 
 class Color(str, Enum):
     RED = "red"
@@ -195,13 +198,6 @@ def make_line() -> TaskGoal:
     return TaskGoal(GoalKind.MAKE_LINE)
 
 
-ALL_GOALS = (
-    move_to_area(Corner.TOP_RIGHT),
-    group_by_color(),
-    make_line(),
-)
-
-
 def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
     """Push overlapping disks apart, then re-clamp, iterated to a fixpoint."""
     pos = positions.copy()
@@ -316,7 +312,6 @@ def sample_initial_state(
     n_blocks: int,
     seed: SeedLike,
     cfg: WorldConfig = WorldConfig(),
-    max_tries_per_block: int = 2000,
 ) -> WorldState:
     """Place non-overlapping blocks uniformly at random; colors cycle the enum."""
     if n_blocks < 1:
@@ -331,14 +326,14 @@ def sample_initial_state(
     rng = rng_from(seed)
     placed: list[np.ndarray] = []
     for _ in range(n_blocks):
-        for attempt in range(max_tries_per_block):
+        for attempt in range(MAX_TRIES_PER_BLOCK):
             p = rng.uniform([r, r], [cfg.width - r, cfg.height - r])
             if all(np.linalg.norm(p - q) >= 2.0 * r for q in placed):
                 placed.append(p)
                 break
         else:
             raise CapacityError(
-                f"failed to place block {len(placed)} after {max_tries_per_block} tries"
+                f"failed to place block {len(placed)} after {MAX_TRIES_PER_BLOCK} tries"
             )
     colors = tuple(list(Color)[i % len(Color)] for i in range(n_blocks))
     return WorldState(

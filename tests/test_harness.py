@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockplan.errors import CapacityError
+from blockplan.errors import CapacityError, InvalidActionError
 from blockplan.harness import (
     AblationGrid,
     brute_force_oracle,
@@ -16,6 +16,7 @@ from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
     ModelConfig,
+    Rollout,
     Target,
     heuristic,
     simulator_submodels,
@@ -125,6 +126,16 @@ class TestReplayPlan:
         x0 = make_state([(0.1, 0.1), (0.13, 0.1)], colors=[Color.RED, Color.RED])
         plan = Plan(start=x0, segments=[], heuristic_trace=[], final_value=0.0, beam_index=0)
         assert replay_plan(x0, plan, group_by_color())
+
+    def test_absent_block_rejected(self):
+        # The planner never names a block the state lacks; a hand-built plan
+        # that does is an error, not an action to skip.
+        x0 = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
+        ghost = AbstractAction(7, Target("corner", corner=Corner.TOP_LEFT))
+        seg = Rollout(frames=[x0], action=ghost)
+        plan = Plan(start=x0, segments=[seg], heuristic_trace=[], final_value=0.0, beam_index=0)
+        with pytest.raises(InvalidActionError):
+            replay_plan(x0, plan, group_by_color())
 
 
 class TestSuites:

@@ -16,7 +16,9 @@ from blockplan.submodels import (
     FaultConfig,
     ModelConfig,
     Rollout,
+    Submodels,
     Target,
+    action_grammar,
     heuristic,
     simulator_submodels,
 )
@@ -114,6 +116,45 @@ class TestGuard:
         # both blocks, so the honest gain is exactly 2 heuristic steps.
         assert r.end_heuristic - r.start_heuristic == 2.0
         assert apply_guard(r, 3.0)
+
+
+class TestGuardResample:
+    """A total discard resamples once with salt 3; if that is discarded too,
+    the least-suspect resampled candidate is kept."""
+
+    CFG = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=1)
+
+    def _plan(self, gains):
+        # Stub bundle: the value of a state is block 0's x; rollout (i, j) of
+        # the round salted ``salt`` moves block 0 by gains[salt][i * D + j].
+        made = {}
+
+        def propose(state, goal, A, temperature, seed):
+            return action_grammar(state)[:A]
+
+        def rollout(state, action, seed):
+            _, salt, _, _, _, i, j = seed
+            pos = state.positions.copy()
+            pos[0, 0] += gains[salt][i * self.CFG.video_branch + j]
+            made[(salt, i, j)] = Rollout([state, state.with_positions(pos)], action)
+            return made[(salt, i, j)]
+
+        def value(state, goal):
+            return float(state.positions[0, 0])
+
+        planner = Planner(Submodels(propose, rollout, value, controller=None))
+        x0 = make_state([(0.0, 0.1), (0.3, 0.2)])
+        return planner.plan(x0, group_by_color(), self.CFG), made
+
+    def test_resample_survivor_chosen(self):
+        plan, made = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [1.0, 10.0, 2.5, 4.0]})
+        assert plan.segments == [made[(3, 1, 0)]]
+        assert apply_guard(plan.segments[0], self.CFG.guard_threshold)
+
+    def test_fallback_keeps_least_suspect(self):
+        plan, made = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [9.0, 4.0, 7.0, 4.0]})
+        assert plan.segments == [made[(3, 0, 1)]]
+        assert not apply_guard(plan.segments[0], self.CFG.guard_threshold)
 
 
 class TestReplaceBeams:

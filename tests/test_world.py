@@ -52,6 +52,17 @@ class TestStepTrue:
         d = np.linalg.norm(out.positions[0] - out.positions[1])
         assert d == pytest.approx(2 * NOISE_FREE.block_radius)
 
+    def test_coincident_centers_separate_along_x(self):
+        # Coincident centres have no contact normal; they are pushed apart
+        # along +x by half the overlap each, leaving y untouched.
+        s = make_state([(0.3, 0.175), (0.3, 0.175)])
+        out = step_true(s, ControlAction(0, (0.0, 0.0)), seed=0, cfg=NOISE_FREE)
+        assert out.positions[0][0] == pytest.approx(0.28, abs=EPS_GEOM)
+        assert out.positions[1][0] == pytest.approx(0.32, abs=EPS_GEOM)
+        assert out.positions[0][1] == out.positions[1][1] == 0.175
+        d = out.positions[1][0] - out.positions[0][0]
+        assert d == pytest.approx(2 * NOISE_FREE.block_radius, abs=EPS_GEOM)
+
     def test_clamp_at_board_edge(self):
         s = make_state([(0.59, 0.20)])
         out = step_true(s, ControlAction(0, (0.02, 0.0)), seed=0, cfg=NOISE_FREE)
