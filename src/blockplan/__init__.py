@@ -31,7 +31,6 @@ from .harness import (
 )
 from .planner import (
     Plan,
-    PlanBeam,
     Planner,
     PlannerConfig,
     apply_guard,

@@ -98,7 +98,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError(str(e)) from None
     summary = scaling_suite(
         grid,
-        cfg.task.goal(),
+        cfg.task,
         base_cfg=cfg.planner,
         n_blocks=cfg.n_blocks,
         wcfg=cfg.world,
@@ -120,11 +120,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load(args)
-    goal = cfg.task.goal()
     x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0]), cfg.world)
     try:
         value, seq = brute_force_oracle(
-            x0, goal, args.horizon, cfg.world, cfg.model, enumeration_cap=args.cap
+            x0, cfg.task, args.horizon, cfg.world, cfg.model, enumeration_cap=args.cap
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None

@@ -15,19 +15,7 @@ from .errors import ConfigError
 from .executor import ExecutionConfig
 from .planner import PlannerConfig
 from .submodels import FaultConfig, ModelConfig
-from .world import Corner, GoalKind, TaskGoal, WorldConfig
-
-
-@dataclass(frozen=True)
-class TaskSelection:
-    kind: GoalKind = GoalKind.GROUP_BY_COLOR
-    corner: Corner | None = None
-
-    def __post_init__(self):
-        self.goal()  # rejects a kind and corner that make no goal
-
-    def goal(self) -> TaskGoal:
-        return TaskGoal(self.kind, self.corner)
+from .world import TaskGoal, WorldConfig
 
 
 @dataclass(frozen=True)
@@ -37,7 +25,7 @@ class RunConfig:
     faults: FaultConfig = field(default_factory=FaultConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    task: TaskSelection = field(default_factory=TaskSelection)
+    task: TaskGoal = field(default_factory=TaskGoal)
     n_blocks: int = 4
     seeds: tuple[int, ...] = (0,)
     output_dir: str = "out"

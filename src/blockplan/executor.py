@@ -50,12 +50,6 @@ class EpisodeResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _segment_last_indices(n_segments: int, frames_per_segment: int) -> list[int]:
-    """Flattened indices of each segment's last frame (junctions deduplicated)."""
-    per = frames_per_segment - 1
-    return [(k + 1) * per for k in range(n_segments)]
-
-
 def execute_segmentwise(
     env_state: WorldState,
     plan: Plan,
@@ -90,9 +84,7 @@ def execute_segmentwise(
 
     else:
         if cfg.extractor is Extractor.GOAL_POLICY_LAST_FRAME:
-            per_seg = len(plan.segments[0].frames) if plan.segments else 2
-            last_idx = _segment_last_indices(len(plan.segments), per_seg)
-            tracked = [t for t in last_idx if 1 <= t <= n_exec]
+            tracked = [t for t in plan.segment_ends() if 1 <= t <= n_exec]
         else:
             tracked = range(1, n_exec + 1)
         repeats = cfg.controls_per_frame

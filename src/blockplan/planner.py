@@ -13,6 +13,7 @@ the result is independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .errors import ConfigError
 from .seeding import SeedLike, derive
@@ -49,43 +50,27 @@ class PlannerConfig:
 
 
 @dataclass
-class PlanBeam:
-    """One candidate long-horizon plan under construction; ``value`` is the
-    value of its last frame."""
+class Plan:
+    """A long-horizon plan: rollouts chained from ``start``. Each beam of the
+    search is a plan; ``final_value`` is the value of its last frame and
+    ``beam_index`` the index of the beam the search returned."""
 
     start: WorldState
     segments: list[Rollout] = field(default_factory=list)
-    value: float = 0.0
+    final_value: float = 0.0
+    beam_index: int = 0
 
     @property
     def last_frame(self) -> WorldState:
         return self.segments[-1].last if self.segments else self.start
 
-    def finish(self, beam_index: int) -> "Plan":
-        """The finished plan this beam holds: its value trace is each segment's
-        end heuristic, its final value the beam's value."""
-        return Plan(
-            start=self.start,
-            segments=list(self.segments),
-            heuristic_trace=[s.end_heuristic for s in self.segments],
-            final_value=self.value,
-            beam_index=beam_index,
-        )
-
-
-@dataclass
-class Plan:
-    """A finished plan: chained rollouts, chosen actions, and value trace."""
-
-    start: WorldState
-    segments: list[Rollout]
-    heuristic_trace: list[float]
-    final_value: float
-    beam_index: int
-
     @property
     def actions(self) -> list:
         return [seg.action for seg in self.segments]
+
+    @property
+    def heuristic_trace(self) -> list[float]:
+        return [s.end_heuristic for s in self.segments]
 
     def frames(self) -> list[WorldState]:
         """Flattened frame sequence with junction frames stored once."""
@@ -95,6 +80,10 @@ class Plan:
         for seg in self.segments[1:]:
             out.extend(seg.frames[1:])
         return out
+
+    def segment_ends(self) -> list[int]:
+        """Index in `frames` of each segment's last frame."""
+        return list(accumulate(len(seg.frames) - 1 for seg in self.segments))
 
 
 def apply_guard(rollout: Rollout, guard_threshold: float) -> bool:
@@ -107,14 +96,14 @@ def apply_guard(rollout: Rollout, guard_threshold: float) -> bool:
     return (rollout.end_heuristic - rollout.start_heuristic) <= guard_threshold
 
 
-def replace_beams(beams: list[PlanBeam]) -> tuple[list[PlanBeam], int, int]:
+def replace_beams(beams: list[Plan]) -> tuple[list[Plan], int, int]:
     """Overwrite the lowest-value beam with a copy of the highest-value beam.
 
     Ties break toward the lowest beam index. Returns (beams, src, dst);
     a single beam is returned unchanged.
     """
-    src = max(range(len(beams)), key=lambda i: (beams[i].value, -i))
-    dst = min(range(len(beams)), key=lambda i: (beams[i].value, i))
+    src = max(range(len(beams)), key=lambda i: (beams[i].final_value, -i))
+    dst = min(range(len(beams)), key=lambda i: (beams[i].final_value, i))
     if src != dst:
         beams[dst] = replace(beams[src], segments=list(beams[src].segments))
     return beams, src, dst
@@ -135,7 +124,7 @@ class Planner:
 
     def _candidates(
         self,
-        beam: PlanBeam,
+        beam: Plan,
         goal: TaskGoal,
         cfg: PlannerConfig,
         root: SeedLike,
@@ -143,7 +132,7 @@ class Planner:
         step_index: int,
         salt: int,
     ) -> list[Rollout]:
-        """A x D rollouts from the beam's last frame, whose value is ``beam.value``."""
+        """A x D rollouts from the beam's last frame, whose value is ``final_value``."""
         sm = self.submodels
         frame = beam.last_frame
         actions = sm.propose(
@@ -161,14 +150,14 @@ class Planner:
                     action,
                     derive(root, salt, _SEED_ROLLOUT, beam_index, step_index, i, j),
                 )
-                r.start_heuristic = beam.value
+                r.start_heuristic = beam.final_value
                 r.end_heuristic = sm.value(r.last, goal)
                 rollouts.append(r)
         return rollouts
 
     def expand_step(
         self,
-        beam: PlanBeam,
+        beam: Plan,
         goal: TaskGoal,
         cfg: PlannerConfig,
         step_index: int,
@@ -209,7 +198,7 @@ class Planner:
         choice = max(range(len(kept)), key=lambda i: (kept[i].end_heuristic, -i))
         chosen = kept[choice]
         beam.segments.append(chosen)
-        beam.value = chosen.end_heuristic
+        beam.final_value = chosen.end_heuristic
         self.events.append(
             {
                 "kind": "PlanStep",
@@ -233,7 +222,7 @@ class Planner:
         root = cfg.root_seed if root_seed is None else root_seed
         self.events = []
         v0 = self.submodels.value(x0, goal)
-        beams = [PlanBeam(start=x0, value=v0) for _ in range(cfg.beams)]
+        beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b in range(cfg.beams):
                 self.expand_step(beams[b], goal, cfg, h, b, root)
@@ -243,8 +232,8 @@ class Planner:
                     self.events.append(
                         {"kind": "BeamReplace", "step": h, "src": src, "dst": dst}
                     )
-        best = max(range(cfg.beams), key=lambda i: (beams[i].value, -i))
-        return beams[best].finish(best)
+        best = max(range(cfg.beams), key=lambda i: (beams[i].final_value, -i))
+        return replace(beams[best], beam_index=best)
 
 
 def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
@@ -253,7 +242,7 @@ def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
     beams = text_branch = video_branch = 1 and a non-binding guard, `Planner.plan`
     reduces to exactly this chain."""
     sm = simulator_submodels()
-    beam = PlanBeam(start=x0, value=sm.value(x0, goal))
+    beam = Plan(start=x0, final_value=sm.value(x0, goal))
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
         action = sm.propose(
@@ -267,5 +256,5 @@ def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
         r.start_heuristic = sm.value(frame, goal)
         r.end_heuristic = sm.value(r.last, goal)
         beam.segments.append(r)
-        beam.value = r.end_heuristic
-    return beam.finish(0)
+        beam.final_value = r.end_heuristic
+    return beam

@@ -20,27 +20,25 @@ from .world import reward, sample_initial_state
 
 def plan_records(cfg: RunConfig, seed: int) -> list[dict]:
     """Plan once from a seeded initial state; emit search events and the plan."""
-    goal = cfg.task.goal()
     x0 = sample_initial_state(cfg.n_blocks, derive(seed), cfg.world)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
-    plan = planner.plan(x0, goal, cfg.planner, root_seed=derive(cfg.planner.root_seed, seed))
+    plan = planner.plan(x0, cfg.task, cfg.planner, root_seed=derive(cfg.planner.root_seed, seed))
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]
     records.extend(planner.events)
     last = plan.frames()[-1]
-    records.append({"kind": "Reward", "value": round9(reward(last, goal, cfg.world))})
+    records.append({"kind": "Reward", "value": round9(reward(last, cfg.task, cfg.world))})
     records.append({"kind": "PlanResult", "plan": plan_to_dict(plan)})
     return records
 
 
 def episode_records(cfg: RunConfig, seed: int) -> list[dict]:
     """Run one closed-loop episode; emit per-control records and the outcome."""
-    goal = cfg.task.goal()
     x0 = sample_initial_state(cfg.n_blocks, derive(seed), cfg.world)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
     ecfg = replace(cfg.execution, env_seed=int(cfg.execution.env_seed) + seed)
     result = run_episode(
         x0,
-        goal,
+        cfg.task,
         cfg.planner,
         ecfg,
         planner=planner,

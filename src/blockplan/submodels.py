@@ -24,6 +24,7 @@ from .world import (
     WorldConfig,
     WorldState,
     block_region_distance,
+    require_finite,
 )
 
 _CEIL_EPS = 1e-9  # distances within this of a step multiple do not cost an extra step
@@ -44,6 +45,7 @@ class ModelConfig:
     goal_eps: float = 1e-3
 
     def __post_init__(self):
+        require_finite(self)
         if not self.push_reach > 0:
             raise ConfigError(f"push_reach must be > 0, got {self.push_reach}")
         for name in ("sigma_model", "goal_eps"):

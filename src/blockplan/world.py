@@ -10,7 +10,7 @@ All operations are pure functions of their inputs plus an explicit seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,14 @@ class GoalKind(str, Enum):
     MAKE_LINE = "make_line"
 
 
+def require_finite(cfg) -> None:
+    """Reject a config dataclass with an infinite or NaN float field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Board geometry and true-dynamics parameters.
@@ -73,6 +81,7 @@ class WorldConfig:
     collision_iters: int = 8
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("width", "height", "block_radius", "u_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -167,7 +176,7 @@ class ControlAction:
 class TaskGoal:
     """One of the three long-horizon goals, with its canonical text form."""
 
-    kind: GoalKind
+    kind: GoalKind = GoalKind.GROUP_BY_COLOR
     corner: Corner | None = None
 
     def __post_init__(self):

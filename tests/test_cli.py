@@ -64,6 +64,10 @@ OUT_OF_RANGE = [
     "planner.root_seed=-1",
     "execution.env_seed=-1",
     "planner.policy_temperature=NaN",
+    "world.width=Infinity",
+    "world.height=Infinity",
+    "model.push_reach=Infinity",
+    "world.sigma_env=Infinity",
 ]
 
 
@@ -279,6 +283,21 @@ class TestReplayCommand:
         code = run(["replay", str(path)])
         assert code == 3
         assert "divergence at ordinal 2" in capsys.readouterr().err
+
+    # Traces kept from an earlier commit, so a header or record layout that
+    # drifts between commits fails here; a deliberate schema change
+    # regenerates them. Written by
+    #   blockplan plan --seed 2 --set n_blocks=3 --set planner.horizon=2
+    #     --set task.kind=move_to_area --set task.corner=top_left
+    #     --set faults.p_teleport=0.5
+    #   blockplan execute --seed 1 --set n_blocks=3 --set planner.horizon=2
+    #     --set task.kind=make_line
+    @pytest.mark.parametrize(
+        "name", ["golden_plan_move_to_area.jsonl", "golden_episode_make_line.jsonl"]
+    )
+    def test_golden_trace_verifies(self, name):
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+        assert run(["replay", path]) == 0
 
     def test_missing_trace_exit_two(self, outdir):
         assert run(["replay", str(outdir / "nope.jsonl")]) == 2

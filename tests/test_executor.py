@@ -8,13 +8,19 @@ from blockplan.executor import (
     EpisodeResult,
     ExecutionConfig,
     Extractor,
-    _segment_last_indices,
     execute_segmentwise,
     run_episode,
     run_open_loop,
 )
-from blockplan.planner import Planner, PlannerConfig
-from blockplan.submodels import ModelConfig, goal_policy, simulator_submodels
+from blockplan.planner import Plan, Planner, PlannerConfig
+from blockplan.submodels import (
+    AbstractAction,
+    ModelConfig,
+    Rollout,
+    Target,
+    goal_policy,
+    simulator_submodels,
+)
 from blockplan.world import (
     Color,
     Corner,
@@ -73,13 +79,19 @@ class TestExecutionConfig:
 
 
 class TestSegmentLastIndices:
+    @staticmethod
+    def _plan(n_segments, frames_per_segment):
+        s = make_state([(0.1, 0.1)])
+        seg = Rollout(frames=[s] * frames_per_segment, action=AbstractAction(0, Target("center")))
+        return Plan(start=s, segments=[seg] * n_segments)
+
     def test_sixteen_frame_segments(self):
         # Segments of 16 frames share junctions, so last frames sit at
         # 15, 30, 45, ... in the flattened sequence.
-        assert _segment_last_indices(3, 16) == [15, 30, 45]
+        assert self._plan(3, 16).segment_ends() == [15, 30, 45]
 
     def test_two_frame_segments(self):
-        assert _segment_last_indices(4, 2) == [1, 2, 3, 4]
+        assert self._plan(4, 2).segment_ends() == [1, 2, 3, 4]
 
 
 class TestExecuteSegmentwise:

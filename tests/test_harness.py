@@ -95,9 +95,7 @@ class TestReplayPlan:
             r = sm.rollout(state, a, seed=0)
             segments.append(r)
             state = r.last
-        return Plan(
-            start=x0, segments=segments, heuristic_trace=[], final_value=0.0, beam_index=0
-        )
+        return Plan(start=x0, segments=segments, final_value=0.0, beam_index=0)
 
     def test_honest_plan_verifies(self):
         x0 = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
@@ -116,7 +114,7 @@ class TestReplayPlan:
         )
         a = AbstractAction(0, Target("color_centroid", color=Color.RED))
         r = sm.rollout(x0, a, seed=0)
-        plan = Plan(start=x0, segments=[r], heuristic_trace=[], final_value=0.0, beam_index=0)
+        plan = Plan(start=x0, segments=[r], final_value=0.0, beam_index=0)
         from blockplan.world import is_complete
 
         assert is_complete(r.last, goal)  # the model claims success
@@ -124,7 +122,7 @@ class TestReplayPlan:
 
     def test_complete_start_trivially_true(self):
         x0 = make_state([(0.1, 0.1), (0.13, 0.1)], colors=[Color.RED, Color.RED])
-        plan = Plan(start=x0, segments=[], heuristic_trace=[], final_value=0.0, beam_index=0)
+        plan = Plan(start=x0, segments=[], final_value=0.0, beam_index=0)
         assert replay_plan(x0, plan, group_by_color())
 
     def test_absent_block_rejected(self):
@@ -133,7 +131,7 @@ class TestReplayPlan:
         x0 = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
         ghost = AbstractAction(7, Target("corner", corner=Corner.TOP_LEFT))
         seg = Rollout(frames=[x0], action=ghost)
-        plan = Plan(start=x0, segments=[seg], heuristic_trace=[], final_value=0.0, beam_index=0)
+        plan = Plan(start=x0, segments=[seg], final_value=0.0, beam_index=0)
         with pytest.raises(InvalidActionError):
             replay_plan(x0, plan, group_by_color())
 

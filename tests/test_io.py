@@ -24,7 +24,7 @@ from blockplan.tracing import (
     state_to_dict,
     write_trace,
 )
-from blockplan.world import GoalKind, group_by_color, sample_initial_state
+from blockplan.world import GoalKind, group_by_color, make_line, sample_initial_state
 
 
 class TestRound9:
@@ -146,12 +146,18 @@ class TestRunConfig:
             }
         )
         assert cfg.task.kind is GoalKind.MOVE_TO_AREA
-        goal = cfg.task.goal()
+        goal = cfg.task
         assert goal.kind is GoalKind.MOVE_TO_AREA
 
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError):
             config_from_dict({"task": {"kind": "sort_by_size"}})
+
+    def test_partial_task_section(self):
+        assert config_from_dict({"task": {}}).task == group_by_color()
+        assert config_from_dict({"task": {"kind": "make_line"}}).task == make_line()
+        with pytest.raises(ConfigError):  # a corner needs kind move_to_area
+            config_from_dict({"task": {"corner": "top_left"}})
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,7 +4,6 @@ import pytest
 from blockplan.errors import ConfigError
 from blockplan.planner import (
     Plan,
-    PlanBeam,
     Planner,
     PlannerConfig,
     apply_guard,
@@ -159,12 +158,12 @@ class TestGuardResample:
 
 class TestReplaceBeams:
     def _beam(self, value):
-        return PlanBeam(start=make_state([(0.1, 0.1)]), value=value)
+        return Plan(start=make_state([(0.1, 0.1)]), final_value=value)
 
     def test_worst_becomes_best(self):
         beams, src, dst = replace_beams([self._beam(-5.0), self._beam(-1.0)])
         assert (src, dst) == (1, 0)
-        assert beams[0].value == beams[1].value == -1.0
+        assert beams[0].final_value == beams[1].final_value == -1.0
 
     def test_copy_is_independent(self):
         best = self._beam(-1.0)
@@ -203,7 +202,7 @@ class TestPlan:
 
     def test_empty_plan_frames(self):
         s = sample_initial_state(2, seed=0)
-        p = Plan(start=s, segments=[], heuristic_trace=[], final_value=0.0, beam_index=0)
+        p = Plan(start=s, segments=[], final_value=0.0, beam_index=0)
         assert p.frames() == [s]
 
 

@@ -1,18 +1,31 @@
 """Property tests over generated states: the grammar's parse round-trip, the
-agreement of the goal predicate, the reward and the heuristic, and what the
-true dynamics keep."""
+agreement of the goal predicate, the reward and the heuristic, what the
+true dynamics keep, and the serialization round-trips of configs and states."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockplan.config import RunConfig, config_from_dict, config_to_dict
+from blockplan.executor import ExecutionConfig, Extractor
+from blockplan.planner import PlannerConfig
 from blockplan.seeding import derive
-from blockplan.submodels import FaultConfig, action_grammar, heuristic, parse_action, rollout_dynamics
+from blockplan.submodels import (
+    FaultConfig,
+    ModelConfig,
+    action_grammar,
+    heuristic,
+    parse_action,
+    rollout_dynamics,
+)
+from blockplan.tracing import state_from_dict, state_to_dict
 from blockplan.world import (
     SENTINEL_POS,
     Color,
     ControlAction,
     Corner,
+    GoalKind,
+    TaskGoal,
     WorldConfig,
     WorldState,
     group_by_color,
@@ -115,3 +128,81 @@ def test_step_true_keeps_blocks_on_the_board(example):
         assert nxt.step_count == s.step_count + 1
         assert np.all(nxt.positions >= 0.0) and np.all(nxt.positions <= WCFG.board)
         s = nxt
+
+
+nonneg = st.floats(0.0, allow_infinity=False)
+positive = st.floats(0.0, allow_infinity=False, exclude_min=True)
+counts = st.integers(1, 10**6)
+seeds = st.integers(0, 2**63)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid run configuration, every section drawn; a corner exactly when
+    the task kind is move_to_area."""
+    kind = draw(st.sampled_from(GoalKind))
+    corner = draw(st.sampled_from(Corner)) if kind is GoalKind.MOVE_TO_AREA else None
+    world = st.builds(
+        WorldConfig,
+        width=positive,
+        height=positive,
+        block_radius=positive,
+        u_max=positive,
+        sigma_env=nonneg,
+        group_dist=nonneg,
+        area_dx=nonneg,
+        area_dy=nonneg,
+        line_dist=nonneg,
+        collision_iters=counts,
+    )
+    model = st.builds(
+        ModelConfig,
+        push_reach=positive,
+        frames_per_rollout=st.integers(2, 10**6),
+        sigma_model=nonneg,
+        goal_eps=nonneg,
+    )
+    faults = st.builds(FaultConfig, p_teleport=st.floats(0.0, 1.0), p_vanish=st.floats(0.0, 1.0))
+    planner = st.builds(
+        PlannerConfig,
+        beams=counts,
+        text_branch=counts,
+        video_branch=counts,
+        horizon=counts,
+        guard_threshold=positive,
+        replace_period=counts,
+        policy_temperature=nonneg,
+        root_seed=seeds,
+    )
+    execution = st.builds(
+        ExecutionConfig,
+        controls_per_frame=counts,
+        frames_per_plan=counts,
+        total_budget=counts,
+        extractor=st.sampled_from(Extractor),
+        env_seed=seeds,
+    )
+    return RunConfig(
+        world=draw(world),
+        model=draw(model),
+        faults=draw(faults),
+        planner=draw(planner),
+        execution=draw(execution),
+        task=TaskGoal(kind, corner),
+        n_blocks=draw(counts),
+        seeds=tuple(draw(st.lists(seeds, min_size=1, max_size=4))),
+        output_dir=draw(st.text()),
+    )
+
+
+@PROPERTY
+@given(run_configs())
+def test_config_round_trips(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@PROPERTY
+@given(drawn_states())
+def test_state_dict_round_trips(s):
+    d = state_to_dict(s)
+    assert state_to_dict(state_from_dict(d)) == d
