@@ -8,6 +8,7 @@ vanishing objects), a steps-to-go heuristic, and two low-level controllers
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .world import (
     Color,
     Corner,
     ControlAction,
+    GoalKind,
     TaskGoal,
     WorldConfig,
     WorldState,
@@ -141,20 +143,29 @@ class AbstractAction:
         return f"push {subj} to {self.target.name(state)}"
 
 
-def action_grammar(state: WorldState) -> list[AbstractAction]:
-    """Enumerate the full closed grammar in a fixed, deterministic order."""
+def action_grammar(state: WorldState) -> tuple[AbstractAction, ...]:
+    """Enumerate the full closed grammar in a fixed, deterministic order.
+
+    It depends only on ids and colors, which neither the model nor the true
+    dynamics changes, so one shared immutable tuple serves each pair.
+    """
+    return _grammar(state.ids, state.colors)
+
+
+@functools.lru_cache(maxsize=256)
+def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple[AbstractAction, ...]:
     actions: list[AbstractAction] = []
-    present_colors = sorted({c for c in state.colors}, key=lambda c: list(Color).index(c))
-    for subject in sorted(state.ids):
+    present_colors = [c for c in Color if c in colors]
+    for subject in sorted(ids):
         for corner in Corner:
             actions.append(AbstractAction(subject, Target("corner", corner=corner)))
         actions.append(AbstractAction(subject, Target("center")))
-        for other in sorted(state.ids):
+        for other in sorted(ids):
             if other != subject:
                 actions.append(AbstractAction(subject, Target("block", block=other)))
         for color in present_colors:
             actions.append(AbstractAction(subject, Target("color_centroid", color=color)))
-    return actions
+    return tuple(actions)
 
 
 def parse_action(text: str, state: WorldState) -> AbstractAction:
@@ -264,6 +275,13 @@ def steps_needed(distance: float, push_reach: float) -> int:
     return int(math.ceil(distance / push_reach - _CEIL_EPS))
 
 
+def _steps_to_go(
+    state: WorldState, goal: TaskGoal, block_index: int, wcfg: WorldConfig, mcfg: ModelConfig
+) -> int:
+    """One block's term of the heuristic."""
+    return steps_needed(block_region_distance(state, goal, block_index, wcfg), mcfg.push_reach)
+
+
 def heuristic(
     state: WorldState,
     goal: TaskGoal,
@@ -275,11 +293,7 @@ def heuristic(
     Zero exactly at completion, more negative the farther blocks sit from
     their satisfying regions.
     """
-    total = 0
-    for i in range(state.n_blocks):
-        d = block_region_distance(state, goal, i, wcfg)
-        total += steps_needed(d, mcfg.push_reach)
-    return -float(total)
+    return -float(sum(_steps_to_go(state, goal, i, wcfg, mcfg) for i in range(state.n_blocks)))
 
 
 # --- Low-level controllers ---------------------------------------------------
@@ -355,6 +369,38 @@ def idealized_outcome(
     return state.with_positions(pos)
 
 
+def proposal_scores(
+    state: WorldState,
+    goal: TaskGoal,
+    wcfg: WorldConfig = WorldConfig(),
+    mcfg: ModelConfig = ModelConfig(),
+) -> np.ndarray:
+    """The `heuristic` of every grammar action's `idealized_outcome`, in grammar
+    order.
+
+    An action moves only its subject, so only the terms of blocks whose region
+    depends on the subject's position can change: the subject's own and, under
+    group-by-color, those of its same-color peers. Those terms are recomputed
+    on the outcome state and the rest are reused. Terms are ints, so each score
+    equals the full heuristic of the outcome exactly.
+    """
+    terms = [_steps_to_go(state, goal, i, wcfg, mcfg) for i in range(state.n_blocks)]
+    group = goal.kind is GoalKind.GROUP_BY_COLOR
+    affected = {
+        block: [j for j, c in enumerate(state.colors) if j == i or (group and c == state.colors[i])]
+        for i, block in enumerate(state.ids)
+    }
+    total = sum(terms)
+    scores = []
+    for a in action_grammar(state):
+        outcome = idealized_outcome(state, a, wcfg, mcfg)
+        changed = sum(
+            _steps_to_go(outcome, goal, i, wcfg, mcfg) - terms[i] for i in affected[a.subject]
+        )
+        scores.append(-float(total + changed))
+    return np.array(scores)
+
+
 def propose_actions(
     state: WorldState,
     goal: TaskGoal,
@@ -378,9 +424,7 @@ def propose_actions(
     if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     grammar = action_grammar(state)
-    scores = np.array(
-        [heuristic(idealized_outcome(state, a, wcfg, mcfg), goal, wcfg, mcfg) for a in grammar]
-    )
+    scores = proposal_scores(state, goal, wcfg, mcfg)
     k = min(A, len(grammar))
     if temperature == 0.0:
         order = sorted(range(len(grammar)), key=lambda i: (-scores[i], i))

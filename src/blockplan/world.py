@@ -10,7 +10,7 @@ All operations are pure functions of their inputs plus an explicit seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -143,11 +143,18 @@ class WorldState:
         return self.colors[self.index_of(block_id)]
 
     def with_positions(self, positions: np.ndarray, step_count: int | None = None) -> "WorldState":
-        return replace(
-            self,
-            positions=np.array(positions, dtype=float),
+        """The same blocks at a copy of ``positions``. Only the shape is
+        checked: the ids are this state's, already checked to be unique."""
+        positions = np.array(positions, dtype=float)
+        if positions.shape != self.positions.shape:
+            raise ValueError("positions must be (n_blocks, 2)")
+        state = object.__new__(WorldState)
+        state.__dict__.update(
+            self.__dict__,
+            positions=positions,
             step_count=self.step_count if step_count is None else step_count,
         )
+        return state
 
 
 @dataclass(frozen=True)
@@ -327,7 +334,8 @@ def sample_initial_state(
         raise ValueError("n_blocks must be >= 1")
     # Crude disk-packing bound before attempting rejection sampling.
     r = cfg.block_radius
-    capacity = (cfg.width * cfg.height) / (math.pi * (2 * r) ** 2)
+    # A product, not ** 2: a huge radius then gives inf instead of OverflowError.
+    capacity = (cfg.width * cfg.height) / (math.pi * ((2 * r) * (2 * r)))
     if n_blocks > capacity:
         raise CapacityError(
             f"{n_blocks} blocks cannot be packed on a {cfg.width}x{cfg.height} board"

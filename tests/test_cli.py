@@ -113,6 +113,11 @@ class TestConfigBoundary:
         ]
         assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 0
 
+    def test_radius_too_large_to_square_exit_two(self, outdir, capsys):
+        overrides = ["n_blocks=3", "planner.horizon=1", "world.block_radius=1e300"]
+        assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 2
+        assert_config_error(capsys)
+
     def test_directory_as_config_exit_two(self, outdir, capsys, tmp_path):
         assert run(["plan", "--config", str(tmp_path)]) == 2
         assert_config_error(capsys)

@@ -15,7 +15,9 @@ from blockplan.submodels import (
     ModelConfig,
     action_grammar,
     heuristic,
+    idealized_outcome,
     parse_action,
+    proposal_scores,
     rollout_dynamics,
 )
 from blockplan.tracing import state_from_dict, state_to_dict
@@ -80,6 +82,15 @@ states = st.one_of(drawn_states(), model_frames())
 def test_grammar_round_trips(s):
     for a in action_grammar(s):
         assert parse_action(a.text(s), s) == a
+
+
+@settings(PROPERTY, max_examples=100)  # each example scores up to 128 actions per goal
+@given(states)
+def test_proposal_scores_equal_full_heuristic(s):
+    for goal in GOALS:
+        scores = proposal_scores(s, goal, WCFG)
+        full = [heuristic(idealized_outcome(s, a, WCFG), goal, WCFG) for a in action_grammar(s)]
+        assert scores.tolist() == full
 
 
 @PROPERTY

@@ -73,6 +73,20 @@ class TestGrammar:
         b = [x.text(s) for x in action_grammar(s)]
         assert a == b
 
+    def test_one_immutable_grammar_per_ids_and_colors(self):
+        s = sample_initial_state(4, seed=0)
+        moved = s.with_positions(s.positions + 0.01)
+        assert action_grammar(moved) is action_grammar(s)
+        with pytest.raises(TypeError):
+            action_grammar(s)[0] = action_grammar(s)[1]
+
+    def test_same_ids_other_colors_other_grammar(self):
+        positions = [(0.1, 0.1), (0.3, 0.2), (0.5, 0.3)]
+        two_red = make_state(positions, [Color.RED, Color.RED, Color.BLUE])
+        all_red = make_state(positions, [Color.RED] * 3)
+        assert action_grammar(two_red) != action_grammar(all_red)
+        assert len(action_grammar(two_red)) == len(action_grammar(all_red)) + 3
+
     def test_parse_rejects_garbage(self):
         s = sample_initial_state(3, seed=0)
         for bad in (

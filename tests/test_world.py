@@ -196,6 +196,35 @@ class TestSampleInitialState:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             sample_initial_state(100000, seed=0)
+        with pytest.raises(CapacityError):  # a block's area overflows to inf
+            sample_initial_state(3, seed=0, cfg=WorldConfig(block_radius=1e300))
+
+
+class TestWithPositions:
+    def test_keeps_everything_but_positions(self):
+        s = WorldState((3, 7), (Color.RED, Color.BLUE), np.zeros((2, 2)), (0.6, 0.35), 5)
+        moved = s.with_positions([(0.1, 0.2), (0.3, 0.4)])
+        assert (moved.ids, moved.colors, moved.board, moved.step_count) == (
+            s.ids,
+            s.colors,
+            s.board,
+            s.step_count,
+        )
+        assert moved.positions.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert s.with_positions(s.positions, step_count=9).step_count == 9
+
+    def test_copies_its_input(self):
+        s = make_state([(0.1, 0.1), (0.5, 0.3)])
+        pos = np.array([(0.2, 0.2), (0.4, 0.1)])
+        moved = s.with_positions(pos)
+        pos[0] = (0.0, 0.0)
+        assert moved.positions.tolist() == [[0.2, 0.2], [0.4, 0.1]]
+
+    def test_rejects_wrong_shape(self):
+        s = make_state([(0.1, 0.1), (0.5, 0.3)])
+        for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(ValueError):
+                s.with_positions(bad)
 
 
 class TestTaskGoal:
