@@ -137,7 +137,9 @@ def cmd_replay(args) -> int:
     try:
         stored = read_trace(args.trace)
         run = stored[0]["config"]
-        cfg, mode, seed = config_from_dict(run["run"]), run["mode"], int(run["seed"])
+        cfg, mode, seed = config_from_dict(run["run"]), run["mode"], run["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     except (ValueError, KeyError, TypeError) as e:
         reason = f"{type(e).__name__}: {e}"
         raise ConfigError(f"{args.trace}: not a replayable trace ({reason})") from None

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -37,6 +38,18 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
+        # The heuristic measures distances with squared coordinates and counts
+        # up to hypot(width, height) / push_reach steps for each block.
+        w, h = self.world.width, self.world.height
+        try:
+            steps = self.n_blocks * math.hypot(w, h) / self.model.push_reach
+        except OverflowError:  # n_blocks beyond any float
+            steps = math.inf
+        if not (math.isfinite(w * w + h * h) and math.isfinite(steps)):
+            raise ConfigError(
+                f"a {w}x{h} board with {self.n_blocks} blocks and push_reach "
+                f"{self.model.push_reach} is too large for the heuristic to measure"
+            )
 
 
 @functools.cache

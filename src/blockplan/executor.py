@@ -15,7 +15,7 @@ from . import tracing
 from .errors import ConfigError
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import derive
-from .submodels import ModelConfig, goal_policy, inverse_dynamics, simulator_submodels
+from .submodels import ModelConfig, inverse_dynamics, simulator_submodels
 from .world import TaskGoal, WorldConfig, WorldState, is_complete, reward, step_true
 
 
@@ -55,25 +55,20 @@ def execute_segmentwise(
     plan: Plan,
     goal: TaskGoal,
     cfg: ExecutionConfig,
+    controller,
     wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
     steps_used: int = 0,
     trace: list[dict] | None = None,
-    controller=None,
 ) -> tuple[WorldState, int]:
     """Execute the first ``frames_per_plan`` frames of a plan against the true
     environment, returning the new state and the number of controls issued.
 
     Goal-policy extractors issue ``controls_per_frame`` controls per selected
-    frame through ``controller(state, goal_frame)`` (default: the unlimited
-    `goal_policy` servo); a ``None`` from the controller skips the rest of
-    that frame without spending budget. Inverse dynamics issues one control
-    per consecutive frame pair. Stops early on completion or budget exhaustion.
+    frame through ``controller(state, goal_frame)``; a ``None`` from the
+    controller skips the rest of that frame without spending budget. Inverse
+    dynamics issues one control per consecutive frame pair. Stops early on
+    completion or budget exhaustion.
     """
-    if controller is None:
-        def controller(state, goal_state):
-            return goal_policy(state, goal_state, wcfg, mcfg)
-
     frames = plan.frames()
     n_exec = min(cfg.frames_per_plan, len(frames) - 1)
     if cfg.extractor is Extractor.INVERSE_DYNAMICS:
@@ -159,11 +154,10 @@ def run_episode(
             plan,
             goal,
             ecfg,
+            planner.submodels.controller,
             wcfg,
-            mcfg,
             steps_used=steps_used,
             trace=trace,
-            controller=planner.submodels.controller,
         )
         steps_used += issued
         if issued == 0:
@@ -204,7 +198,7 @@ def run_open_loop(
     plan = planner.plan(initial, goal, pcfg, root_seed=derive(pcfg.root_seed, 0))
     all_frames = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
     env_state, issued = execute_segmentwise(
-        initial, plan, goal, all_frames, controller=planner.submodels.controller
+        initial, plan, goal, all_frames, planner.submodels.controller
     )
     return EpisodeResult(
         final_reward=reward(env_state, goal),

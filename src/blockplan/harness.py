@@ -103,11 +103,13 @@ def brute_force_oracle(
         raise ValueError(f"horizon must be >= 0, got {H}")
     grammar = action_grammar(x0)
     g = len(grammar)
-    nodes = sum(g**h for h in range(1, H + 1))
-    if nodes > enumeration_cap:
-        raise CapacityError(
-            f"enumeration of {nodes} nodes exceeds cap {enumeration_cap}"
-        )
+    nodes = 0
+    for h in range(1, H + 1):
+        nodes += g**h
+        if nodes > enumeration_cap:
+            raise CapacityError(
+                f"enumeration over horizon {H} exceeds the cap of {enumeration_cap} nodes"
+            )
 
     def recurse(state: WorldState, depth: int) -> tuple[float, list[AbstractAction]]:
         if depth == H:

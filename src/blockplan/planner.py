@@ -102,8 +102,8 @@ def replace_beams(beams: list[Plan]) -> tuple[list[Plan], int, int]:
     Ties break toward the lowest beam index. Returns (beams, src, dst);
     a single beam is returned unchanged.
     """
-    src = max(range(len(beams)), key=lambda i: (beams[i].final_value, -i))
-    dst = min(range(len(beams)), key=lambda i: (beams[i].final_value, i))
+    src = max(range(len(beams)), key=lambda i: beams[i].final_value)
+    dst = min(range(len(beams)), key=lambda i: beams[i].final_value)
     if src != dst:
         beams[dst] = replace(beams[src], segments=list(beams[src].segments))
     return beams, src, dst
@@ -164,7 +164,8 @@ class Planner:
         beam_index: int,
         root: SeedLike,
     ) -> None:
-        """Append the best surviving rollout of A x D candidates to the beam."""
+        """Append the best surviving rollout of A x D candidates to the beam
+        (on ties the first: `max` and `min` return the first extreme)."""
         frame = beam.last_frame
         candidates = self._candidates(beam, goal, cfg, root, beam_index, step_index, 0)
         kept = [r for r in candidates if apply_guard(r, cfg.guard_threshold)]
@@ -187,16 +188,8 @@ class Planner:
             )
             kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
             if not kept:
-                best = min(
-                    range(len(resampled)),
-                    key=lambda i: (
-                        resampled[i].end_heuristic - resampled[i].start_heuristic,
-                        i,
-                    ),
-                )
-                kept = [resampled[best]]
-        choice = max(range(len(kept)), key=lambda i: (kept[i].end_heuristic, -i))
-        chosen = kept[choice]
+                kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]
+        chosen = max(kept, key=lambda r: r.end_heuristic)
         beam.segments.append(chosen)
         beam.final_value = chosen.end_heuristic
         self.events.append(
@@ -232,7 +225,7 @@ class Planner:
                     self.events.append(
                         {"kind": "BeamReplace", "step": h, "src": src, "dst": dst}
                     )
-        best = max(range(cfg.beams), key=lambda i: (beams[i].final_value, -i))
+        best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
         return replace(beams[best], beam_index=best)
 
 

@@ -25,7 +25,7 @@ def plan_records(cfg: RunConfig, seed: int) -> list[dict]:
     plan = planner.plan(x0, cfg.task, cfg.planner, root_seed=derive(cfg.planner.root_seed, seed))
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]
     records.extend(planner.events)
-    last = plan.frames()[-1]
+    last = plan.last_frame
     records.append({"kind": "Reward", "value": round9(reward(last, cfg.task, cfg.world))})
     records.append({"kind": "PlanResult", "plan": plan_to_dict(plan)})
     return records

@@ -170,14 +170,6 @@ class ControlAction:
         d = delta / norm * u_max if norm > u_max else delta
         return cls(block, (float(d[0]), float(d[1])))
 
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.displacement, dtype=float)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
 
 @dataclass(frozen=True)
 class TaskGoal:
@@ -255,14 +247,14 @@ def step_true(
     collision resolution; positions stay clamped to the board.
     """
     idx = state.index_of(u.target_block)
-    if u.magnitude > cfg.u_max + 1e-9:
-        raise InvalidActionError(
-            f"control magnitude {u.magnitude:.6f} exceeds u_max {cfg.u_max}"
-        )
+    vec = np.array(u.displacement, dtype=float)
+    magnitude = float(np.linalg.norm(vec))
+    if magnitude > cfg.u_max + 1e-9:
+        raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
     rng = rng_from(seed)
     noise = rng.normal(0.0, cfg.sigma_env, 2) if cfg.sigma_env > 0 else np.zeros(2)
     pos = state.positions.copy()
-    pos[idx] = pos[idx] + u.vec + noise
+    pos[idx] = pos[idx] + vec + noise
     pos = np.clip(pos, 0.0, cfg.board)
     pos = _resolve_collisions(pos, cfg)
     return state.with_positions(pos, step_count=state.step_count + 1)
@@ -332,11 +324,16 @@ def sample_initial_state(
     """Place non-overlapping blocks uniformly at random; colors cycle the enum."""
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
-    # Crude disk-packing bound before attempting rejection sampling.
     r = cfg.block_radius
-    # A product, not ** 2: a huge radius then gives inf instead of OverflowError.
-    capacity = (cfg.width * cfg.height) / (math.pi * ((2 * r) * (2 * r)))
-    if n_blocks > capacity:
+    if cfg.width - r < r or cfg.height - r < r:
+        raise CapacityError(
+            f"a block of radius {r} does not fit on a {cfg.width}x{cfg.height} board"
+        )
+    # Crude disk-packing bound before attempting rejection sampling. A product,
+    # not ** 2: a huge radius then gives inf instead of OverflowError. An area
+    # that underflows to 0 sets no bound.
+    area = math.pi * ((2 * r) * (2 * r))
+    if area > 0 and n_blocks > (cfg.width * cfg.height) / area:
         raise CapacityError(
             f"{n_blocks} blocks cannot be packed on a {cfg.width}x{cfg.height} board"
         )

@@ -113,6 +113,19 @@ class TestConfigBoundary:
         ]
         assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["n_blocks=1", "world.width=10", "world.block_radius=0.2"],  # taller than the board
+            ["n_blocks=2", "task.kind=make_line", "model.push_reach=1e-320"],
+            ["n_blocks=2", "task.kind=make_line", "world.width=1e308"],
+        ],
+    )
+    def test_board_too_narrow_or_too_large_to_measure_exit_two(self, outdir, capsys, overrides):
+        sets = [a for o in overrides for a in ("--set", o)]
+        assert run(["oracle", "--horizon", "0", *sets]) == 2
+        assert_config_error(capsys)
+
     def test_radius_too_large_to_square_exit_two(self, outdir, capsys):
         overrides = ["n_blocks=3", "planner.horizon=1", "world.block_radius=1e300"]
         assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 2
@@ -249,6 +262,13 @@ class TestOracleCommand:
         code = run(["oracle", "--horizon", "4", "--set", "n_blocks=6", "--cap", "1000"])
         assert code == 2
 
+    def test_horizon_far_past_the_cap_exit_two(self, outdir, capsys):
+        # The node count at this horizon has more digits than Python prints.
+        assert run(["oracle", "--horizon", "5000", "--set", "n_blocks=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap of 500000 nodes" in err
+
 
 class TestReplayCommand:
     def test_fresh_plan_trace_verifies(self, outdir, capsys):
@@ -323,6 +343,15 @@ class TestReplayCommand:
         lines = plan_trace.read_text().splitlines()
         header = json.loads(lines[0])
         del header["config"]["run"]
+        plan_trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert run(["replay", str(plan_trace)]) == 2
+        assert_config_error(capsys)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_header_seed_not_a_seed_exit_two(self, plan_trace, capsys, seed):
+        lines = plan_trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["seed"] = seed
         plan_trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         assert run(["replay", str(plan_trace)]) == 2
         assert_config_error(capsys)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from blockplan.world import (
 
 EXACT_WORLD = WorldConfig(sigma_env=0.0)
 EXACT_MODEL = ModelConfig(sigma_model=0.0)
+SERVO = partial(goal_policy, wcfg=EXACT_WORLD, mcfg=EXACT_MODEL)
 
 
 def make_state(positions, colors=None):
@@ -104,7 +106,7 @@ class TestExecuteSegmentwise:
         trace = []
         cfg = ExecutionConfig(env_seed=1)
         out, issued = execute_segmentwise(
-            s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL, trace=trace
+            s, plan, goal, cfg, SERVO, EXACT_WORLD, trace=trace
         )
         # 16 frames x 4 controls, no early completion possible here.
         assert issued == 64
@@ -116,7 +118,7 @@ class TestExecuteSegmentwise:
         goal = move_to_area(Corner.BOTTOM_LEFT)
         plan = exact_plan(s, goal, horizon=2)
         cfg = ExecutionConfig(extractor=Extractor.INVERSE_DYNAMICS, env_seed=1)
-        _, issued = execute_segmentwise(s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL)
+        _, issued = execute_segmentwise(s, plan, goal, cfg, SERVO, EXACT_WORLD)
         assert issued == 16
 
     def test_last_frame_targets_segment_ends(self):
@@ -126,7 +128,7 @@ class TestExecuteSegmentwise:
         cfg = ExecutionConfig(extractor=Extractor.GOAL_POLICY_LAST_FRAME, env_seed=1)
         # Only the first segment's last frame (index 15) is within the
         # 16-frame window, so 4 controls are issued.
-        _, issued = execute_segmentwise(s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL)
+        _, issued = execute_segmentwise(s, plan, goal, cfg, SERVO, EXACT_WORLD)
         assert issued == 4
 
     def test_noise_free_tracking_reaches_plan_end(self):
@@ -136,7 +138,7 @@ class TestExecuteSegmentwise:
         goal = move_to_area(Corner.BOTTOM_LEFT)
         plan = exact_plan(s, goal, horizon=1)
         cfg = ExecutionConfig(env_seed=1)
-        out, _ = execute_segmentwise(s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL)
+        out, _ = execute_segmentwise(s, plan, goal, cfg, SERVO, EXACT_WORLD)
         assert np.allclose(out.positions, plan.frames()[15].positions, atol=1e-6)
 
     def test_budget_exhausted_noop(self):
@@ -145,7 +147,7 @@ class TestExecuteSegmentwise:
         plan = exact_plan(s, goal, horizon=1)
         cfg = ExecutionConfig(env_seed=1)
         out, issued = execute_segmentwise(
-            s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL, steps_used=1500
+            s, plan, goal, cfg, SERVO, EXACT_WORLD, steps_used=1500
         )
         assert issued == 0 and out is s
 
@@ -155,7 +157,7 @@ class TestExecuteSegmentwise:
         plan = exact_plan(s, goal, horizon=2)
         cfg = ExecutionConfig(env_seed=1)
         _, issued = execute_segmentwise(
-            s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL, steps_used=1490
+            s, plan, goal, cfg, SERVO, EXACT_WORLD, steps_used=1490
         )
         assert issued == 10
 
@@ -174,7 +176,7 @@ class TestExecuteSegmentwise:
         trace = []
         cfg = ExecutionConfig(env_seed=1)
         _, issued = execute_segmentwise(
-            s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL, trace=trace, controller=controller
+            s, plan, goal, cfg, controller, EXACT_WORLD, trace=trace
         )
         # 15 of the 16 tracked frames get their 4 controls; steps stay contiguous.
         assert issued == 60
@@ -185,7 +187,7 @@ class TestExecuteSegmentwise:
         goal = move_to_area(Corner.BOTTOM_LEFT)
         plan = exact_plan(s, goal, horizon=1)
         cfg = ExecutionConfig(env_seed=1)
-        out, issued = execute_segmentwise(s, plan, goal, cfg, EXACT_WORLD, EXACT_MODEL)
+        out, issued = execute_segmentwise(s, plan, goal, cfg, SERVO, EXACT_WORLD)
         assert is_complete(out, goal)
         assert issued < 64
 

@@ -196,8 +196,14 @@ class TestSampleInitialState:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             sample_initial_state(100000, seed=0)
-        with pytest.raises(CapacityError):  # a block's area overflows to inf
+        with pytest.raises(CapacityError):  # a block wider than the board
             sample_initial_state(3, seed=0, cfg=WorldConfig(block_radius=1e300))
+        with pytest.raises(CapacityError):  # one block, but taller than the board
+            sample_initial_state(1, seed=0, cfg=WorldConfig(width=10, block_radius=0.2))
+
+    def test_block_area_underflowing_to_zero_sets_no_bound(self):
+        s = sample_initial_state(2, seed=0, cfg=WorldConfig(block_radius=1e-200))
+        assert s.n_blocks == 2
 
 
 class TestWithPositions:
