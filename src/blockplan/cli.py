@@ -96,15 +96,7 @@ def cmd_ablate(args) -> int:
         grid = AblationGrid(cells=cells, episodes_per_cell=args.episodes, seed_base=cfg.seeds[0])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    summary = scaling_suite(
-        grid,
-        cfg.task,
-        base_cfg=cfg.planner,
-        n_blocks=cfg.n_blocks,
-        wcfg=cfg.world,
-        mcfg=cfg.model,
-        faults=cfg.faults,
-    )
+    summary = scaling_suite(grid, cfg)
     csv_path = os.path.join(out, "ablation.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(summary.csv_lines()) + "\n")
@@ -140,7 +132,7 @@ def cmd_replay(args) -> int:
         cfg, mode, seed = config_from_dict(run["run"]), run["mode"], run["seed"]
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         reason = f"{type(e).__name__}: {e}"
         raise ConfigError(f"{args.trace}: not a replayable trace ({reason})") from None
     if mode == "plan":

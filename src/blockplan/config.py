@@ -124,6 +124,8 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, an over-long int, too deep a nesting
+        raise ConfigError(f"{path}: {type(e).__name__}: {e}") from None
     return config_from_dict(data)
 
 
@@ -149,8 +151,8 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         path, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings allowed
+        except (ValueError, RecursionError):
+            value = raw  # bare strings allowed; the type check rejects the rest
         node = data
         parts = path.split(".")
         for p in parts[:-1]:

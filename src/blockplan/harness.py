@@ -13,13 +13,13 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+from .config import RunConfig
 from .errors import CapacityError
 from .executor import run_episode, run_open_loop
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import SeedLike, derive
 from .submodels import (
     AbstractAction,
-    FaultConfig,
     ModelConfig,
     action_grammar,
     heuristic,
@@ -166,66 +166,43 @@ def replay_plan(
 # --- Suites ------------------------------------------------------------------
 
 
-def plan_accuracy_suite(
-    tasks: list[TaskGoal],
-    cfg: PlannerConfig,
-    n: int,
-    n_blocks: int = 4,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
-    faults: FaultConfig = FaultConfig(),
-    seed_base: int = 0,
-) -> SuiteSummary:
-    """Generate n plans per task from seeded initial states and score each
-    plan both naively (any plan frame completes the goal) and replay-verified."""
+def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> SuiteSummary:
+    """Generate n plans for the run's task from seeded initial states and
+    score each plan both naively (any plan frame completes the goal) and
+    replay-verified. Returns one row."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    planner = Planner(simulator_submodels(wcfg, mcfg, faults))
-    rows: list[CellSummary] = []
-    for t_idx, goal in enumerate(tasks):
-        t0 = time.perf_counter()
-        naive = replayed = 0
-        for ep in range(n):
-            x0 = sample_initial_state(n_blocks, derive(seed_base, t_idx, ep), wcfg)
-            plan = planner.plan(x0, goal, cfg, root_seed=derive(cfg.root_seed, t_idx, ep))
-            if any(is_complete(f, goal, wcfg) for f in plan.frames()):
-                naive += 1
-                if replay_plan(x0, plan, goal, derive(seed_base, t_idx, ep, 1), wcfg, mcfg):
-                    replayed += 1
-        rows.append(
-            CellSummary(
-                label=goal.kind.value,
-                episodes=n,
-                naive_success=naive / n,
-                replay_success=replayed / n,
-                wall_clock=time.perf_counter() - t0,
-            )
-        )
-    return SuiteSummary(rows=rows)
+    planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
+    goal, wcfg = cfg.task, cfg.world
+    t0 = time.perf_counter()
+    naive = replayed = 0
+    for ep in range(n):
+        # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
+        # ablation runs reproducible.
+        x0 = sample_initial_state(cfg.n_blocks, derive(seed_base, 0, ep), wcfg)
+        plan = planner.plan(x0, goal, cfg.planner, root_seed=derive(cfg.planner.root_seed, 0, ep))
+        if any(is_complete(f, goal, wcfg) for f in plan.frames()):
+            naive += 1
+            if replay_plan(x0, plan, goal, derive(seed_base, 0, ep, 1), wcfg, cfg.model):
+                replayed += 1
+    row = CellSummary(
+        label=goal.kind.value,
+        episodes=n,
+        naive_success=naive / n,
+        replay_success=replayed / n,
+        wall_clock=time.perf_counter() - t0,
+    )
+    return SuiteSummary(rows=[row])
 
 
-def scaling_suite(
-    grid: AblationGrid,
-    task: TaskGoal,
-    base_cfg: PlannerConfig = PlannerConfig(),
-    n_blocks: int = 4,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
-    faults: FaultConfig = FaultConfig(),
-) -> SuiteSummary:
+def scaling_suite(grid: AblationGrid, cfg: RunConfig) -> SuiteSummary:
     """Plan-accuracy ablation over (beams, text branch, video branch, horizon)
     cells, identical initial-state seeds in every cell."""
     rows: list[CellSummary] = []
     for B, A, D, H in grid.cells:
+        pcfg = replace(cfg.planner, beams=B, text_branch=A, video_branch=D, horizon=H)
         summary = plan_accuracy_suite(
-            [task],
-            replace(base_cfg, beams=B, text_branch=A, video_branch=D, horizon=H),
-            grid.episodes_per_cell,
-            n_blocks=n_blocks,
-            wcfg=wcfg,
-            mcfg=mcfg,
-            faults=faults,
-            seed_base=grid.seed_base,
+            replace(cfg, planner=pcfg), grid.episodes_per_cell, seed_base=grid.seed_base
         )
         row = summary.rows[0]
         row.label = f"B{B}_A{A}_D{D}_H{H}"

@@ -112,97 +112,13 @@ def replace_beams(beams: list[Plan]) -> tuple[list[Plan], int, int]:
 class Planner:
     """Tree-search planner over a pluggable submodel bundle.
 
-    ``events`` accumulates trace records (guard discards, chosen branches,
-    beam replacements) for the most recent `plan` call.
+    ``events`` holds the trace records (guard discards, chosen branches,
+    beam replacements) of the most recent `plan` call.
     """
 
     def __init__(self, submodels: Submodels | None = None):
         self.submodels = submodels if submodels is not None else simulator_submodels()
         self.events: list[dict] = []
-
-    # -- single-step expansion -------------------------------------------
-
-    def _candidates(
-        self,
-        beam: Plan,
-        goal: TaskGoal,
-        cfg: PlannerConfig,
-        root: SeedLike,
-        beam_index: int,
-        step_index: int,
-        salt: int,
-    ) -> list[Rollout]:
-        """A x D rollouts from the beam's last frame, whose value is ``final_value``."""
-        sm = self.submodels
-        frame = beam.last_frame
-        actions = sm.propose(
-            frame,
-            goal,
-            cfg.text_branch,
-            cfg.policy_temperature,
-            derive(root, salt, _SEED_PROPOSE, beam_index, step_index),
-        )
-        rollouts: list[Rollout] = []
-        for i, action in enumerate(actions):
-            for j in range(cfg.video_branch):
-                r = sm.rollout(
-                    frame,
-                    action,
-                    derive(root, salt, _SEED_ROLLOUT, beam_index, step_index, i, j),
-                )
-                r.start_heuristic = beam.final_value
-                r.end_heuristic = sm.value(r.last, goal)
-                rollouts.append(r)
-        return rollouts
-
-    def expand_step(
-        self,
-        beam: Plan,
-        goal: TaskGoal,
-        cfg: PlannerConfig,
-        step_index: int,
-        beam_index: int,
-        root: SeedLike,
-    ) -> None:
-        """Append the best surviving rollout of A x D candidates to the beam
-        (on ties the first: `max` and `min` return the first extreme)."""
-        frame = beam.last_frame
-        candidates = self._candidates(beam, goal, cfg, root, beam_index, step_index, 0)
-        kept = [r for r in candidates if apply_guard(r, cfg.guard_threshold)]
-        n_discarded = len(candidates) - len(kept)
-        if n_discarded:
-            self.events.append(
-                {
-                    "kind": "GuardDiscard",
-                    "beam": beam_index,
-                    "step": step_index,
-                    "discarded": n_discarded,
-                    "of": len(candidates),
-                }
-            )
-        if not kept:
-            # Total discard is not covered by the search rule: resample once
-            # with fresh seeds, then fall back to the least-suspect candidate.
-            resampled = self._candidates(
-                beam, goal, cfg, root, beam_index, step_index, _SEED_RESAMPLE
-            )
-            kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
-            if not kept:
-                kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]
-        chosen = max(kept, key=lambda r: r.end_heuristic)
-        beam.segments.append(chosen)
-        beam.final_value = chosen.end_heuristic
-        self.events.append(
-            {
-                "kind": "PlanStep",
-                "beam": beam_index,
-                "step": step_index,
-                "action": chosen.action.text(frame),
-                "value": chosen.end_heuristic,
-            }
-        )
-
-    # -- full search ------------------------------------------------------
 
     def plan(
         self,
@@ -211,20 +127,75 @@ class Planner:
         cfg: PlannerConfig,
         root_seed: SeedLike | None = None,
     ) -> Plan:
-        """Run the full H-step beam search and return the best plan."""
+        """Run the full H-step beam search and return the best plan.
+
+        Each step appends to each beam the best surviving rollout of its
+        A x D candidates (on ties the first: `max` and `min` return the first
+        extreme).
+        """
+        sm = self.submodels
         root = cfg.root_seed if root_seed is None else root_seed
-        self.events = []
-        v0 = self.submodels.value(x0, goal)
+        events: list[dict] = []
+
+        def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
+            """A x D rollouts from the beam's last frame, whose value is ``final_value``."""
+            frame = beam.last_frame
+            actions = sm.propose(
+                frame,
+                goal,
+                cfg.text_branch,
+                cfg.policy_temperature,
+                derive(root, salt, _SEED_PROPOSE, b, h),
+            )
+            rollouts: list[Rollout] = []
+            for i, action in enumerate(actions):
+                for j in range(cfg.video_branch):
+                    r = sm.rollout(frame, action, derive(root, salt, _SEED_ROLLOUT, b, h, i, j))
+                    r.start_heuristic = beam.final_value
+                    r.end_heuristic = sm.value(r.last, goal)
+                    rollouts.append(r)
+            return rollouts
+
+        v0 = sm.value(x0, goal)
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
-            for b in range(cfg.beams):
-                self.expand_step(beams[b], goal, cfg, h, b, root)
+            for b, beam in enumerate(beams):
+                found = candidates(beam, b, h, 0)
+                kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
+                if len(kept) < len(found):
+                    events.append(
+                        {
+                            "kind": "GuardDiscard",
+                            "beam": b,
+                            "step": h,
+                            "discarded": len(found) - len(kept),
+                            "of": len(found),
+                        }
+                    )
+                if not kept:
+                    # Total discard is not covered by the search rule: resample once
+                    # with fresh seeds, then fall back to the least-suspect candidate.
+                    resampled = candidates(beam, b, h, _SEED_RESAMPLE)
+                    kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
+                    if not kept:
+                        kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]
+                chosen = max(kept, key=lambda r: r.end_heuristic)
+                events.append(
+                    {
+                        "kind": "PlanStep",
+                        "beam": b,
+                        "step": h,
+                        "action": chosen.action.text(beam.last_frame),
+                        "value": chosen.end_heuristic,
+                    }
+                )
+                beam.segments.append(chosen)
+                beam.final_value = chosen.end_heuristic
             if h % cfg.replace_period == 0:
                 beams, src, dst = replace_beams(beams)
                 if src != dst:
-                    self.events.append(
-                        {"kind": "BeamReplace", "step": h, "src": src, "dst": dst}
-                    )
+                    events.append({"kind": "BeamReplace", "step": h, "src": src, "dst": dst})
+        self.events = events
         best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
         return replace(beams[best], beam_index=best)
 

@@ -5,6 +5,7 @@ criterion means the library does not meet its contract."""
 import numpy as np
 import pytest
 
+from blockplan.config import RunConfig
 from blockplan.executor import ExecutionConfig, Extractor, run_episode
 from blockplan.harness import (
     AblationGrid,
@@ -99,7 +100,7 @@ class TestAcceptance:
             episodes_per_cell=100,
             seed_base=42,
         )
-        summary = scaling_suite(grid, make_line(), n_blocks=5)
+        summary = scaling_suite(grid, RunConfig(task=make_line(), n_blocks=5))
         rates = [r.replay_success for r in summary.rows]
         monotone = all(a <= b for a, b in zip(rates, rates[1:]))
         spread = rates[-1] - rates[0]

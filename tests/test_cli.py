@@ -46,6 +46,16 @@ def _wrong_typed_overrides():
             yield pytest.param(path, value, id=f"{path}={value}")
 
 
+# Files that Python's JSON decoder refuses with something other than a decode
+# error.
+TOO_LONG_INT = "1" * 5001
+UNDECODABLE = [
+    pytest.param(TOO_LONG_INT.encode(), id="int_of_5001_digits"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_100000_deep"),
+    pytest.param(b"\xff\xfe{}", id="not_utf8"),
+]
+
+
 # One value just outside each range-checked world and model field.
 OUT_OF_RANGE = [
     *(f"world.{name}={v}" for name in ("width", "height", "block_radius", "u_max") for v in (0, -1)),
@@ -72,7 +82,15 @@ OUT_OF_RANGE = [
 
 
 class TestConfigBoundary:
-    @pytest.mark.parametrize("path,value", list(_wrong_typed_overrides()))
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            *_wrong_typed_overrides(),
+            # Left a bare string, which the type check rejects.
+            pytest.param("n_blocks", TOO_LONG_INT, id="n_blocks=int_of_5001_digits"),
+            pytest.param("n_blocks", "[" * 100_000, id="n_blocks=nested_100000_deep"),
+        ],
+    )
     def test_wrong_typed_value_exit_two(self, outdir, capsys, path, value):
         assert run(["plan", "--set", f"{path}={value}"]) == 2
         assert_config_error(capsys)
@@ -137,6 +155,14 @@ class TestConfigBoundary:
 
     def test_directory_as_trace_exit_two(self, outdir, capsys, tmp_path):
         assert run(["replay", str(tmp_path)]) == 2
+        assert_config_error(capsys)
+
+    @pytest.mark.parametrize("command", [["plan", "--config"], ["replay"]], ids=["config", "trace"])
+    @pytest.mark.parametrize("data", UNDECODABLE)
+    def test_undecodable_json_file_exit_two(self, outdir, capsys, tmp_path, command, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        assert run([*command, str(path)]) == 2
         assert_config_error(capsys)
 
     def test_output_dir_naming_a_file_exit_two(self, capsys, tmp_path, monkeypatch):
@@ -317,8 +343,17 @@ class TestReplayCommand:
     #     --set faults.p_teleport=0.5
     #   blockplan execute --seed 1 --set n_blocks=3 --set planner.horizon=2
     #     --set task.kind=make_line
+    #   blockplan plan --seed 10 --set n_blocks=5 --set planner.horizon=4
+    #     --set planner.replace_period=2 --set faults.p_teleport=1.0
+    # The last holds three guard discards, one of them total, and a beam
+    # replacement.
     @pytest.mark.parametrize(
-        "name", ["golden_plan_move_to_area.jsonl", "golden_episode_make_line.jsonl"]
+        "name",
+        [
+            "golden_plan_move_to_area.jsonl",
+            "golden_episode_make_line.jsonl",
+            "golden_plan_guard_fallback.jsonl",
+        ],
     )
     def test_golden_trace_verifies(self, name):
         path = os.path.join(os.path.dirname(__file__), "data", name)

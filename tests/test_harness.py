@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockplan.config import RunConfig
 from blockplan.errors import CapacityError, InvalidActionError
 from blockplan.harness import (
     AblationGrid,
@@ -140,21 +141,21 @@ class TestSuites:
     CFG = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=4, root_seed=0)
 
     def test_plan_accuracy_deterministic(self):
-        tasks = [group_by_color()]
-        a = plan_accuracy_suite(tasks, self.CFG, n=5, n_blocks=5, seed_base=1)
-        b = plan_accuracy_suite(tasks, self.CFG, n=5, n_blocks=5, seed_base=1)
+        cfg = RunConfig(task=group_by_color(), planner=self.CFG, n_blocks=5)
+        a = plan_accuracy_suite(cfg, n=5, seed_base=1)
+        b = plan_accuracy_suite(cfg, n=5, seed_base=1)
         assert a.rows[0].naive_success == b.rows[0].naive_success
         assert a.rows[0].replay_success == b.rows[0].replay_success
 
     def test_replay_never_exceeds_naive(self):
-        tasks = [make_line(), group_by_color()]
-        s = plan_accuracy_suite(tasks, self.CFG, n=8, n_blocks=5, seed_base=3)
-        for row in s.rows:
+        for task in [make_line(), group_by_color()]:
+            cfg = RunConfig(task=task, planner=self.CFG, n_blocks=5)
+            row = plan_accuracy_suite(cfg, n=8, seed_base=3).rows[0]
             assert 0.0 <= row.replay_success <= row.naive_success <= 1.0
 
     def test_scaling_suite_labels_and_shape(self):
         grid = AblationGrid(cells=((1, 1, 1, 3), (1, 2, 2, 3)), episodes_per_cell=4, seed_base=2)
-        s = scaling_suite(grid, make_line(), n_blocks=5)
+        s = scaling_suite(grid, RunConfig(task=make_line(), n_blocks=5))
         assert [r.label for r in s.rows] == ["B1_A1_D1_H3", "B1_A2_D2_H3"]
         assert all(r.episodes == 4 for r in s.rows)
         lines = s.csv_lines()

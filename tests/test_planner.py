@@ -143,17 +143,32 @@ class TestGuardResample:
 
         planner = Planner(Submodels(propose, rollout, value, controller=None))
         x0 = make_state([(0.0, 0.1), (0.3, 0.2)])
-        return planner.plan(x0, group_by_color(), self.CFG), made
+        return planner.plan(x0, group_by_color(), self.CFG), made, planner.events
+
+    def _events(self, plan, value):
+        # Round 0 discards all four candidates; the resample emits nothing.
+        return [
+            {"kind": "GuardDiscard", "beam": 0, "step": 1, "discarded": 4, "of": 4},
+            {
+                "kind": "PlanStep",
+                "beam": 0,
+                "step": 1,
+                "action": plan.segments[0].action.text(plan.start),
+                "value": value,
+            },
+        ]
 
     def test_resample_survivor_chosen(self):
-        plan, made = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [1.0, 10.0, 2.5, 4.0]})
+        plan, made, events = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [1.0, 10.0, 2.5, 4.0]})
         assert plan.segments == [made[(3, 1, 0)]]
         assert apply_guard(plan.segments[0], self.CFG.guard_threshold)
+        assert events == self._events(plan, 2.5)
 
     def test_fallback_keeps_least_suspect(self):
-        plan, made = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [9.0, 4.0, 7.0, 4.0]})
+        plan, made, events = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [9.0, 4.0, 7.0, 4.0]})
         assert plan.segments == [made[(3, 0, 1)]]
         assert not apply_guard(plan.segments[0], self.CFG.guard_threshold)
+        assert events == self._events(plan, 4.0)
 
 
 class TestReplaceBeams:

@@ -52,6 +52,7 @@ WCFG = WorldConfig()
 GOALS = [move_to_area(c) for c in Corner] + [group_by_color(), make_line()]
 FAULTS = FaultConfig(p_teleport=0.5, p_vanish=0.5)
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+MAX_BLOCKS = 12  # sampling a state is O(n_blocks**2)
 
 
 @st.composite
@@ -224,21 +225,88 @@ def test_config_round_trips(cfg):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def assert_runs_or_exits_two(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
 # Without the explain phase, which on a failing run took gigabytes of memory
 # tracing the lines it ran.
 @settings(PROPERTY, max_examples=200, phases=set(Phase) - {Phase.explain})
-@given(run_configs(n_blocks=st.integers(1, 12)))  # sampling a state is O(n_blocks**2)
+@given(run_configs(n_blocks=st.integers(1, MAX_BLOCKS)))
 def test_every_loadable_config_runs_or_exits_two(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.json")
         with open(path, "w") as fh:
             json.dump(config_to_dict(cfg), fh)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(["oracle", "--horizon", "0", "--config", path])
-    assert code in (0, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert_runs_or_exits_two(["oracle", "--horizon", "0", "--config", path])
+
+
+def leaf_paths(node, prefix=""):
+    """The dotted path of every leaf of a config dict."""
+    paths = []
+    for key, value in node.items():
+        if isinstance(value, dict):
+            paths += leaf_paths(value, f"{prefix}{key}.")
+        else:
+            paths.append(prefix + key)
+    return paths
+
+
+CONFIG_PATHS = leaf_paths(config_to_dict(RunConfig()))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+# A value as JSON (floats include NaN and +-inf) or as a bare string, with
+# enough small numbers and enum values that some overrides are valid.
+ENUM_VALUES = [e.value for enum in (GoalKind, Corner, Extractor) for e in enum]
+override_values = (
+    json_values.map(json.dumps)
+    | st.text()
+    | st.integers(0, 20).map(str)
+    | st.floats(0.0, 1.0).map(json.dumps)
+    | st.sampled_from(ENUM_VALUES)
+)
+
+
+def decodes_to_int_above(text, bound):
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    return type(value) is int and value > bound
+
+
+@st.composite
+def overrides(draw):
+    """One ``--set`` argument: a config leaf or an unknown path, and any value.
+    n_blocks stays within 1-MAX_BLOCKS or is invalid."""
+    name = st.text(st.characters(exclude_characters="="))
+    known = st.sampled_from(CONFIG_PATHS)
+    unknown = name | st.builds("{}.{}".format, known, name)
+    path = draw(known if draw(st.integers(0, 3)) else unknown)  # known 3 times in 4
+    if path == "n_blocks":
+        small = st.integers(1, MAX_BLOCKS).map(str)
+        other = override_values.filter(lambda v: not decodes_to_int_above(v, MAX_BLOCKS))
+        value = draw(small | other)
+    else:
+        value = draw(override_values)
+    return f"{path}={value}"
+
+
+# oracle --horizon 0 samples one state and plans nothing, so no drawn search
+# budget is ever spent. "--set=" keeps argparse from reading an override that
+# starts with "-" as an option. No explain phase, as above.
+@settings(PROPERTY, max_examples=200, phases=set(Phase) - {Phase.explain})
+@given(st.lists(overrides(), min_size=1, max_size=3))
+def test_every_override_runs_or_exits_two(items):
+    assert_runs_or_exits_two(["oracle", "--horizon", "0", *(f"--set={o}" for o in items)])
 
 
 @PROPERTY
