@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
-Exit codes: 0 success, 1 runtime failure, 2 invalid config / capacity error /
-unreadable path, 3 replay divergence. The output directory can be overridden
-with the ``BLOCKPLAN_OUT`` environment variable.
+Exit codes: 0 success, 1 runtime failure, 2 usage error / invalid config /
+capacity error / unreadable path, 3 replay divergence. The output directory
+can be overridden with the ``BLOCKPLAN_OUT`` environment variable.
 """
 
 from __future__ import annotations
@@ -151,8 +151,16 @@ def cmd_replay(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, so they end
+    on the one ``error:`` line with exit 2; sub-parsers share its class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockplan",
         description="Tree-search planning over model rollouts on a block tabletop",
     )
@@ -201,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, CapacityError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -123,6 +123,7 @@ def run_episode(
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
     collect_trace: bool = False,
+    open_loop: bool = False,
 ) -> EpisodeResult:
     """Receding-horizon closed loop: plan, execute a prefix, replan.
 
@@ -130,7 +131,7 @@ def run_episode(
     derived from (pcfg.root_seed, replan index), and every environment step
     uses a seed derived from (ecfg.env_seed, global step index). Goal-policy
     controls come from ``planner.submodels.controller``; a replan at which it
-    issues no control ends the episode.
+    issues no control ends the episode. ``open_loop`` executes one whole plan.
     """
     planner = planner if planner is not None else Planner(simulator_submodels(wcfg, mcfg))
     trace: list[dict] | None = [] if collect_trace else None
@@ -139,6 +140,8 @@ def run_episode(
     replan_count = 0
     while steps_used < ecfg.total_budget and not is_complete(env_state, goal, wcfg):
         plan = planner.plan(env_state, goal, pcfg, root_seed=derive(pcfg.root_seed, replan_count))
+        if open_loop:
+            ecfg = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
         replan_count += 1
         if trace is not None:
             trace.append(
@@ -160,8 +163,8 @@ def run_episode(
             trace=trace,
         )
         steps_used += issued
-        if issued == 0:
-            break  # no progress possible (degenerate plan or exhausted budget)
+        if issued == 0 or open_loop:
+            break  # open loop, or no progress possible (degenerate plan or exhausted budget)
     final = reward(env_state, goal, wcfg)
     done = is_complete(env_state, goal, wcfg)
     result = EpisodeResult(
@@ -192,17 +195,4 @@ def run_open_loop(
 ) -> EpisodeResult:
     """Baseline without replanning: plan once with the default simulator
     submodels, execute the whole plan with their controller."""
-    if is_complete(initial, goal):
-        return EpisodeResult(100.0, True, 0, 0)
-    planner = Planner()
-    plan = planner.plan(initial, goal, pcfg, root_seed=derive(pcfg.root_seed, 0))
-    all_frames = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
-    env_state, issued = execute_segmentwise(
-        initial, plan, goal, all_frames, planner.submodels.controller
-    )
-    return EpisodeResult(
-        final_reward=reward(env_state, goal),
-        completed=is_complete(env_state, goal),
-        steps_used=issued,
-        replan_count=1,
-    )
+    return run_episode(initial, goal, pcfg, ecfg, open_loop=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from .config import RunConfig
 from .errors import CapacityError
-from .executor import run_episode, run_open_loop
-from .planner import Plan, Planner, PlannerConfig
+from .executor import run_episode
+from .planner import Plan, Planner
 from .seeding import SeedLike, derive
 from .submodels import (
     AbstractAction,
@@ -166,10 +166,10 @@ def replay_plan(
 # --- Suites ------------------------------------------------------------------
 
 
-def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> SuiteSummary:
+def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> CellSummary:
     """Generate n plans for the run's task from seeded initial states and
     score each plan both naively (any plan frame completes the goal) and
-    replay-verified. Returns one row."""
+    replay-verified."""
     if n < 1:
         raise ValueError("n must be >= 1")
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
@@ -185,14 +185,13 @@ def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> SuiteSumm
             naive += 1
             if replay_plan(x0, plan, goal, derive(seed_base, 0, ep, 1), wcfg, cfg.model):
                 replayed += 1
-    row = CellSummary(
+    return CellSummary(
         label=goal.kind.value,
         episodes=n,
         naive_success=naive / n,
         replay_success=replayed / n,
         wall_clock=time.perf_counter() - t0,
     )
-    return SuiteSummary(rows=[row])
 
 
 def scaling_suite(grid: AblationGrid, cfg: RunConfig) -> SuiteSummary:
@@ -201,40 +200,35 @@ def scaling_suite(grid: AblationGrid, cfg: RunConfig) -> SuiteSummary:
     rows: list[CellSummary] = []
     for B, A, D, H in grid.cells:
         pcfg = replace(cfg.planner, beams=B, text_branch=A, video_branch=D, horizon=H)
-        summary = plan_accuracy_suite(
+        row = plan_accuracy_suite(
             replace(cfg, planner=pcfg), grid.episodes_per_cell, seed_base=grid.seed_base
         )
-        row = summary.rows[0]
         row.label = f"B{B}_A{A}_D{D}_H{H}"
         rows.append(row)
     return SuiteSummary(rows=rows)
 
 
 def execution_suite(
-    task: TaskGoal,
-    pcfg: PlannerConfig,
-    ecfg,
-    n: int,
-    n_blocks: int = 4,
-    seed_base: int = 0,
-    open_loop: bool = False,
-) -> SuiteSummary:
-    """Closed-loop (or open-loop baseline) episodes over seeded environments."""
+    cfg: RunConfig, n: int, seed_base: int = 0, open_loop: bool = False
+) -> CellSummary:
+    """Closed-loop (or open-loop baseline) episodes of the run over seeded environments."""
+    planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
+    ecfg = cfg.execution
     t0 = time.perf_counter()
     rewards = []
     completions = 0
     for ep in range(n):
-        x0 = sample_initial_state(n_blocks, derive(seed_base, ep))
+        x0 = sample_initial_state(cfg.n_blocks, derive(seed_base, ep), cfg.world)
         eseed = replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
-        runner = run_open_loop if open_loop else run_episode
-        res = runner(x0, task, pcfg, eseed)
+        res = run_episode(
+            x0, cfg.task, cfg.planner, eseed, planner, cfg.world, cfg.model, open_loop=open_loop
+        )
         rewards.append(res.final_reward)
         completions += int(res.completed)
-    row = CellSummary(
+    return CellSummary(
         label=("open_loop" if open_loop else ecfg.extractor.value),
         episodes=n,
         mean_reward=sum(rewards) / n,
         completion_rate=completions / n,
         wall_clock=time.perf_counter() - t0,
     )
-    return SuiteSummary(rows=[row])

@@ -153,10 +153,8 @@ class TestAcceptance:
             ("last", ExecutionConfig(extractor=Extractor.GOAL_POLICY_LAST_FRAME), False),
             ("open", ExecutionConfig(extractor=Extractor.GOAL_POLICY_EVERY_FRAME), True),
         ):
-            s = execution_suite(
-                goal, pcfg, ecfg, n, n_blocks=6, seed_base=3, open_loop=open_loop
-            )
-            results[label] = s.rows[0]
+            cfg = RunConfig(task=goal, planner=pcfg, execution=ecfg, n_blocks=6)
+            results[label] = execution_suite(cfg, n, seed_base=3, open_loop=open_loop)
         reward_margin = results["every"].mean_reward - results["last"].mean_reward
         completion_margin = (
             results["every"].completion_rate - results["open"].completion_rate

@@ -81,6 +81,16 @@ OUT_OF_RANGE = [
 ]
 
 
+# Command lines that argparse itself refuses.
+USAGE_ERRORS = [
+    pytest.param(["oracle", "--horizon", "0", "--set", "-=null"], id="set_starts_with_dash"),
+    pytest.param(["ablate", "--cells", "-1,1,1", "--episodes", "1"], id="cells_start_with_dash"),
+    pytest.param(["plan", "--seed", "x"], id="seed_not_int"),
+    pytest.param(["nope"], id="no_such_command"),
+    pytest.param([], id="no_command"),
+]
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize(
         "path,value",
@@ -105,6 +115,11 @@ class TestConfigBoundary:
 
     def test_zero_episodes_exit_two(self, outdir, capsys):
         assert run(["ablate", "--episodes", "0"]) == 2
+        assert_config_error(capsys)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
+    def test_usage_error_exit_two(self, outdir, capsys, argv):
+        assert run(argv) == 2
         assert_config_error(capsys)
 
     def test_negative_oracle_horizon_exit_two(self, outdir, capsys):

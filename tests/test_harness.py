@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,18 +141,24 @@ class TestReplayPlan:
 
 class TestSuites:
     CFG = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=4, root_seed=0)
+    EXEC_CFG = RunConfig(
+        task=group_by_color(),
+        planner=PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=2, root_seed=0),
+        execution=ExecutionConfig(total_budget=300),
+        n_blocks=5,
+    )
 
     def test_plan_accuracy_deterministic(self):
         cfg = RunConfig(task=group_by_color(), planner=self.CFG, n_blocks=5)
         a = plan_accuracy_suite(cfg, n=5, seed_base=1)
         b = plan_accuracy_suite(cfg, n=5, seed_base=1)
-        assert a.rows[0].naive_success == b.rows[0].naive_success
-        assert a.rows[0].replay_success == b.rows[0].replay_success
+        assert a.naive_success == b.naive_success
+        assert a.replay_success == b.replay_success
 
     def test_replay_never_exceeds_naive(self):
         for task in [make_line(), group_by_color()]:
             cfg = RunConfig(task=task, planner=self.CFG, n_blocks=5)
-            row = plan_accuracy_suite(cfg, n=8, seed_base=3).rows[0]
+            row = plan_accuracy_suite(cfg, n=8, seed_base=3)
             assert 0.0 <= row.replay_success <= row.naive_success <= 1.0
 
     def test_scaling_suite_labels_and_shape(self):
@@ -163,27 +171,20 @@ class TestSuites:
         assert len(lines) == 3
 
     def test_execution_suite_runs(self):
-        pcfg = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=2, root_seed=0)
-        s = execution_suite(
-            group_by_color(), pcfg, ExecutionConfig(total_budget=300), n=3, n_blocks=5, seed_base=4
-        )
-        row = s.rows[0]
+        row = execution_suite(self.EXEC_CFG, n=3, seed_base=4)
         assert row.label == "goal_policy_every_frame"
         assert 0.0 <= row.completion_rate <= 1.0
         assert 0.0 <= row.mean_reward <= 100.0
 
     def test_open_loop_label(self):
-        pcfg = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=2, root_seed=0)
-        s = execution_suite(
-            group_by_color(),
-            pcfg,
-            ExecutionConfig(total_budget=300),
-            n=2,
-            n_blocks=5,
-            seed_base=4,
-            open_loop=True,
-        )
-        assert s.rows[0].label == "open_loop"
+        row = execution_suite(self.EXEC_CFG, n=2, seed_base=4, open_loop=True)
+        assert row.label == "open_loop"
+
+    def test_execution_suite_uses_faults(self):
+        # The run's fault config reaches the planner's rollouts.
+        faulty = replace(self.EXEC_CFG, faults=FaultConfig(p_teleport=1.0))
+        clean = execution_suite(self.EXEC_CFG, n=4, seed_base=4)
+        assert execution_suite(faulty, n=4, seed_base=4).mean_reward != clean.mean_reward
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 from hypothesis import Phase, assume, given, settings
@@ -307,6 +308,26 @@ def overrides(draw):
 @given(st.lists(overrides(), min_size=1, max_size=3))
 def test_every_override_runs_or_exits_two(items):
     assert_runs_or_exits_two(["oracle", "--horizon", "0", *(f"--set={o}" for o in items)])
+
+
+# Ints run from -3 to 3, positive half the time, so a valid cell stays tiny
+# and is drawn often. Some are padded with a sign, zeros or a space. A spec
+# that starts with "-" and holds no space reads as an option: a usage error.
+small_ints = st.integers(1, 3) | st.integers(-3, 3)
+padding = st.sampled_from(["{}", "{:+d}", "{:02d}", " {}"])
+cell_tokens = st.builds(str.format, padding, small_ints) | st.sampled_from(["", "x", "1.5"])
+cells = st.lists(cell_tokens, min_size=3, max_size=4) | st.lists(cell_tokens, max_size=5)
+# An ``--cells`` argument: tokens joined by "," within a cell and ";" between.
+cell_specs = st.lists(cells.map(",".join), min_size=1, max_size=3).map(";".join)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cell_specs)
+def test_every_cell_spec_runs_or_exits_two(spec):
+    argv = ["ablate", "--cells", spec, "--episodes", "1"]
+    argv += ["--set", "n_blocks=1", "--set", "planner.horizon=1"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, BLOCKPLAN_OUT=tmp):
+        assert_runs_or_exits_two(argv)
 
 
 @PROPERTY

@@ -22,3 +22,25 @@ def test_no_function_level_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not sites, sorted(sites)
+
+
+def test_no_unused_imports():
+    """Every name a module imports at its top level is used in that module;
+    the package ``__init__`` only re-exports, so it is left out."""
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        imported.pop("annotations", None)  # from __future__ import annotations
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        )
+    assert not unused, sorted(unused)
