@@ -15,7 +15,6 @@ from blockplan import (
     PlannerConfig,
     group_by_color,
     run_episode,
-    run_open_loop,
     sample_initial_state,
 )
 
@@ -36,7 +35,7 @@ def main():
         f"{closed.replan_count} replans"
     )
 
-    open_ = run_open_loop(x0, goal, pcfg, ecfg)
+    open_ = run_episode(x0, goal, pcfg, ecfg, open_loop=True)
     print(
         f"open loop:   reward {open_.final_reward:.0f}%, "
         f"completed={open_.completed}, {open_.steps_used} pushes, no replanning"

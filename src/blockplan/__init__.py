@@ -18,11 +18,8 @@ from .executor import (
     Extractor,
     execute_segmentwise,
     run_episode,
-    run_open_loop,
 )
 from .harness import (
-    AblationGrid,
-    SuiteSummary,
     brute_force_oracle,
     execution_suite,
     plan_accuracy_suite,

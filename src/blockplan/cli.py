@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from .errors import BlockplanError, CapacityError, ConfigError
-from .harness import AblationGrid, brute_force_oracle, scaling_suite
+from .harness import brute_force_oracle, scaling_suite
+from .planner import PlannerConfig
 from .runs import episode_records, plan_records, plan_summary_line
 from .seeding import derive
 from .tracing import first_divergence, read_trace, write_trace
@@ -73,7 +75,9 @@ def cmd_execute(args) -> int:
     return 0
 
 
-def _parse_cells(spec: str, default_horizon: int) -> tuple[tuple[int, int, int, int], ...]:
+def _parse_cells(spec: str, planner: PlannerConfig) -> list[PlannerConfig]:
+    """The ``B,A,D[,H]`` cells of ``spec`` as copies of ``planner``, each
+    checked here, before any cell runs; H defaults to ``planner.horizon``."""
     cells = []
     for part in spec.split(";"):
         try:
@@ -81,31 +85,33 @@ def _parse_cells(spec: str, default_horizon: int) -> tuple[tuple[int, int, int, 
         except ValueError:
             nums = []
         if len(nums) == 3:
-            nums.append(default_horizon)
+            nums.append(planner.horizon)
         if len(nums) != 4:
             raise ConfigError(f"cell must be B,A,D[,H]: {part!r}")
-        cells.append(tuple(nums))
-    return tuple(cells)
+        B, A, D, H = nums
+        cells.append(replace(planner, beams=B, text_branch=A, video_branch=D, horizon=H))
+    return cells
 
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
-    cells = _parse_cells(args.cells, cfg.planner.horizon)
-    try:
-        grid = AblationGrid(cells=cells, episodes_per_cell=args.episodes, seed_base=cfg.seeds[0])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    summary = scaling_suite(grid, cfg)
+    rows = scaling_suite(cfg, _parse_cells(args.cells, cfg.planner), args.episodes)
+    lines = ["label,episodes,naive_success,replay_success,mean_reward,completion_rate,wall_clock_s"]
+    lines += [
+        f"{r.label},{r.episodes},{r.naive_success:.4f},{r.replay_success:.4f},"
+        f"{r.mean_reward:.4f},{r.completion_rate:.4f},{r.wall_clock:.3f}"
+        for r in rows
+    ]
     csv_path = os.path.join(out, "ablation.csv")
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(summary.csv_lines()) + "\n")
+        fh.write("\n".join(lines) + "\n")
     for column in ("naive_success", "replay_success"):
         curve = os.path.join(out, f"ablation_{column}.dat")
         with open(curve, "w") as fh:
-            for i, row in enumerate(summary.rows):
+            for i, row in enumerate(rows):
                 fh.write(f"{i} {getattr(row, column):.4f}\n")
-    print("\n".join(summary.csv_lines()))
+    print("\n".join(lines))
     print(f"results written to {csv_path}")
     return 0
 

@@ -186,13 +186,3 @@ def run_episode(
         )
     return result
 
-
-def run_open_loop(
-    initial: WorldState,
-    goal: TaskGoal,
-    pcfg: PlannerConfig,
-    ecfg: ExecutionConfig,
-) -> EpisodeResult:
-    """Baseline without replanning: plan once with the default simulator
-    submodels, execute the whole plan with their controller."""
-    return run_episode(initial, goal, pcfg, ecfg, open_loop=True)

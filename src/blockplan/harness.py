@@ -1,4 +1,4 @@
-"""Batch evaluation: plan-accuracy suites, branching/beam ablation grids,
+"""Batch evaluation: plan-accuracy suites, ablations over planner configs,
 closed-loop execution suites, and the exhaustive micro-instance oracle.
 
 Plan success is machine-checked two ways: a naive score that trusts the
@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .config import RunConfig
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .executor import run_episode
-from .planner import Plan, Planner
+from .planner import Plan, Planner, PlannerConfig
 from .seeding import SeedLike, derive
 from .submodels import (
     AbstractAction,
@@ -37,21 +37,6 @@ from .world import (
 )
 
 
-@dataclass(frozen=True)
-class AblationGrid:
-    """Planner configurations to sweep: (beams, text_branch, video_branch, horizon)."""
-
-    cells: tuple[tuple[int, int, int, int], ...]
-    episodes_per_cell: int = 100
-    seed_base: int = 0
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("grid must contain at least one cell")
-        if self.episodes_per_cell < 1:
-            raise ValueError("episodes_per_cell must be >= 1")
-
-
 @dataclass
 class CellSummary:
     label: str
@@ -61,24 +46,6 @@ class CellSummary:
     mean_reward: float = 0.0
     completion_rate: float = 0.0
     wall_clock: float = 0.0
-
-
-@dataclass
-class SuiteSummary:
-    rows: list[CellSummary]
-
-    def csv_lines(self) -> list[str]:
-        header = (
-            "label,episodes,naive_success,replay_success,"
-            "mean_reward,completion_rate,wall_clock_s"
-        )
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r.label},{r.episodes},{r.naive_success:.4f},{r.replay_success:.4f},"
-                f"{r.mean_reward:.4f},{r.completion_rate:.4f},{r.wall_clock:.3f}"
-            )
-        return lines
 
 
 # --- Brute-force oracle ------------------------------------------------------
@@ -166,24 +133,28 @@ def replay_plan(
 # --- Suites ------------------------------------------------------------------
 
 
-def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> CellSummary:
-    """Generate n plans for the run's task from seeded initial states and
-    score each plan both naively (any plan frame completes the goal) and
-    replay-verified."""
+def _check_episodes(n: int) -> None:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"episodes must be >= 1, got {n}")
+
+
+def plan_accuracy_suite(cfg: RunConfig, n: int) -> CellSummary:
+    """Generate n plans for the run's task from initial states seeded by
+    ``cfg.seeds[0]`` and score each plan both naively (any plan frame
+    completes the goal) and replay-verified."""
+    _check_episodes(n)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
-    goal, wcfg = cfg.task, cfg.world
+    goal, wcfg, seed = cfg.task, cfg.world, cfg.seeds[0]
     t0 = time.perf_counter()
     naive = replayed = 0
     for ep in range(n):
         # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
         # ablation runs reproducible.
-        x0 = sample_initial_state(cfg.n_blocks, derive(seed_base, 0, ep), wcfg)
+        x0 = sample_initial_state(cfg.n_blocks, derive(seed, 0, ep), wcfg)
         plan = planner.plan(x0, goal, cfg.planner, root_seed=derive(cfg.planner.root_seed, 0, ep))
         if any(is_complete(f, goal, wcfg) for f in plan.frames()):
             naive += 1
-            if replay_plan(x0, plan, goal, derive(seed_base, 0, ep, 1), wcfg, cfg.model):
+            if replay_plan(x0, plan, goal, derive(seed, 0, ep, 1), wcfg, cfg.model):
                 replayed += 1
     return CellSummary(
         label=goal.kind.value,
@@ -194,31 +165,28 @@ def plan_accuracy_suite(cfg: RunConfig, n: int, seed_base: int = 0) -> CellSumma
     )
 
 
-def scaling_suite(grid: AblationGrid, cfg: RunConfig) -> SuiteSummary:
-    """Plan-accuracy ablation over (beams, text branch, video branch, horizon)
-    cells, identical initial-state seeds in every cell."""
-    rows: list[CellSummary] = []
-    for B, A, D, H in grid.cells:
-        pcfg = replace(cfg.planner, beams=B, text_branch=A, video_branch=D, horizon=H)
-        row = plan_accuracy_suite(
-            replace(cfg, planner=pcfg), grid.episodes_per_cell, seed_base=grid.seed_base
-        )
-        row.label = f"B{B}_A{A}_D{D}_H{H}"
-        rows.append(row)
-    return SuiteSummary(rows=rows)
+def scaling_suite(cfg: RunConfig, cells: list[PlannerConfig], n: int) -> list[CellSummary]:
+    """Plan-accuracy ablation: one row of n episodes per planner config, on
+    the same initial states in every cell."""
+    rows = []
+    for pcfg in cells:
+        row = plan_accuracy_suite(replace(cfg, planner=pcfg), n)
+        label = f"B{pcfg.beams}_A{pcfg.text_branch}_D{pcfg.video_branch}_H{pcfg.horizon}"
+        rows.append(replace(row, label=label))
+    return rows
 
 
-def execution_suite(
-    cfg: RunConfig, n: int, seed_base: int = 0, open_loop: bool = False
-) -> CellSummary:
-    """Closed-loop (or open-loop baseline) episodes of the run over seeded environments."""
+def execution_suite(cfg: RunConfig, n: int, open_loop: bool = False) -> CellSummary:
+    """Closed-loop (or open-loop baseline) episodes of the run over
+    environments seeded by ``cfg.seeds[0]``."""
+    _check_episodes(n)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
     ecfg = cfg.execution
     t0 = time.perf_counter()
     rewards = []
     completions = 0
     for ep in range(n):
-        x0 = sample_initial_state(cfg.n_blocks, derive(seed_base, ep), cfg.world)
+        x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0], ep), cfg.world)
         eseed = replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
         res = run_episode(
             x0, cfg.task, cfg.planner, eseed, planner, cfg.world, cfg.model, open_loop=open_loop

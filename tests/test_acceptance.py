@@ -2,13 +2,14 @@
 PASS/FAIL line. Tolerances are fixed here and must not be loosened; a red
 criterion means the library does not meet its contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blockplan.config import RunConfig
 from blockplan.executor import ExecutionConfig, Extractor, run_episode
 from blockplan.harness import (
-    AblationGrid,
     brute_force_oracle,
     execution_suite,
     replay_plan,
@@ -95,13 +96,12 @@ class TestAcceptance:
     def test_criterion_2_scaling_trend(self):
         # Replay-verified plan success must rise monotonically with search
         # budget, and the widest budget must beat the narrowest by >= 15 pp.
-        grid = AblationGrid(
-            cells=((1, 1, 1, 8), (1, 1, 4, 8), (1, 4, 4, 8), (2, 4, 4, 8)),
-            episodes_per_cell=100,
-            seed_base=42,
-        )
-        summary = scaling_suite(grid, RunConfig(task=make_line(), n_blocks=5))
-        rates = [r.replay_success for r in summary.rows]
+        cfg = RunConfig(task=make_line(), n_blocks=5, seeds=(42,))
+        cells = [
+            replace(cfg.planner, beams=B, text_branch=A, video_branch=D, horizon=8)
+            for B, A, D in ((1, 1, 1), (1, 1, 4), (1, 4, 4), (2, 4, 4))
+        ]
+        rates = [r.replay_success for r in scaling_suite(cfg, cells, 100)]
         monotone = all(a <= b for a, b in zip(rates, rates[1:]))
         spread = rates[-1] - rates[0]
         _report(
@@ -153,8 +153,8 @@ class TestAcceptance:
             ("last", ExecutionConfig(extractor=Extractor.GOAL_POLICY_LAST_FRAME), False),
             ("open", ExecutionConfig(extractor=Extractor.GOAL_POLICY_EVERY_FRAME), True),
         ):
-            cfg = RunConfig(task=goal, planner=pcfg, execution=ecfg, n_blocks=6)
-            results[label] = execution_suite(cfg, n, seed_base=3, open_loop=open_loop)
+            cfg = RunConfig(task=goal, planner=pcfg, execution=ecfg, n_blocks=6, seeds=(3,))
+            results[label] = execution_suite(cfg, n, open_loop=open_loop)
         reward_margin = results["every"].mean_reward - results["last"].mean_reward
         completion_margin = (
             results["every"].completion_rate - results["open"].completion_rate

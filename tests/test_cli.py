@@ -1,8 +1,10 @@
 import json
 import os
+from unittest import mock
 
 import pytest
 
+from blockplan import harness
 from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.tracing import read_trace
@@ -270,6 +272,7 @@ class TestAblateCommand:
         assert code == 0
         lines = (outdir / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        assert lines[0].startswith("label,episodes,")
         assert lines[1].startswith("B1_A1_D1_H3,")
         assert lines[2].startswith("B1_A2_D2_H3,")
         for column in ("naive_success", "replay_success"):
@@ -278,6 +281,14 @@ class TestAblateCommand:
 
     def test_bad_cells_exit_two(self, outdir):
         assert run(["ablate", "--cells", "1,2", "--episodes", "1"]) == 2
+
+    def test_bad_later_cell_refused_before_any_episode(self, outdir, capsys):
+        with mock.patch.object(
+            harness, "plan_accuracy_suite", wraps=harness.plan_accuracy_suite
+        ) as suite:
+            assert run(["ablate", "--cells", "1,1,1,1;1,0,1", "--episodes", "1"]) == 2
+        assert suite.call_count == 0
+        assert capsys.readouterr().err == "error: text_branch must be >= 1, got 0\n"
 
 
 class TestOracleCommand:

@@ -11,7 +11,6 @@ from blockplan.executor import (
     Extractor,
     execute_segmentwise,
     run_episode,
-    run_open_loop,
 )
 from blockplan.planner import Plan, Planner, PlannerConfig
 from blockplan.submodels import (
@@ -292,7 +291,7 @@ class TestOpenLoop:
             s = sample_initial_state(6, seed=100 + ep)
             ecfg = ExecutionConfig(env_seed=ep)
             closed = run_episode(s, goal, pcfg, ecfg)
-            open_ = run_open_loop(s, goal, pcfg, ecfg)
+            open_ = run_episode(s, goal, pcfg, ecfg, open_loop=True)
             assert closed.final_reward >= open_.final_reward
             if closed.final_reward > open_.final_reward:
                 closed_wins += 1
@@ -301,10 +300,10 @@ class TestOpenLoop:
     def test_single_plan(self):
         s = sample_initial_state(6, seed=2)
         pcfg = PlannerConfig(beams=1, horizon=2, root_seed=0)
-        res = run_open_loop(s, group_by_color(), pcfg, ExecutionConfig(env_seed=1))
+        res = run_episode(s, group_by_color(), pcfg, ExecutionConfig(env_seed=1), open_loop=True)
         assert res.replan_count == 1
 
     def test_complete_start_shortcut(self):
         s = sample_initial_state(4, seed=0)
-        res = run_open_loop(s, group_by_color(), PlannerConfig(), ExecutionConfig())
+        res = run_episode(s, group_by_color(), PlannerConfig(), ExecutionConfig(), open_loop=True)
         assert res == EpisodeResult(100.0, True, 0, 0)

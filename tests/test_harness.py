@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from blockplan.config import RunConfig
-from blockplan.errors import CapacityError, InvalidActionError
+from blockplan.errors import CapacityError, ConfigError, InvalidActionError
 from blockplan.harness import (
-    AblationGrid,
     brute_force_oracle,
     execution_suite,
     plan_accuracy_suite,
@@ -146,48 +145,47 @@ class TestSuites:
         planner=PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=2, root_seed=0),
         execution=ExecutionConfig(total_budget=300),
         n_blocks=5,
+        seeds=(4,),
     )
 
     def test_plan_accuracy_deterministic(self):
-        cfg = RunConfig(task=group_by_color(), planner=self.CFG, n_blocks=5)
-        a = plan_accuracy_suite(cfg, n=5, seed_base=1)
-        b = plan_accuracy_suite(cfg, n=5, seed_base=1)
+        cfg = RunConfig(task=group_by_color(), planner=self.CFG, n_blocks=5, seeds=(1,))
+        a = plan_accuracy_suite(cfg, n=5)
+        b = plan_accuracy_suite(cfg, n=5)
         assert a.naive_success == b.naive_success
         assert a.replay_success == b.replay_success
 
     def test_replay_never_exceeds_naive(self):
         for task in [make_line(), group_by_color()]:
-            cfg = RunConfig(task=task, planner=self.CFG, n_blocks=5)
-            row = plan_accuracy_suite(cfg, n=8, seed_base=3)
+            cfg = RunConfig(task=task, planner=self.CFG, n_blocks=5, seeds=(3,))
+            row = plan_accuracy_suite(cfg, n=8)
             assert 0.0 <= row.replay_success <= row.naive_success <= 1.0
 
     def test_scaling_suite_labels_and_shape(self):
-        grid = AblationGrid(cells=((1, 1, 1, 3), (1, 2, 2, 3)), episodes_per_cell=4, seed_base=2)
-        s = scaling_suite(grid, RunConfig(task=make_line(), n_blocks=5))
-        assert [r.label for r in s.rows] == ["B1_A1_D1_H3", "B1_A2_D2_H3"]
-        assert all(r.episodes == 4 for r in s.rows)
-        lines = s.csv_lines()
-        assert lines[0].startswith("label,")
-        assert len(lines) == 3
+        cfg = RunConfig(task=make_line(), n_blocks=5, seeds=(2,))
+        cells = [PlannerConfig(beams=1, text_branch=a, video_branch=a, horizon=3) for a in (1, 2)]
+        rows = scaling_suite(cfg, cells, 4)
+        assert [r.label for r in rows] == ["B1_A1_D1_H3", "B1_A2_D2_H3"]
+        assert all(r.episodes == 4 for r in rows)
 
     def test_execution_suite_runs(self):
-        row = execution_suite(self.EXEC_CFG, n=3, seed_base=4)
+        row = execution_suite(self.EXEC_CFG, n=3)
         assert row.label == "goal_policy_every_frame"
         assert 0.0 <= row.completion_rate <= 1.0
         assert 0.0 <= row.mean_reward <= 100.0
 
     def test_open_loop_label(self):
-        row = execution_suite(self.EXEC_CFG, n=2, seed_base=4, open_loop=True)
+        row = execution_suite(self.EXEC_CFG, n=2, open_loop=True)
         assert row.label == "open_loop"
 
     def test_execution_suite_uses_faults(self):
         # The run's fault config reaches the planner's rollouts.
         faulty = replace(self.EXEC_CFG, faults=FaultConfig(p_teleport=1.0))
-        clean = execution_suite(self.EXEC_CFG, n=4, seed_base=4)
-        assert execution_suite(faulty, n=4, seed_base=4).mean_reward != clean.mean_reward
+        clean = execution_suite(self.EXEC_CFG, n=4)
+        assert execution_suite(faulty, n=4).mean_reward != clean.mean_reward
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            AblationGrid(cells=())
-        with pytest.raises(ValueError):
-            AblationGrid(cells=((1, 1, 1, 1),), episodes_per_cell=0)
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("suite", [plan_accuracy_suite, execution_suite])
+    def test_suites_refuse_fewer_than_one_episode(self, suite, n):
+        with pytest.raises(ConfigError, match=f"episodes must be >= 1, got {n}"):
+            suite(self.EXEC_CFG, n)

@@ -1,7 +1,8 @@
 """Property tests over generated states: the grammar's parse round-trip, the
 agreement of the goal predicate, the reward and the heuristic, what the
-true dynamics keep, the serialization round-trips of configs and states, and
-that the CLI runs every config it loads or refuses it with exit 2."""
+true dynamics keep, the serialization round-trips of configs and states,
+that the CLI runs every config it loads or refuses it with exit 2, and that
+``replay`` of a mutated trace verifies, refuses or reports a divergence."""
 
 import io
 import json
@@ -335,3 +336,70 @@ def test_every_cell_spec_runs_or_exits_two(spec):
 def test_state_dict_round_trips(s):
     d = state_to_dict(s)
     assert state_to_dict(state_from_dict(d)) == d
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_plan_move_to_area.jsonl")
+with open(GOLDEN) as fh:
+    GOLDEN_LINES = fh.read().splitlines()
+
+
+def node_paths(node, path=()):
+    """The key or index path of every node below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths += [path + (key,), *node_paths(child, path + (key,))]
+    return paths
+
+
+# Per record, the path of the record and of every node in it.
+GOLDEN_PATHS = [[(i,), *node_paths(json.loads(line), (i,))] for i, line in enumerate(GOLDEN_LINES)]
+# Small values only: a valid header value such as planner.horizon=10**20
+# makes the replayed plan run effectively forever.
+small_values = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-2.0, 2.0)
+    | st.text(max_size=3)
+    | st.sampled_from(ENUM_VALUES)
+)
+
+
+@st.composite
+def mutated_traces(draw):
+    """The golden trace's records with one change: a dropped key, a replaced
+    value or a dropped list item, in the header about half the time, else in
+    any record. The record itself may be the value replaced or the item
+    dropped."""
+    records = [json.loads(line) for line in GOLDEN_LINES]
+    index = draw(st.just(0) | st.integers(0, len(records) - 1))
+    *path, key = draw(st.sampled_from(GOLDEN_PATHS[index]))
+    parent = records
+    for k in path:
+        parent = parent[k]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(small_values)
+    return records
+
+
+@settings(PROPERTY, max_examples=100)
+@given(mutated_traces())
+def test_every_mutated_trace_replays_or_exits_two_or_three(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        with open(path, "w") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["replay", path])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
