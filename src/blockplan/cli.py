@@ -120,9 +120,7 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0]), cfg.world)
     try:
-        value, seq = brute_force_oracle(
-            x0, cfg.task, args.horizon, cfg.world, cfg.model, enumeration_cap=args.cap
-        )
+        value, seq = brute_force_oracle(x0, cfg.task, args.horizon, cfg.world, cfg.model)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     print(f"oracle value over horizon {args.horizon}: {value}")
@@ -204,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive search value on a micro-instance")
     common(p)
     p.add_argument("--horizon", type=int, default=3)
-    p.add_argument("--cap", type=int, default=500_000)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("replay", help="re-simulate a trace and verify it byte-for-byte")

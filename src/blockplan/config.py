@@ -8,7 +8,7 @@ import dataclasses
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -49,6 +49,11 @@ class RunConfig:
             raise ConfigError(
                 f"a {w}x{h} board with {self.n_blocks} blocks and push_reach "
                 f"{self.model.push_reach} is too large for the heuristic to measure"
+            )
+        # A replayed action gets ceil(push_reach / u_max) controls.
+        if not math.isfinite(self.model.push_reach / self.world.u_max):
+            raise ConfigError(
+                f"u_max {self.world.u_max} is too small for push_reach {self.model.push_reach}"
             )
 
 
@@ -130,16 +135,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    def encode(obj):
-        if dataclasses.is_dataclass(obj):
-            return {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
-        if hasattr(obj, "value"):  # enums
-            return obj.value
-        if isinstance(obj, tuple):
-            return list(obj)
-        return obj
-
-    return encode(cfg)
+    """The configuration as a JSON-ready dict: its enums are ``str`` enums and
+    JSON writes ``seeds`` as a list."""
+    return dataclasses.asdict(cfg)
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -50,6 +50,8 @@ class CellSummary:
 
 # --- Brute-force oracle ------------------------------------------------------
 
+ENUMERATION_CAP = 500_000  # search-tree nodes the oracle may visit
+
 
 def brute_force_oracle(
     x0: WorldState,
@@ -57,14 +59,13 @@ def brute_force_oracle(
     H: int,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
-    enumeration_cap: int = 500_000,
 ) -> tuple[float, list[AbstractAction]]:
     """Exhaustively search all action sequences of length H through the
     noise-free, fault-free dynamics model and return the best final heuristic.
 
     Ties resolve to the lexicographically first action sequence in grammar
     order. Depth-first over the grammar tree; the node count must stay under
-    ``enumeration_cap``.
+    `ENUMERATION_CAP`.
     """
     if H < 0:
         raise ValueError(f"horizon must be >= 0, got {H}")
@@ -73,9 +74,9 @@ def brute_force_oracle(
     nodes = 0
     for h in range(1, H + 1):
         nodes += g**h
-        if nodes > enumeration_cap:
+        if nodes > ENUMERATION_CAP:
             raise CapacityError(
-                f"enumeration over horizon {H} exceeds the cap of {enumeration_cap} nodes"
+                f"enumeration over horizon {H} exceeds the cap of {ENUMERATION_CAP} nodes"
             )
 
     def recurse(state: WorldState, depth: int) -> tuple[float, list[AbstractAction]]:

@@ -246,25 +246,6 @@ def rollout_dynamics(
     return Rollout(frames=frames, action=action)
 
 
-def rollout_final_position(
-    state: WorldState,
-    action: AbstractAction,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
-) -> np.ndarray:
-    """Closed form for the pushed block's final position of a noise-free,
-    fault-free rollout: advance ``push_reach`` toward the target, capped at
-    the target itself. A rollout's (S-1) * v_model of travel is push_reach, so
-    this agrees with `rollout_dynamics` (tested)."""
-    target = action.target.resolve(state, action.subject, wcfg)
-    p = state.pos(action.subject)
-    delta = target - p
-    d = float(np.linalg.norm(delta))
-    if d <= mcfg.push_reach or d < 1e-15:
-        return target
-    return p + delta / d * mcfg.push_reach
-
-
 # --- Heuristic ---------------------------------------------------------------
 
 
@@ -316,12 +297,6 @@ def _goal_discrepancies(
     return deltas, np.where(sentinel, 0.0, norms)
 
 
-def goal_distance(state: WorldState, goal_state: WorldState) -> float:
-    """Largest positional discrepancy between a state and a goal frame
-    (sentinel positions in the goal frame ignored)."""
-    return float(_goal_discrepancies(state, goal_state)[1].max())
-
-
 def goal_policy(
     state: WorldState,
     goal_state: WorldState,
@@ -362,10 +337,19 @@ def idealized_outcome(
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
 ) -> WorldState:
-    """Noise-free, fault-free one-action outcome: the state with the subject at
-    its `rollout_final_position`."""
+    """Noise-free, fault-free one-action outcome in closed form: the subject
+    advances ``push_reach`` toward its target, capped at the target itself. A
+    rollout's (S-1) * v_model of travel is push_reach, so this agrees with the
+    last frame of `rollout_dynamics` (tested)."""
+    target = action.target.resolve(state, action.subject, wcfg)
+    p = state.pos(action.subject)
+    delta = target - p
+    d = float(np.linalg.norm(delta))
     pos = state.positions.copy()
-    pos[state.index_of(action.subject)] = rollout_final_position(state, action, wcfg, mcfg)
+    if d <= mcfg.push_reach or d < 1e-15:
+        pos[state.index_of(action.subject)] = target
+    else:
+        pos[state.index_of(action.subject)] = p + delta / d * mcfg.push_reach
     return state.with_positions(pos)
 
 
@@ -484,7 +468,7 @@ def simulator_submodels(
         return heuristic(state, goal, wcfg, mcfg)
 
     def _controller(state, goal_state):
-        if goal_distance(state, goal_state) > mcfg.controller_reach:
+        if _goal_discrepancies(state, goal_state)[1].max() > mcfg.controller_reach:
             return None
         return goal_policy(state, goal_state, wcfg, mcfg)
 

@@ -3,7 +3,7 @@
 Numbers serialize as decimals with 9 significant digits; hashes are computed
 over the serialized form, so replay checks are stable across platforms.
 Trace files are one JSON object per line with a leading header record that
-carries the schema version and the run-configuration hash.
+carries the schema version, the run configuration and its hash.
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
-    """Write a header record, then ``records``; every record gets its ordinal."""
+    """Write a header record, then ``records``; every record gets its ordinal.
+    The header holds the run configuration exactly, since a replay reruns it;
+    the records round to the wire precision."""
     header = {
         "kind": "Header",
         "schema_version": SCHEMA_VERSION,
@@ -104,7 +106,8 @@ def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
         "config": config_dict,
     }
     with open(path, "w") as fh:
-        for ordinal, rec in enumerate([header, *records]):
+        fh.write(json.dumps({**header, "ordinal": 0}, sort_keys=True, separators=(",", ":")) + "\n")
+        for ordinal, rec in enumerate(records, 1):
             fh.write(canonical_json({**rec, "ordinal": ordinal}) + "\n")
 
 

@@ -42,7 +42,7 @@ def _wrong_typed_overrides():
         values = ["5" if enum_or_str else "abc", "{}", "[1]", "null"]
         if default is None:
             values.remove("null")  # task.corner is optional
-        if isinstance(default, list):
+        if isinstance(default, tuple):
             values[2] = '["abc"]'  # [1] is a valid seed list
         for value in values:
             yield pytest.param(path, value, id=f"{path}={value}")
@@ -159,6 +159,12 @@ class TestConfigBoundary:
     def test_board_too_narrow_or_too_large_to_measure_exit_two(self, outdir, capsys, overrides):
         sets = [a for o in overrides for a in ("--set", o)]
         assert run(["oracle", "--horizon", "0", *sets]) == 2
+        assert_config_error(capsys)
+
+    def test_u_max_too_small_for_replay_exit_two(self, outdir, capsys):
+        # A replayed action would get ceil(push_reach / u_max) = ceil(inf) controls.
+        argv = ["ablate", "--episodes", "1", "--cells", "1,1,1,1", "--set", "world.u_max=1e-320"]
+        assert run(argv) == 2
         assert_config_error(capsys)
 
     def test_radius_too_large_to_square_exit_two(self, outdir, capsys):
@@ -311,8 +317,10 @@ class TestOracleCommand:
         assert "oracle value over horizon 2:" in out
 
     def test_capacity_exit_two(self, outdir, capsys):
-        code = run(["oracle", "--horizon", "4", "--set", "n_blocks=6", "--cap", "1000"])
-        assert code == 2
+        assert run(["oracle", "--horizon", "4", "--set", "n_blocks=6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap of 500000 nodes" in err
 
     def test_horizon_far_past_the_cap_exit_two(self, outdir, capsys):
         # The node count at this horizon has more digits than Python prints.
@@ -373,17 +381,42 @@ class TestReplayCommand:
     #     --set planner.replace_period=2 --set faults.p_teleport=1.0
     # The last holds three guard discards, one of them total, and a beam
     # replacement.
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "golden_plan_move_to_area.jsonl",
-            "golden_episode_make_line.jsonl",
-            "golden_plan_guard_fallback.jsonl",
-        ],
-    )
+    GOLDEN_TRACES = [
+        "golden_plan_move_to_area.jsonl",
+        "golden_episode_make_line.jsonl",
+        "golden_plan_guard_fallback.jsonl",
+    ]
+
+    @pytest.mark.parametrize("name", GOLDEN_TRACES)
     def test_golden_trace_verifies(self, name):
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
+
+    # Each breaks the middle line of a golden trace.
+    BROKEN_LINES = {
+        "truncated": lambda line: line[: len(line) // 2],
+        "not_an_object": lambda line: b"[1, 2]",
+        "not_utf8": lambda line: b"\xff\xfe" + line,
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN_TRACES)
+    @pytest.mark.parametrize("broken", BROKEN_LINES)
+    def test_broken_golden_line_exit_two(self, capsys, tmp_path, name, broken):
+        with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
+            lines = fh.read().splitlines()
+        mid = len(lines) // 2
+        lines[mid] = self.BROKEN_LINES[broken](lines[mid])
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert run(["replay", str(path)]) == 2
+        assert_config_error(capsys)
+
+    def test_config_float_past_wire_precision_verifies(self, outdir, capsys):
+        # The header keeps all 11 significant digits of sigma_model; rounded
+        # to 9, the replay ran another model and diverged.
+        sets = ["n_blocks=6", "planner.horizon=4", "model.sigma_model=0.0031234567891"]
+        assert run(["plan", "--seed", "1", *(a for o in sets for a in ("--set", o))]) == 0
+        assert run(["replay", str(outdir / "plan_1.jsonl")]) == 0
 
     def test_missing_trace_exit_two(self, outdir):
         assert run(["replay", str(outdir / "nope.jsonl")]) == 2

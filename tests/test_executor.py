@@ -15,17 +15,13 @@ from blockplan.executor import (
 from blockplan.planner import Plan, Planner, PlannerConfig
 from blockplan.submodels import (
     AbstractAction,
-    ModelConfig,
     Rollout,
     Target,
     goal_policy,
     simulator_submodels,
 )
 from blockplan.world import (
-    Color,
     Corner,
-    WorldConfig,
-    WorldState,
     group_by_color,
     is_complete,
     make_line,
@@ -34,21 +30,9 @@ from blockplan.world import (
     sample_initial_state,
 )
 
-EXACT_WORLD = WorldConfig(sigma_env=0.0)
-EXACT_MODEL = ModelConfig(sigma_model=0.0)
+from helpers import EXACT_MODEL, EXACT_WORLD, make_state
+
 SERVO = partial(goal_policy, wcfg=EXACT_WORLD, mcfg=EXACT_MODEL)
-
-
-def make_state(positions, colors=None):
-    n = len(positions)
-    if colors is None:
-        colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
-    )
 
 
 def exact_plan(state, goal, horizon, seed=0):

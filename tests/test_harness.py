@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from blockplan.config import RunConfig
@@ -17,7 +16,6 @@ from blockplan.planner import Plan, Planner, PlannerConfig
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
-    ModelConfig,
     Rollout,
     Target,
     heuristic,
@@ -26,27 +24,12 @@ from blockplan.submodels import (
 from blockplan.world import (
     Color,
     Corner,
-    WorldConfig,
-    WorldState,
     group_by_color,
     make_line,
     move_to_area,
 )
 
-EXACT_WORLD = WorldConfig(sigma_env=0.0)
-EXACT_MODEL = ModelConfig(sigma_model=0.0)
-
-
-def make_state(positions, colors=None):
-    n = len(positions)
-    if colors is None:
-        colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
-    )
+from helpers import EXACT_MODEL, EXACT_WORLD, make_state
 
 
 class TestOracle:
@@ -76,9 +59,10 @@ class TestOracle:
         assert len(seq3) == 3
 
     def test_capacity_error(self):
+        # 16 actions over horizon 5 exceed the cap; the check runs before any node.
         s = make_state([(0.05, 0.15), (0.45, 0.15)])
         with pytest.raises(CapacityError):
-            brute_force_oracle(s, make_line(), 4, enumeration_cap=100)
+            brute_force_oracle(s, make_line(), 5)
 
     def test_deterministic_tie_break(self):
         s = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])

@@ -25,24 +25,13 @@ from blockplan.world import (
     Color,
     Corner,
     WorldConfig,
-    WorldState,
     group_by_color,
     make_line,
     move_to_area,
     sample_initial_state,
 )
 
-
-def make_state(positions, colors=None):
-    n = len(positions)
-    if colors is None:
-        colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
-    )
+from helpers import make_state
 
 
 class TestPlannerConfig:

@@ -31,7 +31,7 @@ from blockplan.submodels import (
     proposal_scores,
     rollout_dynamics,
 )
-from blockplan.tracing import state_from_dict, state_to_dict
+from blockplan.tracing import read_trace, state_from_dict, state_to_dict, write_trace
 from blockplan.world import (
     SENTINEL_POS,
     Color,
@@ -225,6 +225,15 @@ def run_configs(draw, n_blocks=counts):
 @given(run_configs())
 def test_config_round_trips(cfg):
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@PROPERTY
+@given(run_configs())
+def test_config_round_trips_through_a_trace_header(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        write_trace(path, config_to_dict(cfg), [])
+        assert config_from_dict(read_trace(path)[0]["config"]) == cfg
 
 
 def assert_runs_or_exits_two(argv):

@@ -44,3 +44,38 @@ def test_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         )
     assert not unused, sorted(unused)
+
+
+def _names_used(tree, skip=None) -> set:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in ``tree``, leaving
+    out the subtree ``skip``."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_no_unreferenced_functions():
+    """Every module-level function of the package is referenced somewhere in
+    the repository's source, tests, demos or benchmark, outside its own
+    definition; references a function makes to itself do not count."""
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    used_by = {path: _names_used(tree) for path, tree in trees.items()}
+    unreferenced = []
+    for path in sorted((root / "src" / "blockplan").glob("*.py")):
+        tree = trees[path]
+        elsewhere = set().union(*(used for p, used in used_by.items() if p != path))
+        for func in tree.body:
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if func.name not in elsewhere | _names_used(tree, skip=func):
+                    unreferenced.append(f"{path.name}:{func.lineno} {func.name}")
+    assert not unreferenced, unreferenced

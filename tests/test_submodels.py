@@ -17,7 +17,6 @@ from blockplan.submodels import (
     parse_action,
     propose_actions,
     rollout_dynamics,
-    rollout_final_position,
     simulator_submodels,
     steps_needed,
 )
@@ -26,7 +25,6 @@ from blockplan.world import (
     Color,
     Corner,
     WorldConfig,
-    WorldState,
     group_by_color,
     is_complete,
     make_line,
@@ -34,20 +32,10 @@ from blockplan.world import (
     sample_initial_state,
 )
 
+from helpers import make_state
+
 WCFG = WorldConfig()
 EXACT = ModelConfig(sigma_model=0.0)
-
-
-def make_state(positions, colors=None):
-    n = len(positions)
-    if colors is None:
-        colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
-    )
 
 
 class TestGrammar:
@@ -156,7 +144,7 @@ class TestRollout:
             for a in action_grammar(s)[::7]:
                 r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
                 idx = s.index_of(a.subject)
-                closed = rollout_final_position(s, a, WCFG, EXACT)
+                closed = idealized_outcome(s, a, WCFG, EXACT).positions[idx]
                 assert np.allclose(r.last.positions[idx], closed, atol=1e-9)
 
     def test_seed_determinism(self):

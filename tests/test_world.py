@@ -20,19 +20,9 @@ from blockplan.world import (
     step_true,
 )
 
+from helpers import make_state
+
 NOISE_FREE = WorldConfig(sigma_env=0.0)
-
-
-def make_state(positions, colors=None):
-    n = len(positions)
-    if colors is None:
-        colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
-    )
 
 
 class TestStepTrue:
