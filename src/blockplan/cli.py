@@ -17,7 +17,7 @@ from .config import RunConfig, apply_overrides, config_from_dict, config_to_dict
 from .errors import BlockplanError, CapacityError, ConfigError
 from .harness import brute_force_oracle, scaling_suite
 from .planner import PlannerConfig
-from .runs import episode_records, plan_records, plan_summary_line
+from .runs import episode_records, plan_records
 from .seeding import derive
 from .tracing import first_divergence, read_trace, write_trace
 from .world import sample_initial_state
@@ -49,7 +49,11 @@ def cmd_plan(args) -> int:
     records = plan_records(cfg, seed)
     path = os.path.join(out, f"plan_{seed}.jsonl")
     write_trace(path, _header_config(cfg, "plan", seed), records)
-    print(plan_summary_line(records))
+    plan = records[-1]["plan"]
+    print(
+        f"plan: {len(plan['actions'])} actions, final value {plan['final_value']}, "
+        f"final-frame reward {records[-2]['value']}\n  " + "\n  ".join(plan["actions"])
+    )
     print(f"trace written to {path}")
     return 0
 
@@ -97,10 +101,9 @@ def cmd_ablate(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
     rows = scaling_suite(cfg, _parse_cells(args.cells, cfg.planner), args.episodes)
-    lines = ["label,episodes,naive_success,replay_success,mean_reward,completion_rate,wall_clock_s"]
+    lines = ["label,episodes,naive_success,replay_success,wall_clock_s"]
     lines += [
-        f"{r.label},{r.episodes},{r.naive_success:.4f},{r.replay_success:.4f},"
-        f"{r.mean_reward:.4f},{r.completion_rate:.4f},{r.wall_clock:.3f}"
+        f"{r.label},{r.episodes},{r.naive_success:.4f},{r.replay_success:.4f},{r.wall_clock:.3f}"
         for r in rows
     ]
     csv_path = os.path.join(out, "ablation.csv")
@@ -119,10 +122,7 @@ def cmd_ablate(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _load(args)
     x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0]), cfg.world)
-    try:
-        value, seq = brute_force_oracle(x0, cfg.task, args.horizon, cfg.world, cfg.model)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    value, seq = brute_force_oracle(x0, cfg.task, args.horizon, cfg.world, cfg.model)
     print(f"oracle value over horizon {args.horizon}: {value}")
     for a in seq:
         print(f"  {a.text(x0)}")

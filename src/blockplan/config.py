@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .executor import ExecutionConfig
 from .planner import PlannerConfig
 from .submodels import FaultConfig, ModelConfig
-from .world import TaskGoal, WorldConfig
+from .world import TaskGoal, WorldConfig, require
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be >= 1")
+        require(self, ">= 1", "n_blocks")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
@@ -70,9 +69,10 @@ def _is_int(value) -> bool:
 def _typed(path: str, hint, value):
     """``value`` checked against the type ``hint`` of the field at ``path``.
 
-    Enum values are converted, a list of ints for a tuple field becomes a
-    tuple, and a section (a dataclass-typed field) is built from its object;
-    anything else is returned unchanged or rejected with `ConfigError`.
+    Enum values are converted, an int for a float field becomes a float, a
+    list of ints for a tuple field becomes a tuple, and a section (a
+    dataclass-typed field) is built from its object; anything else is
+    returned unchanged or rejected with `ConfigError`.
     """
     options = get_args(hint)
     if type(None) in options:  # an optional field
@@ -90,9 +90,12 @@ def _typed(path: str, hint, value):
             return hint(value)
         except ValueError:
             raise ConfigError(f"{path}: {value!r} is not a valid {hint.__name__}") from None
-    if hint is float:
-        ok = _is_int(value) or isinstance(value, float)
-    elif hint is int:
+    if hint is float and (_is_int(value) or isinstance(value, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
+    if hint is int:
         ok = _is_int(value)
     else:
         ok = isinstance(value, hint)

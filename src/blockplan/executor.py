@@ -12,11 +12,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import tracing
-from .errors import ConfigError
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import derive
 from .submodels import ModelConfig, inverse_dynamics, simulator_submodels
-from .world import TaskGoal, WorldConfig, WorldState, is_complete, reward, step_true
+from .world import TaskGoal, WorldConfig, WorldState, is_complete, require, reward, step_true
 
 
 class Extractor(str, Enum):
@@ -34,11 +33,8 @@ class ExecutionConfig:
     env_seed: int = 0
 
     def __post_init__(self):
-        for name in ("controls_per_frame", "frames_per_plan", "total_budget"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.env_seed < 0:
-            raise ConfigError(f"env_seed must be >= 0, got {self.env_seed}")
+        require(self, ">= 1", "controls_per_frame", "frames_per_plan", "total_budget")
+        require(self, ">= 0", "env_seed")
 
 
 @dataclass

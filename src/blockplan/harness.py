@@ -68,7 +68,7 @@ def brute_force_oracle(
     `ENUMERATION_CAP`.
     """
     if H < 0:
-        raise ValueError(f"horizon must be >= 0, got {H}")
+        raise ConfigError(f"horizon must be >= 0, got {H}")
     grammar = action_grammar(x0)
     g = len(grammar)
     nodes = 0

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .errors import ConfigError
 from .seeding import SeedLike, derive
 from .submodels import Rollout, Submodels, simulator_submodels
-from .world import TaskGoal, WorldState
+from .world import TaskGoal, WorldState, require
 
 # Seed-stream salts, one per kind of draw.
 _SEED_PROPOSE = 1
@@ -38,15 +37,9 @@ class PlannerConfig:
     root_seed: int = 0
 
     def __post_init__(self):
-        for name in ("beams", "text_branch", "video_branch", "horizon", "replace_period"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.guard_threshold > 0:
-            raise ConfigError(f"guard_threshold must be > 0, got {self.guard_threshold}")
-        if not self.policy_temperature >= 0:
-            raise ConfigError(f"policy_temperature must be >= 0, got {self.policy_temperature}")
-        if self.root_seed < 0:
-            raise ConfigError(f"root_seed must be >= 0, got {self.root_seed}")
+        require(self, ">= 1", "beams", "text_branch", "video_branch", "horizon", "replace_period")
+        require(self, "> 0", "guard_threshold")
+        require(self, ">= 0", "policy_temperature", "root_seed")
 
 
 @dataclass

@@ -49,12 +49,3 @@ def episode_records(cfg: RunConfig, seed: int) -> list[dict]:
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]
     records.extend(result.trace)
     return records
-
-
-def plan_summary_line(records: list[dict]) -> str:
-    plan = records[-1]["plan"]
-    rew = records[-2]["value"]
-    return (
-        f"plan: {len(plan['actions'])} actions, final value {plan['final_value']}, "
-        f"final-frame reward {rew}\n  " + "\n  ".join(plan["actions"])
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidActionError, InvalidGoalError
+from .errors import InvalidActionError, InvalidGoalError
 from .seeding import SeedLike, rng_from
 from .world import (
     SENTINEL_POS,
@@ -26,6 +26,7 @@ from .world import (
     WorldConfig,
     WorldState,
     block_region_distance,
+    require,
     require_finite,
 )
 
@@ -48,13 +49,9 @@ class ModelConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if not self.push_reach > 0:
-            raise ConfigError(f"push_reach must be > 0, got {self.push_reach}")
-        for name in ("sigma_model", "goal_eps"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.frames_per_rollout < 2:
-            raise ConfigError(f"frames_per_rollout must be >= 2, got {self.frames_per_rollout}")
+        require(self, "> 0", "push_reach")
+        require(self, ">= 0", "sigma_model", "goal_eps")
+        require(self, ">= 2", "frames_per_rollout")
 
     @property
     def v_model(self) -> float:

@@ -58,6 +58,16 @@ def require_finite(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
+def require(cfg, rule: str, *names: str) -> None:
+    """Reject a config dataclass whose named fields break ``rule``, ``"> n"``
+    or ``">= n"`` for an integer n; NaN breaks every rule."""
+    op, bound = rule.split()
+    for name in names:
+        value = getattr(cfg, name)
+        if not (value > int(bound) if op == ">" else value >= int(bound)):
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Board geometry and true-dynamics parameters.
@@ -82,14 +92,9 @@ class WorldConfig:
 
     def __post_init__(self):
         require_finite(self)
-        for name in ("width", "height", "block_radius", "u_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("sigma_env", "group_dist", "area_dx", "area_dy", "line_dist"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.collision_iters < 1:
-            raise ConfigError(f"collision_iters must be >= 1, got {self.collision_iters}")
+        require(self, "> 0", "width", "height", "block_radius", "u_max")
+        require(self, ">= 0", "sigma_env", "group_dist", "area_dx", "area_dy", "line_dist")
+        require(self, ">= 1", "collision_iters")
 
     @property
     def board(self) -> tuple[float, float]:

@@ -58,7 +58,8 @@ UNDECODABLE = [
 ]
 
 
-# One value just outside each range-checked world and model field.
+# One value just outside each range-checked world and model field, some
+# planner and execution fields, and integers too large for a float field.
 OUT_OF_RANGE = [
     *(f"world.{name}={v}" for name in ("width", "height", "block_radius", "u_max") for v in (0, -1)),
     *(
@@ -80,6 +81,13 @@ OUT_OF_RANGE = [
     "world.height=Infinity",
     "model.push_reach=Infinity",
     "world.sigma_env=Infinity",
+    "planner.beams=0",
+    "planner.guard_threshold=0",
+    "execution.total_budget=0",
+    "n_blocks=0",
+    pytest.param("world.width=1" + "0" * 200, id="world.width=int_10**200"),
+    pytest.param("world.u_max=1" + "0" * 400, id="world.u_max=int_10**400"),
+    pytest.param("model.sigma_model=1" + "0" * 400, id="model.sigma_model=int_10**400"),
 ]
 
 

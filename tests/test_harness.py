@@ -64,6 +64,11 @@ class TestOracle:
         with pytest.raises(CapacityError):
             brute_force_oracle(s, make_line(), 5)
 
+    def test_negative_horizon_is_a_config_error(self):
+        s = make_state([(0.05, 0.15), (0.45, 0.15)])
+        with pytest.raises(ConfigError, match="horizon must be >= 0, got -1"):
+            brute_force_oracle(s, group_by_color(), -1)
+
     def test_deterministic_tie_break(self):
         s = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
         goal = group_by_color()

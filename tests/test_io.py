@@ -11,7 +11,9 @@ from blockplan.config import (
     load_config,
 )
 from blockplan.errors import ConfigError
+from blockplan.executor import ExecutionConfig
 from blockplan.planner import Planner, PlannerConfig
+from blockplan.submodels import ModelConfig
 from blockplan.tracing import (
     canonical_json,
     digest,
@@ -24,7 +26,44 @@ from blockplan.tracing import (
     state_to_dict,
     write_trace,
 )
-from blockplan.world import GoalKind, group_by_color, make_line, sample_initial_state
+from blockplan.world import (
+    GoalKind,
+    WorldConfig,
+    group_by_color,
+    make_line,
+    sample_initial_state,
+)
+
+# (config class, field, a value just outside its range, the exact message).
+RANGE_CASES = [
+    (WorldConfig, "width", 0.0, "width must be > 0, got 0.0"),
+    (WorldConfig, "height", 0.0, "height must be > 0, got 0.0"),
+    (WorldConfig, "block_radius", 0.0, "block_radius must be > 0, got 0.0"),
+    (WorldConfig, "u_max", 0.0, "u_max must be > 0, got 0.0"),
+    (WorldConfig, "sigma_env", -1e-9, "sigma_env must be >= 0, got -1e-09"),
+    (WorldConfig, "group_dist", -1e-9, "group_dist must be >= 0, got -1e-09"),
+    (WorldConfig, "area_dx", -1e-9, "area_dx must be >= 0, got -1e-09"),
+    (WorldConfig, "area_dy", -1e-9, "area_dy must be >= 0, got -1e-09"),
+    (WorldConfig, "line_dist", -1e-9, "line_dist must be >= 0, got -1e-09"),
+    (WorldConfig, "collision_iters", 0, "collision_iters must be >= 1, got 0"),
+    (ModelConfig, "push_reach", 0.0, "push_reach must be > 0, got 0.0"),
+    (ModelConfig, "sigma_model", -1e-9, "sigma_model must be >= 0, got -1e-09"),
+    (ModelConfig, "goal_eps", -1e-9, "goal_eps must be >= 0, got -1e-09"),
+    (ModelConfig, "frames_per_rollout", 1, "frames_per_rollout must be >= 2, got 1"),
+    (PlannerConfig, "beams", 0, "beams must be >= 1, got 0"),
+    (PlannerConfig, "text_branch", 0, "text_branch must be >= 1, got 0"),
+    (PlannerConfig, "video_branch", 0, "video_branch must be >= 1, got 0"),
+    (PlannerConfig, "horizon", 0, "horizon must be >= 1, got 0"),
+    (PlannerConfig, "replace_period", 0, "replace_period must be >= 1, got 0"),
+    (PlannerConfig, "guard_threshold", 0.0, "guard_threshold must be > 0, got 0.0"),
+    (PlannerConfig, "policy_temperature", -1e-9, "policy_temperature must be >= 0, got -1e-09"),
+    (PlannerConfig, "root_seed", -1, "root_seed must be >= 0, got -1"),
+    (ExecutionConfig, "controls_per_frame", 0, "controls_per_frame must be >= 1, got 0"),
+    (ExecutionConfig, "frames_per_plan", 0, "frames_per_plan must be >= 1, got 0"),
+    (ExecutionConfig, "total_budget", 0, "total_budget must be >= 1, got 0"),
+    (ExecutionConfig, "env_seed", -1, "env_seed must be >= 0, got -1"),
+    (RunConfig, "n_blocks", 0, "n_blocks must be >= 1, got 0"),
+]
 
 
 class TestRound9:
@@ -179,6 +218,20 @@ class TestRunConfig:
             apply_overrides(RunConfig(), ["planner.nope=1"])
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), ["planner_beams"])
+
+    @pytest.mark.parametrize(
+        "cls,name,value,message",
+        [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}") for case in RANGE_CASES],
+    )
+    def test_range_message(self, cls, name, value, message):
+        with pytest.raises(ConfigError) as info:
+            cls(**{name: value})
+        assert str(info.value) == message
+
+    def test_int_for_float_field_stored_as_float(self):
+        cfg = config_from_dict({"world": {"width": 1}, "model": {"push_reach": 1}})
+        assert type(cfg.world.width) is float and cfg.world.width == 1.0
+        assert config_to_dict(cfg)["model"]["push_reach"] == 1.0
 
     def test_hash_changes_with_semantic_change(self):
         a = digest(config_to_dict(RunConfig()))

@@ -79,3 +79,21 @@ def test_no_unreferenced_functions():
                 if func.name not in elsewhere | _names_used(tree, skip=func):
                     unreferenced.append(f"{path.name}:{func.lineno} {func.name}")
     assert not unreferenced, unreferenced
+
+
+def test_range_rules_written_once():
+    """No ``__post_init__`` builds a ``must be >`` or ``must be >=`` message
+    itself: every range rule goes through ``world.require``."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "__post_init__":
+                sites.extend(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and "must be >" in node.value
+                )
+    assert not sites, sites
