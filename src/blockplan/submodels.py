@@ -21,11 +21,10 @@ from .world import (
     Color,
     Corner,
     ControlAction,
-    GoalKind,
     TaskGoal,
     WorldConfig,
     WorldState,
-    block_region_distance,
+    region_distance,
     require,
     require_finite,
 )
@@ -207,6 +206,10 @@ def rollout_dynamics(
     probability ``p_vanish`` a random block drops to the off-board sentinel for
     the remainder of the rollout. There is no collision handling: the model is
     deliberately an imperfect stand-in for the true dynamics.
+
+    The fault draws come first, then the noise of every frame but a teleport
+    one, in a single draw. The subject's track is stepped in floats and written
+    into one ``(S, n, 2)`` array, whose read-only rows are the frames.
     """
     subj = state.index_of(action.subject)
     rng = rng_from(seed)
@@ -217,47 +220,67 @@ def rollout_dynamics(
     teleport_frame = -1
     if faults.p_teleport > 0 and rng.random() < faults.p_teleport:
         teleport_frame = int(rng.integers(1, S))
-    vanish_frame = -1
+    vanish_frame = S  # past the last frame: nothing vanishes
     vanish_idx = -1
     if faults.p_vanish > 0 and rng.random() < faults.p_vanish:
         vanish_frame = int(rng.integers(1, S))
         vanish_idx = int(rng.integers(0, state.n_blocks))
+    noise = None
+    if mcfg.sigma_model > 0:
+        noise = iter(rng.normal(0.0, mcfg.sigma_model, (S - 1 - (teleport_frame > 0), 2)).tolist())
 
-    frames = [state]
-    pos = state.positions.copy()
+    (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
+    v, (w, h) = mcfg.v_model, wcfg.board
+    delta = np.empty(2)
+    track = []
     for t in range(1, S):
         if t == teleport_frame:
-            pos[subj] = target
+            px, py = tx, ty
         else:
-            delta = target - pos[subj]
-            d = float(np.linalg.norm(delta))
-            if d > mcfg.v_model:
-                delta = delta / d * mcfg.v_model
-            step = delta
-            if mcfg.sigma_model > 0:
-                step = step + rng.normal(0.0, mcfg.sigma_model, 2)
-            pos[subj] = np.clip(pos[subj] + step, 0.0, wcfg.board)
-        if 0 < vanish_frame <= t:
-            pos[vanish_idx] = SENTINEL_POS
-        frames.append(state.with_positions(pos))
-    return Rollout(frames=frames, action=action)
+            dx, dy = tx - px, ty - py
+            delta[0], delta[1] = dx, dy
+            # The norm of np.linalg.norm: sqrt(dx*dx + dy*dy) differs in the last bit.
+            d = math.sqrt(delta.dot(delta))
+            if d > v:
+                dx, dy = dx / d * v, dy / d * v
+            if noise is not None:
+                nx, ny = next(noise)
+                dx, dy = dx + nx, dy + ny
+            # Equal to np.clip on the pair, the sign of a zero included.
+            px, py = min(w, max(0.0, px + dx)), min(h, max(0.0, py + dy))
+        track.append((px, py))
+        if t >= vanish_frame and vanish_idx == subj:
+            px, py = SENTINEL_POS
+    pos = np.repeat(state.positions[None], S, axis=0)
+    pos[1:, subj] = track
+    pos[vanish_frame:, vanish_idx] = SENTINEL_POS
+    pos.flags.writeable = False
+    return Rollout(frames=[state, *map(state.with_view, pos[1:])], action=action)
 
 
 # --- Heuristic ---------------------------------------------------------------
 
 
-def steps_needed(distance: float, push_reach: float) -> int:
-    """Abstract actions needed to cover a distance, one push_reach per action."""
-    if distance <= _CEIL_EPS:
-        return 0
-    return int(math.ceil(distance / push_reach - _CEIL_EPS))
+def steps_needed(distance: np.ndarray, push_reach: float) -> np.ndarray:
+    """Abstract actions needed to cover each distance, one push_reach per action."""
+    return np.where(distance <= _CEIL_EPS, 0.0, np.ceil(distance / push_reach - _CEIL_EPS))
 
 
 def _steps_to_go(
-    state: WorldState, goal: TaskGoal, block_index: int, wcfg: WorldConfig, mcfg: ModelConfig
-) -> int:
-    """One block's term of the heuristic."""
-    return steps_needed(block_region_distance(state, goal, block_index, wcfg), mcfg.push_reach)
+    positions: np.ndarray,
+    colors: tuple[Color, ...],
+    goal: TaskGoal,
+    wcfg: WorldConfig,
+    mcfg: ModelConfig,
+) -> np.ndarray:
+    """Each block's term of the heuristic, for a stack ``(..., n, 2)`` of
+    position sets. A block off the board (a vanished one) is first projected
+    onto it, so that its distance stays finite; its peers are not."""
+    lost = (positions < 0.0).any(axis=-1, keepdims=True)
+    own = positions
+    if lost.any():
+        own = np.where(lost, np.clip(positions, 0.0, wcfg.board), positions)
+    return steps_needed(region_distance(own, positions, colors, goal, wcfg), mcfg.push_reach)
 
 
 def heuristic(
@@ -271,7 +294,7 @@ def heuristic(
     Zero exactly at completion, more negative the farther blocks sit from
     their satisfying regions.
     """
-    return -float(sum(_steps_to_go(state, goal, i, wcfg, mcfg) for i in range(state.n_blocks)))
+    return -float(_steps_to_go(state.positions, state.colors, goal, wcfg, mcfg).sum())
 
 
 # --- Low-level controllers ---------------------------------------------------
@@ -338,15 +361,12 @@ def idealized_outcome(
     advances ``push_reach`` toward its target, capped at the target itself. A
     rollout's (S-1) * v_model of travel is push_reach, so this agrees with the
     last frame of `rollout_dynamics` (tested)."""
+    i = state.index_of(action.subject)
     target = action.target.resolve(state, action.subject, wcfg)
-    p = state.pos(action.subject)
-    delta = target - p
-    d = float(np.linalg.norm(delta))
     pos = state.positions.copy()
-    if d <= mcfg.push_reach or d < 1e-15:
-        pos[state.index_of(action.subject)] = target
-    else:
-        pos[state.index_of(action.subject)] = p + delta / d * mcfg.push_reach
+    delta = target - pos[i]
+    d = math.sqrt(delta.dot(delta))
+    pos[i] = target if d <= mcfg.push_reach or d < 1e-15 else pos[i] + delta / d * mcfg.push_reach
     return state.with_positions(pos)
 
 
@@ -357,29 +377,13 @@ def proposal_scores(
     mcfg: ModelConfig = ModelConfig(),
 ) -> np.ndarray:
     """The `heuristic` of every grammar action's `idealized_outcome`, in grammar
-    order.
-
-    An action moves only its subject, so only the terms of blocks whose region
-    depends on the subject's position can change: the subject's own and, under
-    group-by-color, those of its same-color peers. Those terms are recomputed
-    on the outcome state and the rest are reused. Terms are ints, so each score
-    equals the full heuristic of the outcome exactly.
+    order, scored as one ``(G, n, 2)`` stack of outcome positions. Terms are
+    whole numbers, so each score equals the outcome's `heuristic` exactly.
     """
-    terms = [_steps_to_go(state, goal, i, wcfg, mcfg) for i in range(state.n_blocks)]
-    group = goal.kind is GoalKind.GROUP_BY_COLOR
-    affected = {
-        block: [j for j, c in enumerate(state.colors) if j == i or (group and c == state.colors[i])]
-        for i, block in enumerate(state.ids)
-    }
-    total = sum(terms)
-    scores = []
-    for a in action_grammar(state):
-        outcome = idealized_outcome(state, a, wcfg, mcfg)
-        changed = sum(
-            _steps_to_go(outcome, goal, i, wcfg, mcfg) - terms[i] for i in affected[a.subject]
-        )
-        scores.append(-float(total + changed))
-    return np.array(scores)
+    outcomes = np.stack(
+        [idealized_outcome(state, a, wcfg, mcfg).positions for a in action_grammar(state)]
+    )
+    return -_steps_to_go(outcomes, state.colors, goal, wcfg, mcfg).sum(axis=-1)
 
 
 def propose_actions(

@@ -153,6 +153,11 @@ class WorldState:
         positions = np.array(positions, dtype=float)
         if positions.shape != self.positions.shape:
             raise ValueError("positions must be (n_blocks, 2)")
+        return self.with_view(positions, step_count)
+
+    def with_view(self, positions: np.ndarray, step_count: int | None = None) -> "WorldState":
+        """The same blocks at ``positions`` itself, neither copied nor checked:
+        an (n_blocks, 2) float array that nothing writes to afterwards."""
         state = object.__new__(WorldState)
         state.__dict__.update(
             self.__dict__,
@@ -265,60 +270,49 @@ def step_true(
     return state.with_positions(pos, step_count=state.step_count + 1)
 
 
-def _region_distance(
-    state: WorldState, goal: TaskGoal, block_index: int, p: np.ndarray, cfg: WorldConfig
-) -> float:
-    """Distance from position ``p`` of one block to its goal-satisfying region
-    (0 inside it). For group-by-color the distance is to the disk of the
-    farthest same-color peer, a lower bound on the distance to the full
-    intersection region."""
+# math.hypot per element: np.hypot differs from it in the last bit.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def region_distance(
+    own: np.ndarray, peers: np.ndarray, colors: tuple[Color, ...], goal: TaskGoal, cfg: WorldConfig
+) -> np.ndarray:
+    """Distance from each block's position in ``own`` to its goal-satisfying
+    region (0 inside it), for a stack ``(..., n, 2)`` of position sets;
+    returns ``(..., n)``. For group-by-color the region is the disk around the
+    farthest same-color peer in ``peers``, a lower bound on the distance to the
+    full intersection region."""
     if goal.kind is GoalKind.MOVE_TO_AREA:
         c = cfg.corner_point(goal.corner)
-        dx = max(0.0, abs(p[0] - c[0]) - cfg.area_dx)
-        dy = max(0.0, abs(p[1] - c[1]) - cfg.area_dy)
-        return math.hypot(dx, dy)
+        dx = np.maximum(0.0, np.abs(own[..., 0] - c[0]) - cfg.area_dx)
+        dy = np.maximum(0.0, np.abs(own[..., 1] - c[1]) - cfg.area_dy)
+        return _hypot(dx, dy).astype(float)
     if goal.kind is GoalKind.MAKE_LINE:
-        return max(0.0, abs(p[0] - cfg.width / 2.0) - cfg.line_dist)
-    peers = [
-        j
-        for j in range(state.n_blocks)
-        if j != block_index and state.colors[j] == state.colors[block_index]
-    ]
-    if not peers:
-        return 0.0
-    d = np.linalg.norm(state.positions[peers] - p, axis=1)
-    return max(0.0, float(np.max(d)) - cfg.group_dist)
+        return np.maximum(0.0, np.abs(own[..., 0] - cfg.width / 2.0) - cfg.line_dist)
+    diff = peers[..., None, :, :] - own[..., :, None, :]
+    d = np.sqrt(np.add.reduce(diff * diff, -1))  # np.linalg.norm(diff, axis=-1), bit for bit
+    c = np.array([color.value for color in colors])
+    peer = (c[:, None] == c) & ~np.eye(len(colors), dtype=bool)
+    farthest = np.where(peer, d, -np.inf).max(axis=-1, initial=-np.inf)
+    return np.maximum(0.0, farthest - cfg.group_dist)
 
 
-def block_region_distance(
-    state: WorldState, goal: TaskGoal, block_index: int, cfg: WorldConfig
-) -> float:
-    """Distance from one block to its goal-satisfying region (0 if satisfied).
-
-    Off-board sentinel positions are first projected onto the board so the
-    distance stays finite.
-    """
-    p = state.positions[block_index]
-    if p[0] < 0.0 or p[1] < 0.0:
-        p = np.clip(p, 0.0, cfg.board)
-    return _region_distance(state, goal, block_index, p, cfg)
-
-
-def _satisfied(state: WorldState, goal: TaskGoal, cfg: WorldConfig):
+def _satisfied(state: WorldState, goal: TaskGoal, cfg: WorldConfig) -> np.ndarray:
     """Per block, whether its own (unprojected) position lies in its goal region."""
-    return (_region_distance(state, goal, i, p, cfg) == 0.0 for i, p in enumerate(state.positions))
+    p = state.positions
+    return region_distance(p, p, state.colors, goal, cfg) == 0.0
 
 
 def reward(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> float:
     """Percentage of blocks satisfying the goal predicate, in [0, 100]."""
     if state.n_blocks == 0:
         return 100.0
-    return 100.0 * sum(_satisfied(state, goal, cfg)) / state.n_blocks
+    return 100.0 * np.count_nonzero(_satisfied(state, goal, cfg)) / state.n_blocks
 
 
 def is_complete(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> bool:
     """True iff every block satisfies the goal predicate (reward 100)."""
-    return all(_satisfied(state, goal, cfg))
+    return bool(_satisfied(state, goal, cfg).all())
 
 
 def sample_initial_state(

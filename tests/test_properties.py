@@ -1,11 +1,13 @@
 """Property tests over generated states: the grammar's parse round-trip, the
-agreement of the goal predicate, the reward and the heuristic, what the
+agreement of the goal predicate, the reward and the heuristic, their
+agreement with a scalar oracle of the array region geometry, what the
 true dynamics keep, the serialization round-trips of configs and states,
 that the CLI runs every config it loads or refuses it with exit 2, and that
 ``replay`` of a mutated trace verifies, refuses or reports a divergence."""
 
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -45,6 +47,7 @@ from blockplan.world import (
     is_complete,
     make_line,
     move_to_area,
+    region_distance,
     reward,
     sample_initial_state,
     step_true,
@@ -123,6 +126,55 @@ def test_complete_implies_zero_heuristic(s, goal):
         assume(len(mine) < 2 or not vanished[mine].all())
     if is_complete(s, goal, WCFG):
         assert heuristic(s, goal, WCFG) == 0.0
+
+
+def oracle_region_distance(state, goal, i, p, cfg):
+    """The scalar region distance of block ``i`` at ``p`` that the array
+    geometry replaced, kept as its oracle."""
+    if goal.kind is GoalKind.MOVE_TO_AREA:
+        c = cfg.corner_point(goal.corner)
+        dx = max(0.0, abs(p[0] - c[0]) - cfg.area_dx)
+        dy = max(0.0, abs(p[1] - c[1]) - cfg.area_dy)
+        return math.hypot(dx, dy)
+    if goal.kind is GoalKind.MAKE_LINE:
+        return max(0.0, abs(p[0] - cfg.width / 2.0) - cfg.line_dist)
+    peers = [j for j in range(state.n_blocks) if j != i and state.colors[j] == state.colors[i]]
+    if not peers:
+        return 0.0
+    d = np.linalg.norm(state.positions[peers] - p, axis=1)
+    return max(0.0, float(np.max(d)) - cfg.group_dist)
+
+
+def oracle_steps_needed(distance, push_reach):
+    if distance <= 1e-9:
+        return 0
+    return int(math.ceil(distance / push_reach - 1e-9))
+
+
+def oracle_heuristic(state, goal, wcfg, mcfg):
+    """Per block: project an off-board position onto the board, then count
+    the push_reach steps to its region."""
+    total = 0
+    for i, p in enumerate(state.positions):
+        if p[0] < 0.0 or p[1] < 0.0:
+            p = np.clip(p, 0.0, wcfg.board)
+        distance = oracle_region_distance(state, goal, i, p, wcfg)
+        total += oracle_steps_needed(distance, mcfg.push_reach)
+    return -float(total)
+
+
+@PROPERTY
+@given(states)
+def test_array_geometry_equals_the_scalar_oracle(s):
+    mcfg = ModelConfig()
+    p = s.positions
+    for goal in GOALS:
+        distances = [oracle_region_distance(s, goal, i, q, WCFG) for i, q in enumerate(p)]
+        assert region_distance(p, p, s.colors, goal, WCFG).tolist() == distances
+        satisfied = [d == 0.0 for d in distances]
+        assert repr(heuristic(s, goal, WCFG, mcfg)) == repr(oracle_heuristic(s, goal, WCFG, mcfg))
+        assert reward(s, goal, WCFG) == 100.0 * sum(satisfied) / s.n_blocks
+        assert is_complete(s, goal, WCFG) == all(satisfied)
 
 
 @st.composite

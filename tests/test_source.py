@@ -97,3 +97,21 @@ def test_range_rules_written_once():
                     and "must be >" in node.value
                 )
     assert not sites, sites
+
+
+def test_no_numpy_hypot_or_einsum_in_the_geometry():
+    """``world.py`` and ``submodels.py`` use neither ``np.hypot`` nor
+    ``np.einsum``: both differ in the last bit from the formulas that traces
+    depend on (``math.hypot`` per element, and the ``dot``-based norm)."""
+    sites = []
+    for name in ("world.py", "submodels.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        sites.extend(
+            f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("hypot", "einsum")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    assert not sites, sites

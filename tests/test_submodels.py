@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockplan.errors import InvalidActionError, InvalidGoalError
+from blockplan.seeding import rng_from
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -182,6 +183,77 @@ class TestRollout:
     def test_fault_probability_rejected(self):
         with pytest.raises(ValueError):
             FaultConfig(p_teleport=1.5)
+
+
+def reference_rollout(state, action, faults, seed, wcfg=WCFG, mcfg=ModelConfig()):
+    """The per-frame loop `rollout_dynamics` had before its noise was drawn in
+    one call and its frames filled into one array: the positions of each
+    frame, kept as the bit-exact reference of that rewrite."""
+    subj = state.index_of(action.subject)
+    rng = rng_from(seed)
+    target = action.target.resolve(state, action.subject, wcfg)
+    S = mcfg.frames_per_rollout
+    teleport_frame = -1
+    if faults.p_teleport > 0 and rng.random() < faults.p_teleport:
+        teleport_frame = int(rng.integers(1, S))
+    vanish_frame = -1
+    vanish_idx = -1
+    if faults.p_vanish > 0 and rng.random() < faults.p_vanish:
+        vanish_frame = int(rng.integers(1, S))
+        vanish_idx = int(rng.integers(0, state.n_blocks))
+    frames = [state.positions.copy()]
+    pos = state.positions.copy()
+    for t in range(1, S):
+        if t == teleport_frame:
+            pos[subj] = target
+        else:
+            delta = target - pos[subj]
+            d = float(np.linalg.norm(delta))
+            if d > mcfg.v_model:
+                delta = delta / d * mcfg.v_model
+            step = delta
+            if mcfg.sigma_model > 0:
+                step = step + rng.normal(0.0, mcfg.sigma_model, 2)
+            pos[subj] = np.clip(pos[subj] + step, 0.0, wcfg.board)
+        if 0 < vanish_frame <= t:
+            pos[vanish_idx] = SENTINEL_POS
+        frames.append(pos.copy())
+    return frames, vanish_idx == subj
+
+
+class TestRolloutParity:
+    FAULTS = [
+        FaultConfig(),
+        FaultConfig(p_teleport=1.0),
+        FaultConfig(p_vanish=1.0),
+        FaultConfig(p_teleport=0.5, p_vanish=0.5),
+    ]
+
+    @pytest.mark.parametrize("faults", FAULTS, ids=["off", "teleport", "vanish", "both"])
+    @pytest.mark.parametrize("sigma", [0.0, ModelConfig().sigma_model])
+    @pytest.mark.parametrize("frames", [2, 16])
+    def test_every_frame_bit_equal_to_the_reference(self, faults, sigma, frames):
+        mcfg = ModelConfig(sigma_model=sigma, frames_per_rollout=frames)
+        subject_vanished = 0
+        for seed in range(8):
+            for n in (1, 3, 6):
+                s = sample_initial_state(n, seed=seed)
+                for k, a in enumerate(action_grammar(s)[::4]):
+                    r = rollout_dynamics(s, a, faults, (seed, k), WCFG, mcfg)
+                    ref, vanished = reference_rollout(s, a, faults, (seed, k), WCFG, mcfg)
+                    assert len(r.frames) == len(ref)
+                    for f, expected in zip(r.frames, ref):
+                        assert f.positions.tobytes() == expected.tobytes()
+                    subject_vanished += vanished
+        # A lone block is the only block a vanish can pick: the subject.
+        assert subject_vanished > 0 or faults.p_vanish == 0.0
+
+    def test_frames_are_read_only(self):
+        s = sample_initial_state(4, seed=1)
+        r = rollout_dynamics(s, action_grammar(s)[5], seed=0)
+        with pytest.raises(ValueError):
+            r.frames[1].positions[0, 0] = 0.5
+        assert r.frames[0] is s and s.positions.flags.writeable
 
 
 class TestHeuristic:
