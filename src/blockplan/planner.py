@@ -131,7 +131,8 @@ class Planner:
         events: list[dict] = []
 
         def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
-            """A x D rollouts from the beam's last frame, whose value is ``final_value``."""
+            """A x D rollouts from the beam's last frame, whose value is
+            ``final_value``, valued in one call once all are made."""
             frame = beam.last_frame
             actions = sm.propose(
                 frame,
@@ -140,16 +141,17 @@ class Planner:
                 cfg.policy_temperature,
                 derive(root, salt, _SEED_PROPOSE, b, h),
             )
-            rollouts: list[Rollout] = []
-            for i, action in enumerate(actions):
-                for j in range(cfg.video_branch):
-                    r = sm.rollout(frame, action, derive(root, salt, _SEED_ROLLOUT, b, h, i, j))
-                    r.start_heuristic = beam.final_value
-                    r.end_heuristic = sm.value(r.last, goal)
-                    rollouts.append(r)
+            rollouts = [
+                sm.rollout(frame, action, derive(root, salt, _SEED_ROLLOUT, b, h, i, j))
+                for i, action in enumerate(actions)
+                for j in range(cfg.video_branch)
+            ]
+            for r, v in zip(rollouts, sm.value([r.last for r in rollouts], goal)):
+                r.start_heuristic = beam.final_value
+                r.end_heuristic = v
             return rollouts
 
-        v0 = sm.value(x0, goal)
+        v0 = sm.value([x0], goal)[0]
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b, beam in enumerate(beams):
@@ -199,7 +201,7 @@ def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
     beams = text_branch = video_branch = 1 and a non-binding guard, `Planner.plan`
     reduces to exactly this chain."""
     sm = simulator_submodels()
-    beam = Plan(start=x0, final_value=sm.value(x0, goal))
+    beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
         action = sm.propose(
@@ -210,8 +212,8 @@ def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
             derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
         )[0]
         r = sm.rollout(frame, action, derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0, h, 0, 0))
-        r.start_heuristic = sm.value(frame, goal)
-        r.end_heuristic = sm.value(r.last, goal)
+        r.start_heuristic = beam.final_value
+        [r.end_heuristic] = sm.value([r.last], goal)
         beam.segments.append(r)
         beam.final_value = r.end_heuristic
     return beam

@@ -9,7 +9,9 @@ vanishing objects), a steps-to-go heuristic, and two low-level controllers
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,17 +286,23 @@ def _steps_to_go(
 
 
 def heuristic(
-    state: WorldState,
+    states: WorldState | Sequence[WorldState],
     goal: TaskGoal,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
-) -> float:
+) -> float | list[float]:
     """Negated estimate of abstract actions remaining until goal completion.
 
     Zero exactly at completion, more negative the farther blocks sit from
-    their satisfying regions.
+    their satisfying regions. One state gives one float; a sequence of states
+    of the same blocks gives a list of floats, scored as one ``(R, n, 2)``
+    stack. Terms are whole numbers, so each equals its state's own value
+    exactly, the ``-0.0`` of a complete state included.
     """
-    return -float(_steps_to_go(state.positions, state.colors, goal, wcfg, mcfg).sum())
+    if isinstance(states, WorldState):
+        return -float(_steps_to_go(states.positions, states.colors, goal, wcfg, mcfg).sum())
+    stack = np.stack([s.positions for s in states])
+    return (-_steps_to_go(stack, states[0].colors, goal, wcfg, mcfg).sum(axis=-1)).tolist()
 
 
 # --- Low-level controllers ---------------------------------------------------
@@ -370,6 +378,66 @@ def idealized_outcome(
     return state.with_positions(pos)
 
 
+@functools.lru_cache(maxsize=256)
+def _outcome_rows(
+    ids: tuple[int, ...], colors: tuple[Color, ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Index arrays of `idealized_outcomes`, per grammar action: its subject's
+    row of the positions, and its target's row of the stack [positions; the
+    four corners; the center; the color centroids]. The centroids come from
+    the peer rows returned last, one ``(m, k)`` array per peer count k, in
+    that order. A centroid with no peer is the subject itself, as in
+    `Target.resolve`."""
+    n, corners = len(ids), list(Corner)
+    subjects, targets, by_count = [], [], {}
+    for g, action in enumerate(_grammar(ids, colors)):
+        i, t = ids.index(action.subject), action.target
+        subjects.append(i)
+        if t.kind == "corner":
+            targets.append(n + corners.index(t.corner))
+        elif t.kind == "center":
+            targets.append(n + len(corners))
+        elif t.kind == "block":
+            targets.append(ids.index(t.block))
+        else:
+            peers = [j for j, c in enumerate(colors) if c == t.color and j != i]
+            targets.append(i)  # with peers, replaced by a centroid row below
+            if peers:
+                by_count.setdefault(len(peers), []).append((g, peers))
+    groups = [by_count[k] for k in sorted(by_count)]
+    for row, (g, _) in enumerate(itertools.chain(*groups), start=n + len(corners) + 1):
+        targets[g] = row
+    groups = [np.array([peers for _, peers in group]) for group in groups]
+    subjects, targets = np.array(subjects), np.array(targets)
+    for a in (subjects, targets, *groups):
+        a.flags.writeable = False
+    return subjects, targets, tuple(groups)
+
+
+def idealized_outcomes(
+    state: WorldState,
+    wcfg: WorldConfig = WorldConfig(),
+    mcfg: ModelConfig = ModelConfig(),
+) -> np.ndarray:
+    """The positions of every grammar action's `idealized_outcome`, in grammar
+    order, as one ``(G, n, 2)`` array, bit for bit (tested). The subject's
+    norm is the ``dot``-based one of `idealized_outcome`, and a centroid is
+    the same ``mean`` of its peers' positions."""
+    subjects, target_rows, peer_groups = _outcome_rows(state.ids, state.colors)
+    p = state.positions
+    fixed = [wcfg.corner_point(c) for c in Corner] + [wcfg.center_point]
+    targets = np.concatenate([p, fixed, *(p[peers].mean(axis=1) for peers in peer_groups)])
+    targets = targets[target_rows]
+    start = p[subjects]
+    delta = targets - start
+    d = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+    reached = (d <= mcfg.push_reach) | (d < 1e-15)
+    moved = start + delta / np.where(reached, 1.0, d)[:, None] * mcfg.push_reach
+    out = np.repeat(p[None], len(subjects), axis=0)
+    out[np.arange(len(subjects)), subjects] = np.where(reached[:, None], targets, moved)
+    return out
+
+
 def proposal_scores(
     state: WorldState,
     goal: TaskGoal,
@@ -377,12 +445,11 @@ def proposal_scores(
     mcfg: ModelConfig = ModelConfig(),
 ) -> np.ndarray:
     """The `heuristic` of every grammar action's `idealized_outcome`, in grammar
-    order, scored as one ``(G, n, 2)`` stack of outcome positions. Terms are
-    whole numbers, so each score equals the outcome's `heuristic` exactly.
+    order, scored as the one ``(G, n, 2)`` array of `idealized_outcomes`.
+    Terms are whole numbers, so each score equals the outcome's `heuristic`
+    exactly.
     """
-    outcomes = np.stack(
-        [idealized_outcome(state, a, wcfg, mcfg).positions for a in action_grammar(state)]
-    )
+    outcomes = idealized_outcomes(state, wcfg, mcfg)
     return -_steps_to_go(outcomes, state.colors, goal, wcfg, mcfg).sum(axis=-1)
 
 
@@ -436,6 +503,9 @@ class Submodels:
     Callables mirror the four roles; the default factory wires in the
     simulator-backed reference implementations above.
 
+    ``value(frames, goal)`` returns one float per frame of a sequence, so the
+    planner values all A x D rollouts of a search step in one call.
+
     ``controller(state, goal_frame)`` returns the next ``ControlAction`` toward
     the goal frame, or ``None`` when the goal frame is beyond what the
     controller can reach; the executor then skips that frame without spending
@@ -465,8 +535,8 @@ def simulator_submodels(
     def _rollout(state, action, seed):
         return rollout_dynamics(state, action, faults, seed, wcfg, mcfg)
 
-    def _value(state, goal):
-        return heuristic(state, goal, wcfg, mcfg)
+    def _value(frames, goal):
+        return heuristic(frames, goal, wcfg, mcfg)
 
     def _controller(state, goal_state):
         if _goal_discrepancies(state, goal_state)[1].max() > mcfg.controller_reach:

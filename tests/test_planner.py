@@ -127,8 +127,8 @@ class TestGuardResample:
             made[(salt, i, j)] = Rollout([state, state.with_positions(pos)], action)
             return made[(salt, i, j)]
 
-        def value(state, goal):
-            return float(state.positions[0, 0])
+        def value(frames, goal):
+            return [float(state.positions[0, 0]) for state in frames]
 
         planner = Planner(Submodels(propose, rollout, value, controller=None))
         x0 = make_state([(0.0, 0.1), (0.3, 0.2)])

@@ -1,9 +1,11 @@
 """Property tests over generated states: the grammar's parse round-trip, the
-agreement of the goal predicate, the reward and the heuristic, their
-agreement with a scalar oracle of the array region geometry, what the
-true dynamics keep, the serialization round-trips of configs and states,
-that the CLI runs every config it loads or refuses it with exit 2, and that
-``replay`` of a mutated trace verifies, refuses or reports a divergence."""
+agreement of the batched proposal outcomes and heuristic with their one-at-a-
+time forms, the agreement of the goal predicate, the reward and the
+heuristic, their agreement with a scalar oracle of the array region geometry,
+what the true dynamics keep, the serialization round-trips of configs and
+states, that the CLI runs every config it loads or refuses it with exit 2,
+and that ``replay`` of a mutated trace verifies, refuses or reports a
+divergence."""
 
 import io
 import json
@@ -29,6 +31,7 @@ from blockplan.submodels import (
     action_grammar,
     heuristic,
     idealized_outcome,
+    idealized_outcomes,
     parse_action,
     proposal_scores,
     rollout_dynamics,
@@ -81,12 +84,17 @@ def drawn_states(draw):
 
 
 @st.composite
-def model_frames(draw):
-    """A frame of a dynamics-model rollout that may teleport or vanish a block."""
+def model_rollouts(draw):
+    """The frames of a dynamics-model rollout that may teleport or vanish a block."""
     s = sample_initial_state(draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1)), WCFG)
     action = draw(st.sampled_from(action_grammar(s)))
-    rollout = rollout_dynamics(s, action, FAULTS, seed=draw(st.integers(0, 2**32 - 1)))
-    return draw(st.sampled_from(rollout.frames))
+    return rollout_dynamics(s, action, FAULTS, seed=draw(st.integers(0, 2**32 - 1))).frames
+
+
+@st.composite
+def model_frames(draw):
+    """A frame of a dynamics-model rollout that may teleport or vanish a block."""
+    return draw(st.sampled_from(draw(model_rollouts())))
 
 
 states = st.one_of(drawn_states(), model_frames())
@@ -106,6 +114,41 @@ def test_proposal_scores_equal_full_heuristic(s):
         scores = proposal_scores(s, goal, WCFG)
         full = [heuristic(idealized_outcome(s, a, WCFG), goal, WCFG) for a in action_grammar(s)]
         assert scores.tolist() == full
+
+
+@st.composite
+def states_with_a_reached_target(draw):
+    """A drawn state, half the time with one grammar action's subject moved
+    onto that action's target, so that the action's outcome moves it by 0."""
+    s = draw(drawn_states())
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(action_grammar(s)))
+        p = s.positions.copy()
+        p[s.index_of(a.subject)] = a.target.resolve(s, a.subject, WCFG)
+        s = s.with_positions(p)
+    return s
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    st.one_of(states_with_a_reached_target(), model_frames()),
+    st.sampled_from([ModelConfig(), ModelConfig(push_reach=0.35)]),
+)
+def test_idealized_outcomes_equal_one_outcome_per_action(s, mcfg):
+    # 1-8 blocks, vanished ones, colors with a single block (a centroid
+    # with no peer), subjects on their target, and reaches that cap or not.
+    outcomes = idealized_outcomes(s, WCFG, mcfg)
+    each = np.stack([idealized_outcome(s, a, WCFG, mcfg).positions for a in action_grammar(s)])
+    assert outcomes.shape == each.shape
+    assert outcomes.tobytes() == each.tobytes()
+
+
+@PROPERTY
+@given(model_rollouts())
+def test_batched_heuristic_equals_one_call_per_frame(frames):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python float.
+    for goal in GOALS:
+        assert repr(heuristic(frames, goal, WCFG)) == repr([heuristic(f, goal, WCFG) for f in frames])
 
 
 @PROPERTY
