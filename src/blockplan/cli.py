@@ -2,8 +2,10 @@
 
 Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
 Exit codes: 0 success, 1 runtime failure, 2 usage error / invalid config /
-capacity error / unreadable path, 3 replay divergence. The output directory
-can be overridden with the ``BLOCKPLAN_OUT`` environment variable.
+capacity error / unreadable path / a trace of another schema version or whose
+``config_hash`` is not the digest of its stored config, 3 replay divergence.
+The output directory can be overridden with the ``BLOCKPLAN_OUT`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .harness import brute_force_oracle, scaling_suite
 from .planner import PlannerConfig
 from .runs import episode_records, plan_records
 from .seeding import derive
-from .tracing import first_divergence, read_trace, write_trace
+from .tracing import SCHEMA_VERSION, digest, first_divergence, read_trace, write_trace
 from .world import sample_initial_state
 
 
@@ -132,10 +134,15 @@ def cmd_oracle(args) -> int:
 def cmd_replay(args) -> int:
     try:
         stored = read_trace(args.trace)
-        run = stored[0]["config"]
+        header, run = stored[0], stored[0]["config"]
+        version = header.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
         cfg, mode, seed = config_from_dict(run["run"]), run["mode"], run["seed"]
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        if header.get("config_hash") != digest(run):
+            raise ValueError("config_hash is not the digest of the stored config")
     except (ValueError, KeyError, TypeError, RecursionError) as e:
         reason = f"{type(e).__name__}: {e}"
         raise ConfigError(f"{args.trace}: not a replayable trace ({reason})") from None

@@ -101,7 +101,7 @@ def execute_segmentwise(
                         "kind": "Control",
                         "step": steps_used + issued,
                         "block": u.target_block,
-                        "displacement": [u.displacement[0], u.displacement[1]],
+                        "displacement": [tracing.round9(d) for d in u.displacement],
                         "state_hash": tracing.state_digest(env_state),
                     }
                 )
@@ -144,7 +144,7 @@ def run_episode(
                 {
                     "kind": "PlanStep",
                     "replan": replan_count - 1,
-                    "final_value": plan.final_value,
+                    "final_value": tracing.round9(plan.final_value),
                     "n_segments": len(plan.segments),
                 }
             )
@@ -174,7 +174,7 @@ def run_episode(
         trace.append(
             {
                 "kind": "EpisodeEnd",
-                "reward": final,
+                "reward": tracing.round9(final),
                 "completed": done,
                 "steps_used": steps_used,
                 "replan_count": replan_count,

@@ -17,6 +17,7 @@ from itertools import accumulate
 
 from .seeding import SeedLike, derive
 from .submodels import Rollout, Submodels, simulator_submodels
+from .tracing import round9
 from .world import TaskGoal, WorldState, require
 
 # Seed-stream salts, one per kind of draw.
@@ -105,8 +106,8 @@ def replace_beams(beams: list[Plan]) -> tuple[list[Plan], int, int]:
 class Planner:
     """Tree-search planner over a pluggable submodel bundle.
 
-    ``events`` holds the trace records (guard discards, chosen branches,
-    beam replacements) of the most recent `plan` call.
+    ``events`` holds the trace records (guard discards and fallbacks, chosen
+    branches, beam replacements) of the most recent `plan` call.
     """
 
     def __init__(self, submodels: Submodels | None = None):
@@ -174,6 +175,10 @@ class Planner:
                     kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
                     if not kept:
                         kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]
+                        gain = round9(kept[0].end_heuristic - kept[0].start_heuristic)
+                        events.append(
+                            {"kind": "GuardFallback", "beam": b, "step": h, "improvement": gain}
+                        )
                 chosen = max(kept, key=lambda r: r.end_heuristic)
                 events.append(
                     {
@@ -181,7 +186,7 @@ class Planner:
                         "beam": b,
                         "step": h,
                         "action": chosen.action.text(beam.last_frame),
-                        "value": chosen.end_heuristic,
+                        "value": round9(chosen.end_heuristic),
                     }
                 )
                 beam.segments.append(chosen)

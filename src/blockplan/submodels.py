@@ -308,21 +308,18 @@ def heuristic(
 # --- Low-level controllers ---------------------------------------------------
 
 
-def _check_same_ids(a: WorldState, b: WorldState) -> None:
-    if a.ids != b.ids:
-        raise InvalidGoalError(f"block id sets differ: {a.ids} vs {b.ids}")
-
-
 def _goal_discrepancies(
     state: WorldState, goal_state: WorldState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block displacement to the goal frame and its length; blocks at the
-    sentinel in the goal frame count as length zero."""
-    _check_same_ids(state, goal_state)
-    deltas = goal_state.positions - state.positions
-    norms = np.linalg.norm(deltas, axis=1)
-    sentinel = np.all(goal_state.positions == np.array(SENTINEL_POS), axis=1)
-    return deltas, np.where(sentinel, 0.0, norms)
+    """Per-block displacement to the goal frame and its length; a block at the
+    sentinel in either frame counts as not displaced."""
+    if state.ids != goal_state.ids:
+        raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
+    lost = np.all(state.positions == SENTINEL_POS, axis=1) | np.all(
+        goal_state.positions == SENTINEL_POS, axis=1
+    )
+    deltas = np.where(lost[:, None], 0.0, goal_state.positions - state.positions)
+    return deltas, np.linalg.norm(deltas, axis=1)
 
 
 def goal_policy(
@@ -348,10 +345,9 @@ def inverse_dynamics(
     wcfg: WorldConfig = WorldConfig(),
 ) -> ControlAction:
     """Single control explaining the transition between two frames: the block
-    with the largest delta, clipped to u_max."""
-    _check_same_ids(frame_a, frame_b)
-    deltas = frame_b.positions - frame_a.positions
-    norms = np.linalg.norm(deltas, axis=1)
+    with the largest delta, clipped to u_max. A block at the sentinel in
+    either frame is not displaced, so if no block moves the control is zero."""
+    deltas, norms = _goal_discrepancies(frame_a, frame_b)
     idx = int(np.argmax(norms))
     return ControlAction.bounded(frame_a.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
 

@@ -1,9 +1,11 @@
 """Serialization, state hashing, and JSONL trace persistence.
 
-Numbers serialize as decimals with 9 significant digits; hashes are computed
-over the serialized form, so replay checks are stable across platforms.
-Trace files are one JSON object per line with a leading header record that
-carries the schema version, the run configuration and its hash.
+Numbers serialize as decimals with 9 significant digits: each record rounds
+its floats with `round9` once, where the record is built, and records are
+written as sorted-key, compact JSON. Hashes are computed over that form, so
+replay checks are stable across platforms. Trace files are one JSON object
+per line with a leading header record that carries the schema version, the
+run configuration and its hash.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from .planner import Plan
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def round9(x: float) -> float:
@@ -25,25 +26,10 @@ def round9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _canonical(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return round9(obj)
-    if isinstance(obj, (np.floating,)):
-        return round9(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: canonical floats, sorted keys, no whitespace."""
-    return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON: sorted keys, no whitespace. Floats are written as
+    given, so a record rounds its own floats when it is built."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def digest(obj: Any) -> str:
@@ -53,13 +39,15 @@ def digest(obj: Any) -> str:
 # --- WorldState --------------------------------------------------------------
 
 
+def _positions(state: WorldState) -> list[list[float]]:
+    return [[round9(x), round9(y)] for x, y in state.positions.tolist()]
+
+
 def state_to_dict(state: WorldState) -> dict:
     return {
         "ids": list(state.ids),
         "colors": [c.value for c in state.colors],
-        "positions": [[round9(x), round9(y)] for x, y in state.positions],
-        "board": [round9(state.board[0]), round9(state.board[1])],
-        "step_count": state.step_count,
+        "positions": _positions(state),
     }
 
 
@@ -68,8 +56,6 @@ def state_from_dict(d: dict) -> WorldState:
         ids=tuple(int(i) for i in d["ids"]),
         colors=tuple(Color(c) for c in d["colors"]),
         positions=np.array(d["positions"], dtype=float),
-        board=(float(d["board"][0]), float(d["board"][1])),
-        step_count=int(d["step_count"]),
     )
 
 
@@ -80,15 +66,17 @@ def state_digest(state: WorldState) -> str:
 # --- Plan --------------------------------------------------------------------
 
 
-def plan_to_dict(plan: Plan) -> dict:
-    frames = [state_to_dict(f) for f in plan.frames()]
+def plan_to_dict(plan) -> dict:
+    """A `planner.Plan` with its blocks' ids and colors written once and each
+    frame as the bare list of its positions."""
     return {
         "actions": [a.text(plan.start) for a in plan.actions],
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],
         "final_value": round9(plan.final_value),
         "beam_index": plan.beam_index,
-        "frames": frames,
-        "frame_hashes": [digest(d) for d in frames],
+        "ids": list(plan.start.ids),
+        "colors": [c.value for c in plan.start.colors],
+        "frames": [_positions(f) for f in plan.frames()],
     }
 
 
@@ -97,8 +85,8 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
     """Write a header record, then ``records``; every record gets its ordinal.
-    The header holds the run configuration exactly, since a replay reruns it;
-    the records round to the wire precision."""
+    The header holds the run configuration exactly, since a replay reruns it,
+    and ``config_hash`` is the `digest` of that configuration as written."""
     header = {
         "kind": "Header",
         "schema_version": SCHEMA_VERSION,
@@ -106,8 +94,7 @@ def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
         "config": config_dict,
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps({**header, "ordinal": 0}, sort_keys=True, separators=(",", ":")) + "\n")
-        for ordinal, rec in enumerate(records, 1):
+        for ordinal, rec in enumerate([header, *records]):
             fh.write(canonical_json({**rec, "ordinal": ordinal}) + "\n")
 
 
@@ -129,7 +116,9 @@ def read_trace(path: str) -> list[dict]:
 
 
 def first_divergence(expected: list[dict], actual: list[dict]) -> int | None:
-    """Ordinal of the first differing record, or None if streams match."""
+    """Ordinal of the first differing record, or None if streams match.
+    Records compare as serialized bytes: a dict ``==`` misses ``-0.0``
+    against ``0.0``."""
     for i in range(max(len(expected), len(actual))):
         a = expected[i] if i < len(expected) else None
         b = actual[i] if i < len(actual) else None

@@ -121,8 +121,6 @@ class WorldState:
     ids: tuple[int, ...]
     colors: tuple[Color, ...]
     positions: np.ndarray
-    board: tuple[float, float]
-    step_count: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
@@ -147,23 +145,19 @@ class WorldState:
     def color_of(self, block_id: int) -> Color:
         return self.colors[self.index_of(block_id)]
 
-    def with_positions(self, positions: np.ndarray, step_count: int | None = None) -> "WorldState":
+    def with_positions(self, positions: np.ndarray) -> "WorldState":
         """The same blocks at a copy of ``positions``. Only the shape is
         checked: the ids are this state's, already checked to be unique."""
         positions = np.array(positions, dtype=float)
         if positions.shape != self.positions.shape:
             raise ValueError("positions must be (n_blocks, 2)")
-        return self.with_view(positions, step_count)
+        return self.with_view(positions)
 
-    def with_view(self, positions: np.ndarray, step_count: int | None = None) -> "WorldState":
+    def with_view(self, positions: np.ndarray) -> "WorldState":
         """The same blocks at ``positions`` itself, neither copied nor checked:
         an (n_blocks, 2) float array that nothing writes to afterwards."""
         state = object.__new__(WorldState)
-        state.__dict__.update(
-            self.__dict__,
-            positions=positions,
-            step_count=self.step_count if step_count is None else step_count,
-        )
+        state.__dict__.update(self.__dict__, positions=positions)
         return state
 
 
@@ -267,7 +261,7 @@ def step_true(
     pos[idx] = pos[idx] + vec + noise
     pos = np.clip(pos, 0.0, cfg.board)
     pos = _resolve_collisions(pos, cfg)
-    return state.with_positions(pos, step_count=state.step_count + 1)
+    return state.with_positions(pos)
 
 
 # math.hypot per element: np.hypot differs from it in the last bit.
@@ -349,9 +343,4 @@ def sample_initial_state(
                 f"failed to place block {len(placed)} after {MAX_TRIES_PER_BLOCK} tries"
             )
     colors = tuple(list(Color)[i % len(Color)] for i in range(n_blocks))
-    return WorldState(
-        ids=tuple(range(n_blocks)),
-        colors=colors,
-        positions=np.array(placed),
-        board=cfg.board,
-    )
+    return WorldState(ids=tuple(range(n_blocks)), colors=colors, positions=np.array(placed))

@@ -17,5 +17,4 @@ def make_state(positions, colors=None):
         ids=tuple(range(n)),
         colors=tuple(colors),
         positions=np.array(positions, dtype=float),
-        board=(0.6, 0.35),
     )

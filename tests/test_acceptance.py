@@ -58,7 +58,6 @@ def _two_red_state(seed: int) -> WorldState:
                 ids=(0, 1),
                 colors=(Color.RED, Color.RED),
                 positions=pos,
-                board=(0.6, 0.35),
             )
 
 

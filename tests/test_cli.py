@@ -387,8 +387,8 @@ class TestReplayCommand:
     #     --set task.kind=make_line
     #   blockplan plan --seed 10 --set n_blocks=5 --set planner.horizon=4
     #     --set planner.replace_period=2 --set faults.p_teleport=1.0
-    # The last holds three guard discards, one of them total, and a beam
-    # replacement.
+    # The last holds three guard discards, one of them total and followed by
+    # a guard fallback, and a beam replacement.
     GOLDEN_TRACES = [
         "golden_plan_move_to_area.jsonl",
         "golden_episode_make_line.jsonl",
@@ -399,6 +399,24 @@ class TestReplayCommand:
     def test_golden_trace_verifies(self, name):
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
+
+    # Each edits the header of a golden trace: a schema-1 trace, and a
+    # config that no longer matches its hash.
+    HEADER_EDITS = {
+        "schema_version_1": lambda header: header.update(schema_version=1),
+        "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
+    }
+
+    @pytest.mark.parametrize("edit", HEADER_EDITS)
+    def test_edited_golden_header_exit_two(self, capsys, tmp_path, edit):
+        with open(os.path.join(os.path.dirname(__file__), "data", self.GOLDEN_TRACES[0])) as fh:
+            lines = fh.read().splitlines()
+        header = json.loads(lines[0])
+        self.HEADER_EDITS[edit](header)
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert run(["replay", str(path)]) == 2
+        assert_config_error(capsys)
 
     # Each breaks the middle line of a golden trace.
     BROKEN_LINES = {

@@ -134,10 +134,12 @@ class TestGuardResample:
         x0 = make_state([(0.0, 0.1), (0.3, 0.2)])
         return planner.plan(x0, group_by_color(), self.CFG), made, planner.events
 
-    def _events(self, plan, value):
-        # Round 0 discards all four candidates; the resample emits nothing.
+    def _events(self, plan, value, fallback=()):
+        # Round 0 discards all four candidates; the resample emits nothing
+        # unless it is discarded too, when the fallback says so.
         return [
             {"kind": "GuardDiscard", "beam": 0, "step": 1, "discarded": 4, "of": 4},
+            *fallback,
             {
                 "kind": "PlanStep",
                 "beam": 0,
@@ -157,7 +159,8 @@ class TestGuardResample:
         plan, made, events = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [9.0, 4.0, 7.0, 4.0]})
         assert plan.segments == [made[(3, 0, 1)]]
         assert not apply_guard(plan.segments[0], self.CFG.guard_threshold)
-        assert events == self._events(plan, 4.0)
+        fallback = {"kind": "GuardFallback", "beam": 0, "step": 1, "improvement": 4.0}
+        assert events == self._events(plan, 4.0, [fallback])
 
 
 class TestReplaceBeams:

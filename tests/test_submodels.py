@@ -31,9 +31,10 @@ from blockplan.world import (
     make_line,
     move_to_area,
     sample_initial_state,
+    step_true,
 )
 
-from helpers import make_state
+from helpers import EXACT_WORLD, make_state
 
 WCFG = WorldConfig()
 EXACT = ModelConfig(sigma_model=0.0)
@@ -386,6 +387,27 @@ class TestControllers:
         b = make_state([(0.3, 0.2)])
         u = inverse_dynamics(a, b)
         assert np.linalg.norm(u.displacement) == pytest.approx(WCFG.u_max)
+
+    def test_inverse_dynamics_skips_a_vanished_block(self):
+        # Block 1 drops to the sentinel, a push far longer than block 2's.
+        a = make_state([(0.2, 0.2), (0.4, 0.2), (0.3, 0.1)])
+        b = make_state([(0.2, 0.2), SENTINEL_POS, (0.31, 0.1)])
+        u = inverse_dynamics(a, b)
+        assert u.target_block == 2
+        assert u.displacement == pytest.approx((0.01, 0.0))
+        # Back out of the sentinel is no move either.
+        assert inverse_dynamics(b, a).target_block == 2
+
+    @pytest.mark.parametrize(
+        "after",
+        [[SENTINEL_POS, SENTINEL_POS], [SENTINEL_POS, (0.4, 0.2)]],
+        ids=["all_vanished", "vanished_or_unmoved"],
+    )
+    def test_inverse_dynamics_with_nothing_moved_is_zero(self, after):
+        a = make_state([(0.2, 0.2), (0.4, 0.2)])
+        u = inverse_dynamics(a, make_state(after))
+        assert u.displacement == (0.0, 0.0)
+        assert np.array_equal(step_true(a, u, seed=0, cfg=EXACT_WORLD).positions, a.positions)
 
 
 class TestProposals:

@@ -30,7 +30,6 @@ class TestStepTrue:
         s = make_state([(0.30, 0.20)])
         out = step_true(s, ControlAction(0, (0.02, 0.0)), seed=0, cfg=NOISE_FREE)
         assert np.allclose(out.positions[0], (0.32, 0.20))
-        assert out.step_count == 1
 
     def test_disk_separation_hand_solved(self):
         # A pushed to x=0.32, B at 0.33: gap 0.01 < 0.04, so each moves
@@ -198,16 +197,10 @@ class TestSampleInitialState:
 
 class TestWithPositions:
     def test_keeps_everything_but_positions(self):
-        s = WorldState((3, 7), (Color.RED, Color.BLUE), np.zeros((2, 2)), (0.6, 0.35), 5)
+        s = WorldState((3, 7), (Color.RED, Color.BLUE), np.zeros((2, 2)))
         moved = s.with_positions([(0.1, 0.2), (0.3, 0.4)])
-        assert (moved.ids, moved.colors, moved.board, moved.step_count) == (
-            s.ids,
-            s.colors,
-            s.board,
-            s.step_count,
-        )
+        assert (moved.ids, moved.colors) == (s.ids, s.colors)
         assert moved.positions.tolist() == [[0.1, 0.2], [0.3, 0.4]]
-        assert s.with_positions(s.positions, step_count=9).step_count == 9
 
     def test_copies_its_input(self):
         s = make_state([(0.1, 0.1), (0.5, 0.3)])
