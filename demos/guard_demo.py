@@ -34,7 +34,7 @@ def evaluate(guard_threshold):
             beams=2, text_branch=4, video_branch=4, horizon=8,
             guard_threshold=guard_threshold,
         )
-        plan = planner.plan(x0, goal, cfg, root_seed=derive(0, ep))
+        plan = planner.plan(x0, goal, cfg, ep)
         if any(is_complete(f, goal) for f in plan.frames()):
             claimed += 1
             if replay_plan(x0, plan, goal, derive(9, ep)):

@@ -135,7 +135,7 @@ def run_episode(
     steps_used = 0
     replan_count = 0
     while steps_used < ecfg.total_budget and not is_complete(env_state, goal, wcfg):
-        plan = planner.plan(env_state, goal, pcfg, root_seed=derive(pcfg.root_seed, replan_count))
+        plan = planner.plan(env_state, goal, pcfg, replan_count)
         if open_loop:
             ecfg = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
         replan_count += 1

@@ -152,7 +152,7 @@ def plan_accuracy_suite(cfg: RunConfig, n: int) -> CellSummary:
         # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
         # ablation runs reproducible.
         x0 = sample_initial_state(cfg.n_blocks, derive(seed, 0, ep), wcfg)
-        plan = planner.plan(x0, goal, cfg.planner, root_seed=derive(cfg.planner.root_seed, 0, ep))
+        plan = planner.plan(x0, goal, cfg.planner, 0, ep)
         if any(is_complete(f, goal, wcfg) for f in plan.frames()):
             naive += 1
             if replay_plan(x0, plan, goal, derive(seed, 0, ep, 1), wcfg, cfg.model):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .seeding import SeedLike, derive
+from .seeding import derive
 from .submodels import Rollout, Submodels, simulator_submodels
 from .tracing import round9
 from .world import TaskGoal, WorldState, require
@@ -114,21 +114,17 @@ class Planner:
         self.submodels = submodels if submodels is not None else simulator_submodels()
         self.events: list[dict] = []
 
-    def plan(
-        self,
-        x0: WorldState,
-        goal: TaskGoal,
-        cfg: PlannerConfig,
-        root_seed: SeedLike | None = None,
-    ) -> Plan:
-        """Run the full H-step beam search and return the best plan.
+    def plan(self, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig, *unit: int) -> Plan:
+        """Run the full H-step beam search and return the best plan. Its root
+        seed is ``derive(cfg.root_seed, *unit)``: ``unit`` holds the indices of
+        the caller's work unit (a run seed, an episode, a replan).
 
         Each step appends to each beam the best surviving rollout of its
         A x D candidates (on ties the first: `max` and `min` return the first
         extreme).
         """
         sm = self.submodels
-        root = cfg.root_seed if root_seed is None else root_seed
+        root = derive(cfg.root_seed, *unit)
         events: list[dict] = []
 
         def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
@@ -200,12 +196,11 @@ class Planner:
         return replace(beams[best], beam_index=best)
 
 
-def greedy_chain(x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
-    """No-search baseline: chain propose(1) -> rollout -> append with no
-    selection and no guard (the "no value function" structure). With
-    beams = text_branch = video_branch = 1 and a non-binding guard, `Planner.plan`
-    reduces to exactly this chain."""
-    sm = simulator_submodels()
+def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
+    """No-search baseline over the bundle ``sm``: chain propose(1) -> rollout
+    -> append with no selection and no guard (the "no value function"
+    structure). With beams = text_branch = video_branch = 1 and a non-binding
+    guard, ``Planner(sm).plan`` reduces to exactly this chain."""
     beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame

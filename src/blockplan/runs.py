@@ -22,7 +22,7 @@ def plan_records(cfg: RunConfig, seed: int) -> list[dict]:
     """Plan once from a seeded initial state; emit search events and the plan."""
     x0 = sample_initial_state(cfg.n_blocks, derive(seed), cfg.world)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
-    plan = planner.plan(x0, cfg.task, cfg.planner, root_seed=derive(cfg.planner.root_seed, seed))
+    plan = planner.plan(x0, cfg.task, cfg.planner, seed)
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]
     records.extend(planner.events)
     last = plan.last_frame

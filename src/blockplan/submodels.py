@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InvalidActionError, InvalidGoalError
 from .seeding import SeedLike, rng_from
 from .world import (
+    GOAL_TOL,
     SENTINEL_POS,
     Color,
     Corner,
@@ -26,12 +27,11 @@ from .world import (
     TaskGoal,
     WorldConfig,
     WorldState,
-    region_distance,
+    goal_distance,
+    is_lost,
     require,
     require_finite,
 )
-
-_CEIL_EPS = 1e-9  # distances within this of a step multiple do not cost an extra step
 
 
 @dataclass(frozen=True)
@@ -264,25 +264,10 @@ def rollout_dynamics(
 
 
 def steps_needed(distance: np.ndarray, push_reach: float) -> np.ndarray:
-    """Abstract actions needed to cover each distance, one push_reach per action."""
-    return np.where(distance <= _CEIL_EPS, 0.0, np.ceil(distance / push_reach - _CEIL_EPS))
-
-
-def _steps_to_go(
-    positions: np.ndarray,
-    colors: tuple[Color, ...],
-    goal: TaskGoal,
-    wcfg: WorldConfig,
-    mcfg: ModelConfig,
-) -> np.ndarray:
-    """Each block's term of the heuristic, for a stack ``(..., n, 2)`` of
-    position sets. A block off the board (a vanished one) is first projected
-    onto it, so that its distance stays finite; its peers are not."""
-    lost = (positions < 0.0).any(axis=-1, keepdims=True)
-    own = positions
-    if lost.any():
-        own = np.where(lost, np.clip(positions, 0.0, wcfg.board), positions)
-    return steps_needed(region_distance(own, positions, colors, goal, wcfg), mcfg.push_reach)
+    """Abstract actions needed to cover each `goal_distance`, one push_reach
+    per action: none within `GOAL_TOL`, at least one beyond it."""
+    steps = np.maximum(np.ceil(distance / push_reach - GOAL_TOL), 1.0)
+    return np.where(distance <= GOAL_TOL, 0.0, steps)
 
 
 def heuristic(
@@ -293,16 +278,18 @@ def heuristic(
 ) -> float | list[float]:
     """Negated estimate of abstract actions remaining until goal completion.
 
-    Zero exactly at completion, more negative the farther blocks sit from
-    their satisfying regions. One state gives one float; a sequence of states
-    of the same blocks gives a list of floats, scored as one ``(R, n, 2)``
-    stack. Terms are whole numbers, so each equals its state's own value
-    exactly, the ``-0.0`` of a complete state included.
+    Zero exactly when `world.is_complete` holds, more negative the farther
+    blocks sit from their satisfying regions: each block's term is the
+    `steps_needed` of its `goal_distance`. One state gives one float; a
+    sequence of states of the same blocks gives a list of floats, scored as
+    one ``(R, n, 2)`` stack. Terms are whole numbers, so each equals its
+    state's own value exactly, the ``-0.0`` of a complete state included.
     """
     if isinstance(states, WorldState):
-        return -float(_steps_to_go(states.positions, states.colors, goal, wcfg, mcfg).sum())
-    stack = np.stack([s.positions for s in states])
-    return (-_steps_to_go(stack, states[0].colors, goal, wcfg, mcfg).sum(axis=-1)).tolist()
+        d = goal_distance(states.positions, states.colors, goal, wcfg)
+        return -float(steps_needed(d, mcfg.push_reach).sum())
+    d = goal_distance(np.stack([s.positions for s in states]), states[0].colors, goal, wcfg)
+    return (-steps_needed(d, mcfg.push_reach).sum(axis=-1)).tolist()
 
 
 # --- Low-level controllers ---------------------------------------------------
@@ -311,13 +298,11 @@ def heuristic(
 def _goal_discrepancies(
     state: WorldState, goal_state: WorldState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block displacement to the goal frame and its length; a block at the
-    sentinel in either frame counts as not displaced."""
+    """Per-block displacement to the goal frame and its length; a block lost
+    in either frame counts as not displaced."""
     if state.ids != goal_state.ids:
         raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
-    lost = np.all(state.positions == SENTINEL_POS, axis=1) | np.all(
-        goal_state.positions == SENTINEL_POS, axis=1
-    )
+    lost = is_lost(state.positions) | is_lost(goal_state.positions)
     deltas = np.where(lost[:, None], 0.0, goal_state.positions - state.positions)
     return deltas, np.linalg.norm(deltas, axis=1)
 
@@ -329,8 +314,8 @@ def goal_policy(
     mcfg: ModelConfig = ModelConfig(),
 ) -> ControlAction:
     """Servo toward a goal frame: push the block with the largest positional
-    discrepancy, displacement clipped to u_max. Sentinel positions in the goal
-    frame are ignored. Emits a zero-displacement control within ``goal_eps``.
+    discrepancy, displacement clipped to u_max. A block lost in either frame
+    is ignored. Emits a zero-displacement control within ``goal_eps``.
     Exact at any distance; `simulator_submodels` limits its reach."""
     deltas, norms = _goal_discrepancies(state, goal_state)
     idx = int(np.argmax(norms))
@@ -345,8 +330,8 @@ def inverse_dynamics(
     wcfg: WorldConfig = WorldConfig(),
 ) -> ControlAction:
     """Single control explaining the transition between two frames: the block
-    with the largest delta, clipped to u_max. A block at the sentinel in
-    either frame is not displaced, so if no block moves the control is zero."""
+    with the largest delta, clipped to u_max. A block lost in either frame is
+    not displaced, so if no block moves the control is zero."""
     deltas, norms = _goal_discrepancies(frame_a, frame_b)
     idx = int(np.argmax(norms))
     return ControlAction.bounded(frame_a.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
@@ -445,8 +430,8 @@ def proposal_scores(
     Terms are whole numbers, so each score equals the outcome's `heuristic`
     exactly.
     """
-    outcomes = idealized_outcomes(state, wcfg, mcfg)
-    return -_steps_to_go(outcomes, state.colors, goal, wcfg, mcfg).sum(axis=-1)
+    d = goal_distance(idealized_outcomes(state, wcfg, mcfg), state.colors, goal, wcfg)
+    return -steps_needed(d, mcfg.push_reach).sum(axis=-1)
 
 
 def propose_actions(

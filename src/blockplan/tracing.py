@@ -18,7 +18,7 @@ import numpy as np
 
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def round9(x: float) -> float:

@@ -26,6 +26,10 @@ EPS_GEOM = 1e-6
 # Never produced by true dynamics.
 SENTINEL_POS = (-1.0, -1.0)
 
+# A block this close to its goal region is in it, for the goal predicate and
+# the heuristic's step count alike.
+GOAL_TOL = 1e-9
+
 # Rejection-sampling attempts per block before `sample_initial_state` gives up.
 MAX_TRIES_PER_BLOCK = 2000
 
@@ -268,14 +272,27 @@ def step_true(
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def region_distance(
-    own: np.ndarray, peers: np.ndarray, colors: tuple[Color, ...], goal: TaskGoal, cfg: WorldConfig
+def is_lost(positions: np.ndarray) -> np.ndarray:
+    """Per block of a stack ``(..., n, 2)`` of position sets, whether it is
+    lost: off the board. Only a negative coordinate takes a block there (the
+    model's `SENTINEL_POS`, or a proposed push toward a lost block)."""
+    return (positions < 0.0).any(axis=-1)
+
+
+def goal_distance(
+    positions: np.ndarray, colors: tuple[Color, ...], goal: TaskGoal, cfg: WorldConfig
 ) -> np.ndarray:
-    """Distance from each block's position in ``own`` to its goal-satisfying
-    region (0 inside it), for a stack ``(..., n, 2)`` of position sets;
-    returns ``(..., n)``. For group-by-color the region is the disk around the
-    farthest same-color peer in ``peers``, a lower bound on the distance to the
-    full intersection region."""
+    """Distance from each block to its goal region (0 inside it), for a stack
+    ``(..., n, 2)`` of position sets; returns ``(..., n)``. A lost block is
+    measured from the board point nearest to it, while its peers still see it
+    where it is. For group-by-color the region is the disk around the farthest
+    same-color peer, a lower bound on the distance to the full intersection
+    region."""
+    own = positions
+    # Any block lost, as `is_lost` tells it but without the per-block mask;
+    # clipping leaves an on-board block where it is.
+    if (positions < 0.0).any():
+        own = np.clip(positions, 0.0, cfg.board)
     if goal.kind is GoalKind.MOVE_TO_AREA:
         c = cfg.corner_point(goal.corner)
         dx = np.maximum(0.0, np.abs(own[..., 0] - c[0]) - cfg.area_dx)
@@ -283,7 +300,7 @@ def region_distance(
         return _hypot(dx, dy).astype(float)
     if goal.kind is GoalKind.MAKE_LINE:
         return np.maximum(0.0, np.abs(own[..., 0] - cfg.width / 2.0) - cfg.line_dist)
-    diff = peers[..., None, :, :] - own[..., :, None, :]
+    diff = positions[..., None, :, :] - own[..., :, None, :]
     d = np.sqrt(np.add.reduce(diff * diff, -1))  # np.linalg.norm(diff, axis=-1), bit for bit
     c = np.array([color.value for color in colors])
     peer = (c[:, None] == c) & ~np.eye(len(colors), dtype=bool)
@@ -292,9 +309,8 @@ def region_distance(
 
 
 def _satisfied(state: WorldState, goal: TaskGoal, cfg: WorldConfig) -> np.ndarray:
-    """Per block, whether its own (unprojected) position lies in its goal region."""
-    p = state.positions
-    return region_distance(p, p, state.colors, goal, cfg) == 0.0
+    """Per block, whether it is within `GOAL_TOL` of its goal region."""
+    return goal_distance(state.positions, state.colors, goal, cfg) <= GOAL_TOL
 
 
 def reward(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> float:

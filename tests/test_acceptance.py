@@ -126,7 +126,7 @@ class TestAcceptance:
                     beams=2, text_branch=4, video_branch=4, horizon=8,
                     guard_threshold=guard,
                 )
-                plan = planner.plan(x0, goal, cfg, root_seed=derive(0, ep))
+                plan = planner.plan(x0, goal, cfg, ep)
                 claims = any(is_complete(f, goal) for f in plan.frames())
                 if claims and not replay_plan(x0, plan, goal, derive(9, ep)):
                     false_succ += 1
@@ -334,7 +334,7 @@ class TestAcceptance:
                 root_seed=seed,
             )
             a = Planner().plan(s, goal, cfg)
-            b = greedy_chain(s, goal, cfg)
+            b = greedy_chain(simulator_submodels(), s, goal, cfg)
             if canonical_json(plan_to_dict(a)) != canonical_json(plan_to_dict(b)):
                 mismatches += 1
         _report(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -229,8 +231,8 @@ class TestPlanner:
     def test_root_seed_changes_result(self):
         s = sample_initial_state(5, seed=1)
         goal = group_by_color()
-        p1 = Planner().plan(s, goal, self.CFG, root_seed=0)
-        p2 = Planner().plan(s, goal, self.CFG, root_seed=1)
+        p1 = Planner().plan(s, goal, replace(self.CFG, root_seed=0))
+        p2 = Planner().plan(s, goal, replace(self.CFG, root_seed=1))
         t1 = [a.text(s) for a in p1.actions]
         t2 = [a.text(s) for a in p2.actions]
         assert t1 != t2
@@ -291,7 +293,8 @@ class TestPlanner:
         replacements = 0
         for seed in range(4):
             planner = Planner()
-            plan = planner.plan(sample_initial_state(6, seed=seed), goal, cfg, root_seed=seed)
+            x0 = sample_initial_state(6, seed=seed)
+            plan = planner.plan(x0, goal, replace(cfg, root_seed=seed))
             replacements += sum(e["kind"] == "BeamReplace" for e in planner.events)
             assert plan.heuristic_trace == [s.end_heuristic for s in plan.segments]
             assert plan.final_value == heuristic(plan.frames()[-1], goal)
@@ -300,7 +303,7 @@ class TestPlanner:
     def test_invalid_root_seed(self):
         s = sample_initial_state(3, seed=0)
         with pytest.raises(ValueError):
-            Planner().plan(s, make_line(), PlannerConfig(), root_seed=-1)
+            Planner().plan(s, make_line(), PlannerConfig(), -1)
 
 
 class TestSelection:
@@ -354,7 +357,7 @@ class TestGreedyChain:
                 root_seed=seed,
             )
             a = Planner().plan(s, goal, cfg)
-            b = greedy_chain(s, goal, cfg)
+            b = greedy_chain(simulator_submodels(), s, goal, cfg)
             assert [x.text(s) for x in a.actions] == [x.text(s) for x in b.actions]
             for f1, f2 in zip(a.frames(), b.frames()):
                 assert np.array_equal(f1.positions, f2.positions)
@@ -363,5 +366,6 @@ class TestGreedyChain:
 
     def test_runs_standalone(self):
         s = sample_initial_state(4, seed=2)
-        p = greedy_chain(s, move_to_area(Corner.TOP_LEFT), PlannerConfig(horizon=4))
+        goal = move_to_area(Corner.TOP_LEFT)
+        p = greedy_chain(simulator_submodels(), s, goal, PlannerConfig(horizon=4))
         assert len(p.segments) == 4

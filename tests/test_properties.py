@@ -2,7 +2,8 @@
 agreement of the batched proposal outcomes and heuristic with their one-at-a-
 time forms, the agreement of the goal predicate, the reward and the
 heuristic, their agreement with a scalar oracle of the array region geometry,
-what the true dynamics keep, the serialization round-trips of configs and
+that the degenerate search is the greedy chain over drawn configs, what the
+true dynamics keep, the serialization round-trips of configs and
 states, that the CLI runs every config it loads or refuses it with exit 2,
 and that ``replay`` of a mutated trace verifies, refuses or reports a
 divergence."""
@@ -23,7 +24,7 @@ from blockplan.cli import main
 from blockplan.config import RunConfig, config_from_dict, config_to_dict
 from blockplan.errors import ConfigError
 from blockplan.executor import ExecutionConfig, Extractor
-from blockplan.planner import PlannerConfig
+from blockplan.planner import Planner, PlannerConfig, greedy_chain
 from blockplan.seeding import derive
 from blockplan.submodels import (
     FaultConfig,
@@ -35,9 +36,18 @@ from blockplan.submodels import (
     parse_action,
     proposal_scores,
     rollout_dynamics,
+    simulator_submodels,
 )
-from blockplan.tracing import read_trace, state_from_dict, state_to_dict, write_trace
+from blockplan.tracing import (
+    canonical_json,
+    plan_to_dict,
+    read_trace,
+    state_from_dict,
+    state_to_dict,
+    write_trace,
+)
 from blockplan.world import (
+    GOAL_TOL,
     SENTINEL_POS,
     Color,
     ControlAction,
@@ -46,11 +56,11 @@ from blockplan.world import (
     TaskGoal,
     WorldConfig,
     WorldState,
+    goal_distance,
     group_by_color,
     is_complete,
     make_line,
     move_to_area,
-    region_distance,
     reward,
     sample_initial_state,
     step_true,
@@ -159,16 +169,10 @@ def test_complete_iff_full_reward(s, goal):
 
 @PROPERTY
 @given(states, st.sampled_from(GOALS))
-def test_complete_implies_zero_heuristic(s, goal):
-    # The predicate reads raw positions and the heuristic projects a vanished
-    # block onto the board, so a color whose blocks (two or more) have all
-    # vanished is grouped for the predicate but not for the heuristic.
-    vanished = np.all(s.positions == SENTINEL_POS, axis=1)
-    for color in set(s.colors):
-        mine = [i for i, c in enumerate(s.colors) if c == color]
-        assume(len(mine) < 2 or not vanished[mine].all())
-    if is_complete(s, goal, WCFG):
-        assert heuristic(s, goal, WCFG) == 0.0
+def test_complete_iff_zero_heuristic(s, goal):
+    # Vanished blocks included: the predicate and the heuristic measure a
+    # lost block by the same rule.
+    assert is_complete(s, goal, WCFG) == (heuristic(s, goal, WCFG) == 0.0)
 
 
 def oracle_region_distance(state, goal, i, p, cfg):
@@ -194,30 +198,78 @@ def oracle_steps_needed(distance, push_reach):
     return int(math.ceil(distance / push_reach - 1e-9))
 
 
-def oracle_heuristic(state, goal, wcfg, mcfg):
-    """Per block: project an off-board position onto the board, then count
-    the push_reach steps to its region."""
-    total = 0
+def oracle_goal_distances(state, goal, cfg):
+    """Per block: project an off-board position onto the board, then measure
+    its region distance; its peers keep their own positions."""
+    distances = []
     for i, p in enumerate(state.positions):
         if p[0] < 0.0 or p[1] < 0.0:
-            p = np.clip(p, 0.0, wcfg.board)
-        distance = oracle_region_distance(state, goal, i, p, wcfg)
-        total += oracle_steps_needed(distance, mcfg.push_reach)
-    return -float(total)
+            p = np.clip(p, 0.0, cfg.board)
+        distances.append(oracle_region_distance(state, goal, i, p, cfg))
+    return distances
+
+
+def oracle_heuristic(state, goal, wcfg, mcfg):
+    """Per block, the push_reach steps to its region."""
+    distances = oracle_goal_distances(state, goal, wcfg)
+    return -float(sum(oracle_steps_needed(d, mcfg.push_reach) for d in distances))
 
 
 @PROPERTY
 @given(states)
 def test_array_geometry_equals_the_scalar_oracle(s):
     mcfg = ModelConfig()
-    p = s.positions
     for goal in GOALS:
-        distances = [oracle_region_distance(s, goal, i, q, WCFG) for i, q in enumerate(p)]
-        assert region_distance(p, p, s.colors, goal, WCFG).tolist() == distances
-        satisfied = [d == 0.0 for d in distances]
+        distances = oracle_goal_distances(s, goal, WCFG)
+        assert goal_distance(s.positions, s.colors, goal, WCFG).tolist() == distances
+        satisfied = [d <= GOAL_TOL for d in distances]
         assert repr(heuristic(s, goal, WCFG, mcfg)) == repr(oracle_heuristic(s, goal, WCFG, mcfg))
         assert reward(s, goal, WCFG) == 100.0 * sum(satisfied) / s.n_blocks
         assert is_complete(s, goal, WCFG) == all(satisfied)
+
+
+@st.composite
+def degenerate_searches(draw):
+    """A bundle over drawn world, model and fault configs, teleports and
+    vanishes on; a start state, a goal, and a one-beam, one-proposal,
+    one-rollout search config with a guard that never binds."""
+    threshold = st.floats(0.0, 0.3)
+    wcfg = WorldConfig(
+        width=draw(st.floats(0.3, 1.0)),
+        height=draw(st.floats(0.2, 0.6)),
+        block_radius=draw(st.floats(0.005, 0.03)),
+        group_dist=draw(threshold),
+        area_dx=draw(threshold),
+        area_dy=draw(threshold),
+        line_dist=draw(threshold),
+    )
+    mcfg = ModelConfig(
+        push_reach=draw(st.floats(0.01, 0.5)),
+        frames_per_rollout=draw(st.integers(2, 16)),
+        sigma_model=draw(st.floats(0.0, 0.01)),
+    )
+    faults = FaultConfig(p_teleport=draw(st.floats(0.1, 1.0)), p_vanish=draw(st.floats(0.1, 1.0)))
+    x0 = sample_initial_state(draw(st.integers(1, 5)), draw(st.integers(0, 2**32 - 1)), wcfg)
+    cfg = PlannerConfig(
+        beams=1,
+        text_branch=1,
+        video_branch=1,
+        horizon=draw(st.integers(1, 6)),
+        guard_threshold=1e9,
+        policy_temperature=draw(st.floats(0.0, 1.0)),
+        root_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return simulator_submodels(wcfg, mcfg, faults), x0, draw(st.sampled_from(GOALS)), cfg
+
+
+@settings(PROPERTY, max_examples=100)
+@given(degenerate_searches())
+def test_degenerate_search_is_the_greedy_chain(example):
+    # Criterion 7's reduction, beyond the default world and model.
+    sm, x0, goal, cfg = example
+    a = Planner(sm).plan(x0, goal, cfg)
+    b = greedy_chain(sm, x0, goal, cfg)
+    assert canonical_json(plan_to_dict(a)) == canonical_json(plan_to_dict(b))
 
 
 @st.composite

@@ -115,3 +115,25 @@ def test_no_numpy_hypot_or_einsum_in_the_geometry():
             and node.value.id in ("np", "numpy")
         )
     assert not sites, sites
+
+
+def test_only_world_compares_with_the_sentinel():
+    """No module but ``world.py`` compares a value with ``SENTINEL_POS``, by an
+    operator or an equality function: ``world.is_lost`` is the one test of a
+    lost block."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "world.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and _names_used(node.func) & {
+                "array_equal", "array_equiv", "allclose", "isclose", "equal", "not_equal"
+            }:
+                operands = node.args
+            else:
+                continue
+            if any("SENTINEL_POS" in _names_used(op) for op in operands):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, sites

@@ -312,6 +312,9 @@ class TestHeuristic:
         assert steps_needed(0.1, 0.1) == 1
         assert steps_needed(0.1 + 1e-6, 0.1) == 2
         assert steps_needed(0.25, 0.1) == 3
+        # A distance past the tolerance costs a step even when the reach is
+        # longer than 1, so a heuristic of 0 still means complete.
+        assert steps_needed(2e-9, 2.0) == 1
 
 
 class TestControllers:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from blockplan.errors import CapacityError, InvalidActionError
+from blockplan.submodels import heuristic
 from blockplan.world import (
+    GOAL_TOL,
+    SENTINEL_POS,
     Color,
     ControlAction,
     Corner,
@@ -11,8 +14,10 @@ from blockplan.world import (
     GoalKind,
     WorldConfig,
     WorldState,
+    goal_distance,
     group_by_color,
     is_complete,
+    is_lost,
     make_line,
     move_to_area,
     reward,
@@ -160,6 +165,41 @@ class TestIsComplete:
         s = sample_initial_state(8, seed=123)
         assert reward(s, group_by_color()) < 100.0
         assert not is_complete(s, group_by_color())
+
+
+class TestLostBlocks:
+    """One rule for a lost block, shared by the goal predicate and the heuristic."""
+
+    def test_is_lost_is_off_the_board(self):
+        p = np.array([SENTINEL_POS, (0.0, 0.0), (-1e-12, 0.2), (0.3, 0.35)])
+        assert is_lost(p).tolist() == [True, False, True, False]
+
+    def test_all_vanished_color_is_not_complete(self):
+        # Each red block is measured from the board corner nearest to it, and
+        # its peer still sits at the sentinel, farther than group_dist away.
+        s = make_state(
+            [SENTINEL_POS, SENTINEL_POS, (0.3, 0.2)], colors=[Color.RED, Color.RED, Color.BLUE]
+        )
+        goal = group_by_color()
+        assert heuristic(s, goal) == -28.0
+        assert not is_complete(s, goal)
+        assert reward(s, goal) == pytest.approx(100.0 / 3)
+
+    def test_vanished_block_in_the_corner_area_is_complete(self):
+        # The board point nearest to the sentinel is the bottom-left corner.
+        s = make_state([SENTINEL_POS])
+        goal = move_to_area(Corner.BOTTOM_LEFT)
+        assert heuristic(s, goal) == 0.0
+        assert is_complete(s, goal)
+        assert reward(s, goal) == 100.0
+
+    def test_block_within_tolerance_of_its_region_is_satisfied(self):
+        cfg = WorldConfig()
+        goal = make_line()
+        for dx, inside in ((GOAL_TOL / 2, True), (1e-6, False)):
+            s = make_state([(cfg.width / 2 + cfg.line_dist + dx, 0.2)])
+            assert (goal_distance(s.positions, s.colors, goal, cfg)[0] <= GOAL_TOL) == inside
+            assert is_complete(s, goal, cfg) == inside == (heuristic(s, goal, cfg) == 0.0)
 
 
 class TestSampleInitialState:
