@@ -178,18 +178,28 @@ def parse_action(text: str, state: WorldState) -> AbstractAction:
 # --- Rollout dynamics model --------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Rollout:
-    """An S-frame predicted state sequence for one abstract action."""
+    """An S-frame predicted state sequence for one abstract action.
 
-    frames: list[WorldState]
+    ``positions`` is a read-only ``(S, n, 2)`` array whose row 0 is
+    ``start.positions``. The other frames are views of its rows, built on
+    first use: a rollout the search only values builds one view, its `last`.
+    """
+
+    start: WorldState
+    positions: np.ndarray
     action: AbstractAction
     start_heuristic: float = 0.0
     end_heuristic: float = 0.0
 
+    @functools.cached_property
+    def frames(self) -> list[WorldState]:
+        return [self.start, *map(self.start.with_view, self.positions[1:])]
+
     @property
     def last(self) -> WorldState:
-        return self.frames[-1]
+        return self.start.with_view(self.positions[-1])
 
 
 def rollout_dynamics(
@@ -211,7 +221,7 @@ def rollout_dynamics(
 
     The fault draws come first, then the noise of every frame but a teleport
     one, in a single draw. The subject's track is stepped in floats and written
-    into one ``(S, n, 2)`` array, whose read-only rows are the frames.
+    into the rollout's one read-only ``(S, n, 2)`` array.
     """
     subj = state.index_of(action.subject)
     rng = rng_from(seed)
@@ -257,7 +267,7 @@ def rollout_dynamics(
     pos[1:, subj] = track
     pos[vanish_frame:, vanish_idx] = SENTINEL_POS
     pos.flags.writeable = False
-    return Rollout(frames=[state, *map(state.with_view, pos[1:])], action=action)
+    return Rollout(start=state, positions=pos, action=action)
 
 
 # --- Heuristic ---------------------------------------------------------------
@@ -465,12 +475,14 @@ def propose_actions(
     rng = rng_from(seed)
     remaining = list(range(len(grammar)))
     chosen: list[AbstractAction] = []
-    for _ in range(k):
-        s = scores[remaining]
-        w = np.exp((s - s.max()) / temperature)
-        w = w / w.sum()
-        pick = int(rng.choice(len(remaining), p=w))
-        chosen.append(grammar[remaining.pop(pick)])
+    # A subnormal temperature overflows a score gap to -inf: its weight is 0.
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            s = scores[remaining]
+            w = np.exp((s - s.max()) / temperature)
+            w = w / w.sum()
+            pick = int(rng.choice(len(remaining), p=w))
+            chosen.append(grammar[remaining.pop(pick)])
     return chosen
 
 

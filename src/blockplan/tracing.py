@@ -2,10 +2,14 @@
 
 Numbers serialize as decimals with 9 significant digits: each record rounds
 its floats with `round9` once, where the record is built, and records are
-written as sorted-key, compact JSON. Hashes are computed over that form, so
-replay checks are stable across platforms. Trace files are one JSON object
-per line with a leading header record that carries the schema version, the
-run configuration and its hash.
+written as sorted-key, compact JSON. Hashes are computed over that form.
+Replay checks are exact on one numpy and BLAS build running one CPU kernel,
+not across platforms: the norms of rollouts and proposal outcomes are BLAS
+``ddot`` calls, which OpenBLAS 0.3.31's Haswell kernel computes for a
+2-vector as ``fma(dy, dy, dx*dx)``. Another build or kernel may round them
+differently in the last bit and so move a recorded number. Trace files are
+one JSON object per line with a leading header record that carries the
+schema version, the run configuration and its hash.
 """
 
 from __future__ import annotations

@@ -67,7 +67,11 @@ class TestSegmentLastIndices:
     @staticmethod
     def _plan(n_segments, frames_per_segment):
         s = make_state([(0.1, 0.1)])
-        seg = Rollout(frames=[s] * frames_per_segment, action=AbstractAction(0, Target("center")))
+        seg = Rollout(
+            start=s,
+            positions=np.repeat(s.positions[None], frames_per_segment, axis=0),
+            action=AbstractAction(0, Target("center")),
+        )
         return Plan(start=s, segments=[seg] * n_segments)
 
     def test_sixteen_frame_segments(self):

@@ -121,7 +121,7 @@ class TestReplayPlan:
         # that does is an error, not an action to skip.
         x0 = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
         ghost = AbstractAction(7, Target("corner", corner=Corner.TOP_LEFT))
-        seg = Rollout(frames=[x0], action=ghost)
+        seg = Rollout(start=x0, positions=x0.positions[None], action=ghost)
         plan = Plan(start=x0, segments=[seg], final_value=0.0, beam_index=0)
         with pytest.raises(InvalidActionError):
             replay_plan(x0, plan, group_by_color())

@@ -64,7 +64,7 @@ class TestPlannerConfig:
 class TestGuard:
     def _rollout(self, start_h, end_h):
         s = make_state([(0.1, 0.1)])
-        r = Rollout(frames=[s], action=AbstractAction(0, Target("center")))
+        r = Rollout(start=s, positions=s.positions[None], action=AbstractAction(0, Target("center")))
         r.start_heuristic = start_h
         r.end_heuristic = end_h
         return r
@@ -126,7 +126,7 @@ class TestGuardResample:
             _, salt, _, _, _, i, j = seed
             pos = state.positions.copy()
             pos[0, 0] += gains[salt][i * self.CFG.video_branch + j]
-            made[(salt, i, j)] = Rollout([state, state.with_positions(pos)], action)
+            made[(salt, i, j)] = Rollout(state, np.stack([state.positions, pos]), action)
             return made[(salt, i, j)]
 
         def value(frames, goal):
@@ -176,7 +176,13 @@ class TestReplaceBeams:
 
     def test_copy_is_independent(self):
         best = self._beam(-1.0)
-        best.segments = [Rollout(frames=[best.start], action=AbstractAction(0, Target("center")))]
+        best.segments = [
+            Rollout(
+                start=best.start,
+                positions=best.start.positions[None],
+                action=AbstractAction(0, Target("center")),
+            )
+        ]
         beams, _, _ = replace_beams([self._beam(-5.0), best])
         beams[0].segments.append("marker")
         assert len(beams[1].segments) == 1

@@ -137,3 +137,32 @@ def test_only_world_compares_with_the_sentinel():
             if any("SENTINEL_POS" in _names_used(op) for op in operands):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, sites
+
+
+def _dotted(node) -> list[str]:
+    """The dotted names an import, a name or an attribute chain spells."""
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return [ast.unparse(node).replace("np.", "numpy.")]
+    return []
+
+
+def test_only_seeding_builds_generators():
+    """No module but ``seeding.py`` names ``default_rng``, ``SeedSequence`` or
+    ``numpy.random``: every generator comes from ``seeding.rng_from``, so one
+    rule turns every seed into its generator."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if any(
+                word in name
+                for name in _dotted(node)
+                for word in ("default_rng", "SeedSequence", "numpy.random")
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, sites

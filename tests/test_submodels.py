@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ class TestRollout:
     def test_fault_probability_rejected(self):
         with pytest.raises(ValueError):
             FaultConfig(p_teleport=1.5)
+
+    @pytest.mark.parametrize("faults", [FaultConfig(), FaultConfig(p_teleport=0.5, p_vanish=0.5)])
+    def test_frames_are_views_of_the_array(self, faults):
+        s = sample_initial_state(4, seed=2)
+        for k, a in enumerate(action_grammar(s)[::3]):
+            r = rollout_dynamics(s, a, faults, seed=(2, k))
+            assert r.positions.shape == (ModelConfig().frames_per_rollout, 4, 2)
+            assert not r.positions.flags.writeable
+            assert r.start is s and r.frames[0] is s
+            assert np.array_equal(r.positions[0], s.positions)
+            for row, f in zip(r.positions[1:], r.frames[1:]):
+                assert np.shares_memory(f.positions, row) and np.array_equal(f.positions, row)
+            assert np.array_equal(r.last.positions, r.positions[-1])
 
 
 def reference_rollout(state, action, faults, seed, wcfg=WCFG, mcfg=ModelConfig()):
@@ -469,6 +483,15 @@ class TestProposals:
             propose_actions(s, make_line(), A=0, temperature=0.3, seed=0)
         with pytest.raises(ValueError):
             propose_actions(s, make_line(), A=2, temperature=-1.0, seed=0)
+
+    def test_subnormal_temperature_raises_no_warning(self):
+        # The score gaps overflow to -inf at 5e-324: those actions weigh 0.
+        s = sample_initial_state(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acts = propose_actions(s, make_line(), A=4, temperature=5e-324, seed=0)
+        assert len(set(acts)) == len(acts) == 4
+        assert set(acts) <= set(action_grammar(s))
 
     def test_nan_temperature_rejected(self):
         s = sample_initial_state(3, seed=0)
