@@ -322,12 +322,17 @@ def goal_policy(
     goal_state: WorldState,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
+    *,
+    discrepancies: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ControlAction:
     """Servo toward a goal frame: push the block with the largest positional
     discrepancy, displacement clipped to u_max. A block lost in either frame
     is ignored. Emits a zero-displacement control within ``goal_eps``.
-    Exact at any distance; `simulator_submodels` limits its reach."""
-    deltas, norms = _goal_discrepancies(state, goal_state)
+    Exact at any distance; `simulator_submodels` limits its reach and passes
+    the frames' `_goal_discrepancies` it has already built."""
+    if discrepancies is None:
+        discrepancies = _goal_discrepancies(state, goal_state)
+    deltas, norms = discrepancies
     idx = int(np.argmax(norms))
     if norms[idx] <= mcfg.goal_eps:
         return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
@@ -532,9 +537,10 @@ def simulator_submodels(
         return heuristic(frames, goal, wcfg, mcfg)
 
     def _controller(state, goal_state):
-        if _goal_discrepancies(state, goal_state)[1].max() > mcfg.controller_reach:
+        discrepancies = _goal_discrepancies(state, goal_state)
+        if discrepancies[1].max() > mcfg.controller_reach:
             return None
-        return goal_policy(state, goal_state, wcfg, mcfg)
+        return goal_policy(state, goal_state, wcfg, mcfg, discrepancies=discrepancies)
 
     return Submodels(
         propose=_propose,

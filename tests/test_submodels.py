@@ -1,9 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from blockplan import submodels
 from blockplan.errors import InvalidActionError, InvalidGoalError
 from blockplan.seeding import rng_from
 from blockplan.submodels import (
@@ -392,6 +394,22 @@ class TestControllers:
         # A goal frame whose far block sits at the sentinel is not out of reach.
         g = make_state([SENTINEL_POS, (0.42, 0.2)])
         assert controller(s, g) == goal_policy(s, g)
+
+    def test_simulator_controller_measures_once_through_the_module_global(self):
+        """One control builds the frames' discrepancies once, and still calls
+        the `goal_policy` a caller finds in `blockplan.submodels`."""
+        controller = simulator_submodels().controller
+        s = make_state([(0.2, 0.2), (0.4, 0.2)])
+        g = make_state([(0.2, 0.2), (0.43, 0.21)])
+        with (
+            mock.patch.object(
+                submodels, "_goal_discrepancies", wraps=submodels._goal_discrepancies
+            ) as measure,
+            mock.patch.object(submodels, "goal_policy", wraps=goal_policy) as policy,
+        ):
+            u = controller(s, g)
+        assert measure.call_count == 1 and policy.call_count == 1
+        assert u == goal_policy(s, g)
 
     def test_inverse_dynamics_exact_small_delta(self):
         a = make_state([(0.2, 0.2)])
