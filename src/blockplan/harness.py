@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
 from .executor import run_episode
@@ -22,15 +24,16 @@ from .submodels import (
     AbstractAction,
     ModelConfig,
     action_grammar,
-    heuristic,
-    idealized_outcome,
+    idealized_outcomes,
     simulator_submodels,
+    steps_needed,
 )
 from .world import (
     TaskGoal,
     WorldConfig,
     WorldState,
     ControlAction,
+    goal_distance,
     is_complete,
     sample_initial_state,
     step_true,
@@ -64,8 +67,9 @@ def brute_force_oracle(
     noise-free, fault-free dynamics model and return the best final heuristic.
 
     Ties resolve to the lexicographically first action sequence in grammar
-    order. Depth-first over the grammar tree; the node count must stay under
-    `ENUMERATION_CAP`.
+    order: the first best of the G**H leaves. One whole depth at a time goes
+    through `idealized_outcomes` as one array in grammar order; the node count
+    must stay under `ENUMERATION_CAP`, so memory stays within the cap times n.
     """
     if H < 0:
         raise ConfigError(f"horizon must be >= 0, got {H}")
@@ -78,20 +82,13 @@ def brute_force_oracle(
             raise CapacityError(
                 f"enumeration over horizon {H} exceeds the cap of {ENUMERATION_CAP} nodes"
             )
-
-    def recurse(state: WorldState, depth: int) -> tuple[float, list[AbstractAction]]:
-        if depth == H:
-            return heuristic(state, goal, wcfg, mcfg), []
-        best_val = -math.inf
-        best_seq: list[AbstractAction] = []
-        for action in grammar:
-            val, seq = recurse(idealized_outcome(state, action, wcfg, mcfg), depth + 1)
-            if val > best_val:
-                best_val = val
-                best_seq = [action] + seq
-        return best_val, best_seq
-
-    return recurse(x0, 0)
+    leaves = x0.positions[None]
+    for _ in range(H):
+        leaves = np.concatenate([idealized_outcomes(x0.with_view(p), wcfg, mcfg) for p in leaves])
+    d = goal_distance(leaves, x0.colors, goal, wcfg)
+    values = -steps_needed(d, mcfg.push_reach).sum(axis=-1)
+    best = int(np.argmax(values))
+    return float(values[best]), [grammar[i] for i in np.unravel_index(best, (g,) * H)]
 
 
 # --- Replay verification -----------------------------------------------------

@@ -364,7 +364,8 @@ def idealized_outcome(
     """Noise-free, fault-free one-action outcome in closed form: the subject
     advances ``push_reach`` toward its target, capped at the target itself. A
     rollout's (S-1) * v_model of travel is push_reach, so this agrees with the
-    last frame of `rollout_dynamics` (tested)."""
+    last frame of `rollout_dynamics` (tested). The reference that tests pin
+    `idealized_outcomes` to; it stays here while the benchmark patches it."""
     i = state.index_of(action.subject)
     target = action.target.resolve(state, action.subject, wcfg)
     pos = state.positions.copy()

@@ -285,7 +285,7 @@ def step_true(
     idx = state.index_of(u.target_block)
     vec = np.array(u.displacement, dtype=float)
     magnitude = float(np.linalg.norm(vec))
-    if magnitude > cfg.u_max + 1e-9:
+    if not magnitude <= cfg.u_max + 1e-9:  # a NaN magnitude is refused too
         raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
     rng = rng_from(seed)
     noise = rng.normal(0.0, cfg.sigma_env, 2) if cfg.sigma_env > 0 else np.zeros(2)

@@ -3,10 +3,10 @@ agreement of the batched proposal outcomes and heuristic with their one-at-a-
 time forms, the agreement of the goal predicate, the reward and the
 heuristic, their agreement with a scalar oracle of the array region geometry,
 that the degenerate search is the greedy chain over drawn configs, what the
-true dynamics keep, the serialization round-trips of configs and
-states, that the CLI runs every config it loads or refuses it with exit 2,
-and that ``replay`` of a mutated trace verifies, refuses or reports a
-divergence."""
+true dynamics keep and the controls they refuse, the serialization
+round-trips of configs and states, that the CLI runs every config it loads
+or refuses it with exit 2, and that ``replay`` of a mutated trace verifies,
+refuses or reports a divergence."""
 
 import io
 import json
@@ -17,12 +17,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from blockplan.cli import main
 from blockplan.config import RunConfig, config_from_dict, config_to_dict
-from blockplan.errors import ConfigError
+from blockplan.errors import ConfigError, InvalidActionError
 from blockplan.executor import ExecutionConfig, Extractor
 from blockplan.planner import Planner, PlannerConfig, greedy_chain
 from blockplan.seeding import derive
@@ -297,6 +298,27 @@ def test_step_true_keeps_blocks_on_the_board(example):
         assert nxt.ids == s.ids and nxt.colors == s.colors
         assert np.all(nxt.positions >= 0.0) and np.all(nxt.positions <= WCFG.board)
         s = nxt
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    non_finite,
+    st.one_of(st.floats(-1.0, 1.0), non_finite),
+    st.booleans(),
+    st.data(),
+)
+def test_step_true_refuses_a_non_finite_control(n, seed, bad, other, bad_first, data):
+    # A NaN magnitude is not greater than u_max either, and unrefused it
+    # spreads through the collision pass to every block.
+    s = sample_initial_state(n, seed, WCFG)
+    u = ControlAction(data.draw(st.sampled_from(s.ids)), (bad, other) if bad_first else (other, bad))
+    with pytest.raises(InvalidActionError):
+        step_true(s, u, seed, WCFG)
 
 
 nonneg = st.floats(0.0, allow_infinity=False)

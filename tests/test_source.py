@@ -166,3 +166,15 @@ def test_only_seeding_builds_generators():
             ):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, sites
+
+
+def test_no_module_calls_idealized_outcome():
+    """No module calls the one-action ``idealized_outcome``: the search and
+    the oracle expand states through ``idealized_outcomes``, and the
+    one-action form is only the reference that tests pin it to."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "idealized_outcome" in _names_used(node.func):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, sites
