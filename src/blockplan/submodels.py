@@ -220,8 +220,11 @@ def rollout_dynamics(
     deliberately an imperfect stand-in for the true dynamics.
 
     The fault draws come first, then the noise of every frame but a teleport
-    one, in a single draw. The subject's track is stepped in floats and written
-    into the rollout's one read-only ``(S, n, 2)`` array.
+    one, in a single draw. The subject's track is stepped in floats up to the
+    frame it vanishes at and written as two columns into the rollout's one
+    read-only ``(S, n, 2)`` array. A coordinate is clamped to ``[0, w]`` by two
+    comparisons, ``x if x > 0.0 else 0.0`` then ``x if x < w else w``: that is
+    ``min(w, max(0.0, x))`` bit for bit, ``-0.0`` and NaN becoming ``+0.0``.
     """
     subj = state.index_of(action.subject)
     rng = rng_from(seed)
@@ -243,29 +246,36 @@ def rollout_dynamics(
 
     (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
     v, (w, h) = mcfg.v_model, wcfg.board
+    stop = vanish_frame if vanish_idx == subj else S  # frames from `stop` on are the sentinel
     delta = np.empty(2)
-    track = []
-    for t in range(1, S):
+    dot = delta.dot
+    xs, ys = [], []
+    for t in range(1, stop):
         if t == teleport_frame:
             px, py = tx, ty
         else:
             dx, dy = tx - px, ty - py
             delta[0], delta[1] = dx, dy
-            # The norm of np.linalg.norm: sqrt(dx*dx + dy*dy) differs in the last bit.
-            d = math.sqrt(delta.dot(delta))
+            # BLAS's fma(dy, dy, dx*dx), which traces depend on: dx*dx + dy*dy differs.
+            d = math.sqrt(dot(delta))
             if d > v:
                 dx, dy = dx / d * v, dy / d * v
             if noise is not None:
                 nx, ny = next(noise)
                 dx, dy = dx + nx, dy + ny
-            # Equal to np.clip on the pair, the sign of a zero included.
-            px, py = min(w, max(0.0, px + dx)), min(h, max(0.0, py + dy))
-        track.append((px, py))
-        if t >= vanish_frame and vanish_idx == subj:
-            px, py = SENTINEL_POS
+            px, py = px + dx, py + dy
+            # min(w, max(0.0, px)), -0.0 and NaN to +0.0 included; likewise py.
+            px = px if px > 0.0 else 0.0
+            px = px if px < w else w
+            py = py if py > 0.0 else 0.0
+            py = py if py < h else h
+        xs.append(px)
+        ys.append(py)
     pos = np.repeat(state.positions[None], S, axis=0)
-    pos[1:, subj] = track
-    pos[vanish_frame:, vanish_idx] = SENTINEL_POS
+    pos[1:stop, subj, 0] = xs
+    pos[1:stop, subj, 1] = ys
+    if vanish_idx >= 0:
+        pos[vanish_frame:, vanish_idx] = SENTINEL_POS
     pos.flags.writeable = False
     return Rollout(start=state, positions=pos, action=action)
 

@@ -1,9 +1,12 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockplan import submodels
 from blockplan.errors import InvalidActionError, InvalidGoalError
@@ -271,6 +274,90 @@ class TestRolloutParity:
         with pytest.raises(ValueError):
             r.frames[1].positions[0, 0] = 0.5
         assert r.frames[0] is s and s.positions.flags.writeable
+
+
+W, H = WCFG.board
+
+
+def coordinate(top):
+    """A coordinate on the board, often exactly on one of the clamp's edges."""
+    return st.one_of(st.sampled_from([0.0, -0.0, top]), st.floats(0.0, top))
+
+
+@st.composite
+def rollout_inputs(draw):
+    """A state of 1-8 blocks, maybe one block lost at the sentinel as the
+    subject or the target, and an action."""
+    n = draw(st.integers(1, 8))
+    s = make_state([(draw(coordinate(W)), draw(coordinate(H))) for _ in range(n)])
+    lost = draw(st.sampled_from(["none", "subject", "target"] if n > 1 else ["none", "subject"]))
+    grammar = action_grammar(s)
+    if lost == "none":
+        return s, draw(st.sampled_from(grammar))
+    k = draw(st.integers(0, n - 1))
+    s = s.with_positions(np.where(np.arange(n)[:, None] == k, SENTINEL_POS, s.positions))
+    if lost == "subject":
+        return s, draw(st.sampled_from([a for a in grammar if a.subject == k]))
+    return s, draw(st.sampled_from([a for a in grammar if a.target.block == k]))
+
+
+class TestRolloutProperty:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        rollout_inputs(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, ModelConfig().sigma_model, 0.05]),
+        st.integers(2, 16),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_frame_bit_equal_to_the_reference(
+        self, inputs, p_teleport, p_vanish, sigma, frames, seed
+    ):
+        """Both clamps bind (large noise, edge coordinates, lost blocks), and
+        `reference_rollout`'s np.clip and np.linalg.norm check them."""
+        s, a = inputs
+        faults = FaultConfig(p_teleport=p_teleport, p_vanish=p_vanish)
+        mcfg = ModelConfig(sigma_model=sigma, frames_per_rollout=frames)
+        r = rollout_dynamics(s, a, faults, seed, WCFG, mcfg)
+        ref, _ = reference_rollout(s, a, faults, seed, WCFG, mcfg)
+        assert len(r.positions) == len(ref)
+        for got, want in zip(r.positions, ref):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestNormContract:
+    """The platform contract of the README's determinism paragraph: a
+    2-vector's BLAS `ddot` is the correctly rounded ``fma(dy, dy, dx*dx)``.
+    Every norm of the rollout, the proposal scorer and the collision pass is
+    such a `ddot`, so the golden traces hold only where this does."""
+
+    @staticmethod
+    def panel():
+        rng = np.random.default_rng(22)
+        mag = 10.0 ** rng.uniform(-6.0, 2.0, (5000, 2))
+        return mag * rng.choice([-1.0, 1.0], (5000, 2))
+
+    @staticmethod
+    def fma(dx, dy):
+        return float(Fraction(dy) * Fraction(dy) + Fraction(dx * dx))
+
+    def assert_matches_fma(self, got, form):
+        bad = [
+            (dx, dy) for (dx, dy), g in zip(self.panel().tolist(), got) if g != self.fma(dx, dy)
+        ]
+        assert not bad, (
+            f"{form} differs from fma(dy, dy, dx*dx) on {len(bad)} of 5000 vectors, "
+            f"first {bad[0]}: this numpy/BLAS build breaks the README's Determinism "
+            "paragraph, so traces recorded on another build will not replay"
+        )
+
+    def test_ddot_is_the_fma(self):
+        self.assert_matches_fma([float(d.dot(d)) for d in self.panel()], "ndarray.dot")
+
+    def test_batched_matmul_is_the_fma(self):
+        d = self.panel()
+        self.assert_matches_fma((d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist(), "batched @")
 
 
 class TestHeuristic:
