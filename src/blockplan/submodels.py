@@ -220,11 +220,9 @@ def rollout_dynamics(
     deliberately an imperfect stand-in for the true dynamics.
 
     The fault draws come first, then the noise of every frame but a teleport
-    one, in a single draw. The subject's track is stepped in floats up to the
-    frame it vanishes at and written as two columns into the rollout's one
-    read-only ``(S, n, 2)`` array. A coordinate is clamped to ``[0, w]`` by two
-    comparisons, ``x if x > 0.0 else 0.0`` then ``x if x < w else w``: that is
-    ``min(w, max(0.0, x))`` bit for bit, ``-0.0`` and NaN becoming ``+0.0``.
+    one, in a single draw. The subject's track is stepped in floats and
+    written as two columns into the rollout's one read-only ``(S, n, 2)``
+    array.
     """
     subj = state.index_of(action.subject)
     rng = rng_from(seed)
@@ -246,11 +244,10 @@ def rollout_dynamics(
 
     (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
     v, (w, h) = mcfg.v_model, wcfg.board
-    stop = vanish_frame if vanish_idx == subj else S  # frames from `stop` on are the sentinel
     delta = np.empty(2)
     dot = delta.dot
     xs, ys = [], []
-    for t in range(1, stop):
+    for t in range(1, S):
         if t == teleport_frame:
             px, py = tx, ty
         else:
@@ -272,8 +269,8 @@ def rollout_dynamics(
         xs.append(px)
         ys.append(py)
     pos = np.repeat(state.positions[None], S, axis=0)
-    pos[1:stop, subj, 0] = xs
-    pos[1:stop, subj, 1] = ys
+    pos[1:, subj, 0] = xs
+    pos[1:, subj, 1] = ys
     if vanish_idx >= 0:
         pos[vanish_frame:, vanish_idx] = SENTINEL_POS
     pos.flags.writeable = False
