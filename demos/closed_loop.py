@@ -12,6 +12,7 @@ import sys
 
 from blockplan import (
     ExecutionConfig,
+    Planner,
     PlannerConfig,
     group_by_color,
     run_episode,
@@ -28,14 +29,14 @@ def main():
 
     print(f"seed {seed}: grouping 6 blocks, budget {ecfg.total_budget} pushes")
 
-    closed = run_episode(x0, goal, pcfg, ecfg)
+    closed = run_episode(x0, goal, pcfg, ecfg, Planner())
     print(
         f"closed loop: reward {closed.final_reward:.0f}%, "
         f"completed={closed.completed}, {closed.steps_used} pushes, "
         f"{closed.replan_count} replans"
     )
 
-    open_ = run_episode(x0, goal, pcfg, ecfg, open_loop=True)
+    open_ = run_episode(x0, goal, pcfg, ecfg, Planner(), open_loop=True)
     print(
         f"open loop:   reward {open_.final_reward:.0f}%, "
         f"completed={open_.completed}, {open_.steps_used} pushes, no replanning"

@@ -28,7 +28,7 @@ def main():
     for bid, color in zip(x0.ids, x0.colors):
         x, y = x0.positions[bid]
         print(f"  {color.value}{bid} at ({x:.3f}, {y:.3f})")
-    print(f"start heuristic: {heuristic(x0, goal):.0f} (0 means done)")
+    print(f"start heuristic: {heuristic([x0], goal)[0]:.0f} (0 means done)")
     print()
 
     cfg = PlannerConfig(beams=2, text_branch=4, video_branch=4, horizon=16, root_seed=seed)

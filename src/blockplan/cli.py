@@ -30,7 +30,7 @@ def _load(args) -> RunConfig:
     if args.set:
         cfg = apply_overrides(cfg, args.set)
     if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"seeds=[{int(args.seed)}]"])
+        cfg = replace(cfg, seeds=(args.seed,))
     return cfg
 
 

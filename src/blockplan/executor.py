@@ -14,7 +14,7 @@ from enum import Enum
 from . import tracing
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import derive
-from .submodels import ModelConfig, inverse_dynamics, simulator_submodels
+from .submodels import inverse_dynamics
 from .world import TaskGoal, WorldConfig, WorldState, is_complete, require, reward, step_true
 
 
@@ -115,21 +115,18 @@ def run_episode(
     goal: TaskGoal,
     pcfg: PlannerConfig,
     ecfg: ExecutionConfig,
-    planner: Planner | None = None,
+    planner: Planner,
     wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
     collect_trace: bool = False,
     open_loop: bool = False,
 ) -> EpisodeResult:
-    """Receding-horizon closed loop: plan, execute a prefix, replan.
-
-    Deterministic in (initial, goal, pcfg, ecfg): each replan uses a root seed
-    derived from (pcfg.root_seed, replan index), and every environment step
-    uses a seed derived from (ecfg.env_seed, global step index). Goal-policy
-    controls come from ``planner.submodels.controller``; a replan at which it
-    issues no control ends the episode. ``open_loop`` executes one whole plan.
+    """Receding-horizon closed loop: plan with ``planner``, execute a prefix,
+    replan. Deterministic in its inputs: each replan uses a root seed derived
+    from (pcfg.root_seed, replan index), and every environment step uses a
+    seed derived from (ecfg.env_seed, global step index). Goal-policy controls
+    come from ``planner.submodels.controller``; a replan at which it issues no
+    control ends the episode. ``open_loop`` executes one whole plan.
     """
-    planner = planner if planner is not None else Planner(simulator_submodels(wcfg, mcfg))
     trace: list[dict] | None = [] if collect_trace else None
     env_state = initial
     steps_used = 0

@@ -187,7 +187,7 @@ def execution_suite(cfg: RunConfig, n: int, open_loop: bool = False) -> CellSumm
         x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0], ep), cfg.world)
         eseed = replace(ecfg, env_seed=int(1_000_003 * (ep + 1) + ecfg.env_seed))
         res = run_episode(
-            x0, cfg.task, cfg.planner, eseed, planner, cfg.world, cfg.model, open_loop=open_loop
+            x0, cfg.task, cfg.planner, eseed, planner, cfg.world, open_loop=open_loop
         )
         rewards.append(res.final_reward)
         completions += int(res.completed)

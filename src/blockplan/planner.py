@@ -68,12 +68,7 @@ class Plan:
 
     def frames(self) -> list[WorldState]:
         """Flattened frame sequence with junction frames stored once."""
-        if not self.segments:
-            return [self.start]
-        out = list(self.segments[0].frames)
-        for seg in self.segments[1:]:
-            out.extend(seg.frames[1:])
-        return out
+        return [self.start, *(f for seg in self.segments for f in seg.frames[1:])]
 
     def segment_ends(self) -> list[int]:
         """Index in `frames` of each segment's last frame."""

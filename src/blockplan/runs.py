@@ -43,7 +43,6 @@ def episode_records(cfg: RunConfig, seed: int) -> list[dict]:
         ecfg,
         planner=planner,
         wcfg=cfg.world,
-        mcfg=cfg.model,
         collect_trace=True,
     )
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]

@@ -76,16 +76,14 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Per-rollout fault probabilities for the dynamics model."""
+    """Per-rollout fault probabilities for the dynamics model, each in [0, 1]."""
 
     p_teleport: float = 0.0
     p_vanish: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_teleport", "p_vanish"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        require(self, ">= 0", "p_teleport", "p_vanish")
+        require(self, "<= 1", "p_teleport", "p_vanish")
 
 
 # --- Abstract action grammar -------------------------------------------------
@@ -238,9 +236,7 @@ def rollout_dynamics(
     if faults.p_vanish > 0 and rng.random() < faults.p_vanish:
         vanish_frame = int(rng.integers(1, S))
         vanish_idx = int(rng.integers(0, state.n_blocks))
-    noise = None
-    if mcfg.sigma_model > 0:
-        noise = iter(rng.normal(0.0, mcfg.sigma_model, (S - 1 - (teleport_frame > 0), 2)).tolist())
+    noise = iter(rng.normal(0.0, mcfg.sigma_model, (S - 1 - (teleport_frame > 0), 2)).tolist())
 
     (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
     v, (w, h) = mcfg.v_model, wcfg.board
@@ -257,9 +253,8 @@ def rollout_dynamics(
             d = math.sqrt(dot(delta))
             if d > v:
                 dx, dy = dx / d * v, dy / d * v
-            if noise is not None:
-                nx, ny = next(noise)
-                dx, dy = dx + nx, dy + ny
+            nx, ny = next(noise)
+            dx, dy = dx + nx, dy + ny
             px, py = px + dx, py + dy
             # min(w, max(0.0, px)), -0.0 and NaN to +0.0 included; likewise py.
             px = px if px > 0.0 else 0.0
@@ -288,23 +283,20 @@ def steps_needed(distance: np.ndarray, push_reach: float) -> np.ndarray:
 
 
 def heuristic(
-    states: WorldState | Sequence[WorldState],
+    states: Sequence[WorldState],
     goal: TaskGoal,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
-) -> float | list[float]:
-    """Negated estimate of abstract actions remaining until goal completion.
+) -> list[float]:
+    """Negated estimate of abstract actions remaining until goal completion,
+    one float per state of a sequence of states of the same blocks.
 
     Zero exactly when `world.is_complete` holds, more negative the farther
     blocks sit from their satisfying regions: each block's term is the
-    `steps_needed` of its `goal_distance`. One state gives one float; a
-    sequence of states of the same blocks gives a list of floats, scored as
-    one ``(R, n, 2)`` stack. Terms are whole numbers, so each equals its
-    state's own value exactly, the ``-0.0`` of a complete state included.
+    `steps_needed` of its `goal_distance`. The states are scored as one
+    ``(R, n, 2)`` stack. Terms are whole numbers, so each value equals what
+    its state scores alone, the ``-0.0`` of a complete state included.
     """
-    if isinstance(states, WorldState):
-        d = goal_distance(states.positions, states.colors, goal, wcfg)
-        return -float(steps_needed(d, mcfg.push_reach).sum())
     d = goal_distance(np.stack([s.positions for s in states]), states[0].colors, goal, wcfg)
     return (-steps_needed(d, mcfg.push_reach).sum(axis=-1)).tolist()
 

@@ -67,12 +67,13 @@ def require_finite(cfg) -> None:
 
 
 def require(cfg, rule: str, *names: str) -> None:
-    """Reject a config dataclass whose named fields break ``rule``, ``"> n"``
-    or ``">= n"`` for an integer n; NaN breaks every rule."""
+    """Reject a config dataclass whose named fields break ``rule``, ``"> n"``,
+    ``">= n"`` or ``"<= n"`` for an integer n; NaN breaks every rule."""
     op, bound = rule.split()
+    bound = int(bound)
     for name in names:
         value = getattr(cfg, name)
-        if not (value > int(bound) if op == ">" else value >= int(bound)):
+        if not (value > bound if op == ">" else value >= bound if op == ">=" else value <= bound):
             raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
@@ -288,7 +289,7 @@ def step_true(
     if not magnitude <= cfg.u_max + 1e-9:  # a NaN magnitude is refused too
         raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
     rng = rng_from(seed)
-    noise = rng.normal(0.0, cfg.sigma_env, 2) if cfg.sigma_env > 0 else np.zeros(2)
+    noise = rng.normal(0.0, cfg.sigma_env, 2)
     pos = state.positions.copy()
     pos[idx] = pos[idx] + vec + noise
     pos = np.clip(pos, 0.0, cfg.board)

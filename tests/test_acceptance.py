@@ -180,7 +180,9 @@ class TestAcceptance:
         pcfg = PlannerConfig(beams=2, text_branch=4, video_branch=4, horizon=2, root_seed=0)
         x0 = sample_initial_state(6, seed=11)
         goal = group_by_color()
-        res = run_episode(x0, goal, pcfg, ExecutionConfig(env_seed=5), collect_trace=True)
+        res = run_episode(
+            x0, goal, pcfg, ExecutionConfig(env_seed=5), Planner(), collect_trace=True
+        )
 
         # Controls between consecutive replans: full 64-control segments
         # except for an early-terminated final one.
@@ -253,7 +255,7 @@ class TestAcceptance:
         for seed in range(200):
             s = sample_initial_state(6, seed=seed)
             for goal in (move_to_area(Corner.TOP_LEFT), group_by_color(), make_line()):
-                v = heuristic(s, goal)
+                v = heuristic([s], goal)[0]
                 if v > 0 or (v == 0) != is_complete(s, goal):
                     failures.append(f"heuristic seed {seed}")
 

@@ -73,6 +73,9 @@ OUT_OF_RANGE = [
     "model.goal_eps=-0.1",
     "model.frames_per_rollout=0",
     "model.frames_per_rollout=1",
+    "faults.p_teleport=1.5",
+    "faults.p_vanish=-0.1",
+    "faults.p_vanish=NaN",
     "seeds=[-1]",
     "planner.root_seed=-1",
     "execution.env_seed=-1",

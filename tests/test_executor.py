@@ -184,7 +184,7 @@ class TestRunEpisode:
 
     def test_completes_group_task(self):
         s = sample_initial_state(6, seed=11)
-        res = run_episode(s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=5))
+        res = run_episode(s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=5), Planner())
         assert res.completed
         assert res.final_reward == 100.0
         assert 0 < res.steps_used <= 1500
@@ -193,19 +193,19 @@ class TestRunEpisode:
     def test_budget_respected(self):
         s = sample_initial_state(6, seed=11)
         ecfg = ExecutionConfig(total_budget=40, env_seed=5)
-        res = run_episode(s, group_by_color(), self.PCFG, ecfg)
+        res = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner())
         assert res.steps_used <= 40
 
     def test_already_complete_zero_steps(self):
         s = sample_initial_state(4, seed=0)  # four distinct colors: vacuous
-        res = run_episode(s, group_by_color(), self.PCFG, ExecutionConfig())
+        res = run_episode(s, group_by_color(), self.PCFG, ExecutionConfig(), Planner())
         assert res.completed and res.steps_used == 0 and res.replan_count == 0
 
     def test_deterministic(self):
         s = sample_initial_state(6, seed=3)
         ecfg = ExecutionConfig(env_seed=9)
-        a = run_episode(s, group_by_color(), self.PCFG, ecfg, collect_trace=True)
-        b = run_episode(s, group_by_color(), self.PCFG, ecfg, collect_trace=True)
+        a = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), collect_trace=True)
+        b = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), collect_trace=True)
         assert a.final_reward == b.final_reward
         assert a.steps_used == b.steps_used
         assert a.trace == b.trace
@@ -213,7 +213,8 @@ class TestRunEpisode:
     def test_trace_shape(self):
         s = sample_initial_state(6, seed=3)
         res = run_episode(
-            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), collect_trace=True
+            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(),
+            collect_trace=True,
         )
         kinds = [r["kind"] for r in res.trace]
         assert kinds[0] == "PlanStep"
@@ -238,33 +239,20 @@ class TestRunEpisode:
         res = run_episode(s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=5), planner)
         assert len(calls) == res.steps_used > 0
 
-    def test_default_planner_uses_given_configs(self):
-        s = sample_initial_state(6, seed=3)
-        ecfg = ExecutionConfig(env_seed=9)
-        default = run_episode(
-            s, group_by_color(), self.PCFG, ecfg, wcfg=EXACT_WORLD, mcfg=EXACT_MODEL,
-            collect_trace=True,
-        )
-        explicit = run_episode(
-            s, group_by_color(), self.PCFG, ecfg,
-            planner=Planner(simulator_submodels(EXACT_WORLD, EXACT_MODEL)),
-            wcfg=EXACT_WORLD, mcfg=EXACT_MODEL, collect_trace=True,
-        )
-        assert default.trace == explicit.trace
-
     def test_last_frame_ends_at_first_replan_out_of_reach(self):
         # Each segment-end frame lies about one push (0.1) away, twice the simulator
         # controller's reach, so the first replan issues no control.
         s = sample_initial_state(6, seed=11)
         ecfg = ExecutionConfig(extractor=Extractor.GOAL_POLICY_LAST_FRAME, env_seed=5)
-        res = run_episode(s, group_by_color(), self.PCFG, ecfg)
+        res = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner())
         assert res.replan_count == 1 and res.steps_used == 0
         assert res.final_reward == reward(s, group_by_color())
 
     def test_trace_steps_monotone(self):
         s = sample_initial_state(6, seed=3)
         res = run_episode(
-            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), collect_trace=True
+            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(),
+            collect_trace=True,
         )
         steps = [r["step"] for r in res.trace if r["kind"] == "Control"]
         assert steps == list(range(1, len(steps) + 1))
@@ -278,8 +266,8 @@ class TestOpenLoop:
         for ep in range(5):
             s = sample_initial_state(6, seed=100 + ep)
             ecfg = ExecutionConfig(env_seed=ep)
-            closed = run_episode(s, goal, pcfg, ecfg)
-            open_ = run_episode(s, goal, pcfg, ecfg, open_loop=True)
+            closed = run_episode(s, goal, pcfg, ecfg, Planner())
+            open_ = run_episode(s, goal, pcfg, ecfg, Planner(), open_loop=True)
             assert closed.final_reward >= open_.final_reward
             if closed.final_reward > open_.final_reward:
                 closed_wins += 1
@@ -288,10 +276,14 @@ class TestOpenLoop:
     def test_single_plan(self):
         s = sample_initial_state(6, seed=2)
         pcfg = PlannerConfig(beams=1, horizon=2, root_seed=0)
-        res = run_episode(s, group_by_color(), pcfg, ExecutionConfig(env_seed=1), open_loop=True)
+        res = run_episode(
+            s, group_by_color(), pcfg, ExecutionConfig(env_seed=1), Planner(), open_loop=True
+        )
         assert res.replan_count == 1
 
     def test_complete_start_shortcut(self):
         s = sample_initial_state(4, seed=0)
-        res = run_episode(s, group_by_color(), PlannerConfig(), ExecutionConfig(), open_loop=True)
+        res = run_episode(
+            s, group_by_color(), PlannerConfig(), ExecutionConfig(), Planner(), open_loop=True
+        )
         assert res == EpisodeResult(100.0, True, 0, 0)

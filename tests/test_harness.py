@@ -37,7 +37,7 @@ class TestOracle:
         s = make_state([(0.05, 0.15), (0.35, 0.15)], colors=[Color.RED, Color.RED])
         goal = group_by_color()
         v, seq = brute_force_oracle(s, goal, 0)
-        assert v == heuristic(s, goal)
+        assert v == heuristic([s], goal)[0]
         assert seq == []
 
     def test_complete_start(self):
@@ -51,7 +51,7 @@ class TestOracle:
         # oracle still owes one step.
         s = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
         goal = group_by_color()
-        assert heuristic(s, goal, EXACT_WORLD, EXACT_MODEL) == -6.0
+        assert heuristic([s], goal, EXACT_WORLD, EXACT_MODEL)[0] == -6.0
         v2, _ = brute_force_oracle(s, goal, 2, EXACT_WORLD, EXACT_MODEL)
         v3, seq3 = brute_force_oracle(s, goal, 3, EXACT_WORLD, EXACT_MODEL)
         assert v2 == -2.0

@@ -14,7 +14,7 @@ from blockplan.errors import ConfigError
 from blockplan.executor import ExecutionConfig
 from blockplan.planner import Planner, PlannerConfig
 from blockplan.runs import episode_records, plan_records
-from blockplan.submodels import ModelConfig
+from blockplan.submodels import FaultConfig, ModelConfig
 from blockplan.tracing import (
     canonical_json,
     digest,
@@ -51,6 +51,10 @@ RANGE_CASES = [
     (ModelConfig, "sigma_model", -1e-9, "sigma_model must be >= 0, got -1e-09"),
     (ModelConfig, "goal_eps", -1e-9, "goal_eps must be >= 0, got -1e-09"),
     (ModelConfig, "frames_per_rollout", 1, "frames_per_rollout must be >= 2, got 1"),
+    (FaultConfig, "p_teleport", -1e-9, "p_teleport must be >= 0, got -1e-09"),
+    (FaultConfig, "p_teleport", 1.000000001, "p_teleport must be <= 1, got 1.000000001"),
+    (FaultConfig, "p_vanish", -1e-9, "p_vanish must be >= 0, got -1e-09"),
+    (FaultConfig, "p_vanish", 1.000000001, "p_vanish must be <= 1, got 1.000000001"),
     (PlannerConfig, "beams", 0, "beams must be >= 1, got 0"),
     (PlannerConfig, "text_branch", 0, "text_branch must be >= 1, got 0"),
     (PlannerConfig, "video_branch", 0, "video_branch must be >= 1, got 0"),

@@ -44,7 +44,7 @@ def recursive_oracle(x0, goal, horizon, wcfg, mcfg):
 
     def recurse(state, depth):
         if depth == horizon:
-            return heuristic(state, goal, wcfg, mcfg), []
+            return heuristic([state], goal, wcfg, mcfg)[0], []
         best_val = -math.inf
         best_seq = []
         for action in grammar:

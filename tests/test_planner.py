@@ -89,8 +89,8 @@ class TestGuard:
         )
         action = AbstractAction(0, Target("color_centroid", color=Color.RED))
         r = sm.rollout(s, action, seed=0)
-        r.start_heuristic = sm.value(s, goal)
-        r.end_heuristic = sm.value(r.last, goal)
+        r.start_heuristic = sm.value([s], goal)[0]
+        r.end_heuristic = sm.value([r.last], goal)[0]
         assert r.end_heuristic - r.start_heuristic > 3.0
         assert not apply_guard(r, 3.0)
 
@@ -100,8 +100,8 @@ class TestGuard:
         sm = simulator_submodels(mcfg=ModelConfig(sigma_model=0.0))
         action = AbstractAction(0, Target("color_centroid", color=Color.RED))
         r = sm.rollout(s, action, seed=0)
-        r.start_heuristic = sm.value(s, goal)
-        r.end_heuristic = sm.value(r.last, goal)
+        r.start_heuristic = sm.value([s], goal)[0]
+        r.end_heuristic = sm.value([r.last], goal)[0]
         # Pulling one block a push_reach closer shrinks the pairwise gap for
         # both blocks, so the honest gain is exactly 2 heuristic steps.
         assert r.end_heuristic - r.start_heuristic == 2.0
@@ -254,7 +254,7 @@ class TestPlanner:
         s = sample_initial_state(4, seed=3)
         goal = make_line()
         p = Planner().plan(s, goal, self.CFG)
-        assert p.final_value == heuristic(p.frames()[-1], goal)
+        assert p.final_value == heuristic([p.frames()[-1]], goal)[0]
 
     def test_guard_enforced_on_returned_plan(self):
         s = sample_initial_state(6, seed=4)
@@ -303,7 +303,7 @@ class TestPlanner:
             plan = planner.plan(x0, goal, replace(cfg, root_seed=seed))
             replacements += sum(e["kind"] == "BeamReplace" for e in planner.events)
             assert plan.heuristic_trace == [s.end_heuristic for s in plan.segments]
-            assert plan.final_value == heuristic(plan.frames()[-1], goal)
+            assert plan.final_value == heuristic([plan.frames()[-1]], goal)[0]
         assert replacements > 0
 
     def test_invalid_root_seed(self):
@@ -323,7 +323,7 @@ class TestSelection:
             beams=1, text_branch=8, video_branch=2, horizon=1, policy_temperature=0.0
         )
         p = planner.plan(s, goal, cfg)
-        assert p.final_value == heuristic(s, goal) + 1.0
+        assert p.final_value == heuristic([s], goal)[0] + 1.0
 
     def test_video_branch_monotone_single_step(self):
         # More rollouts per action can only raise the chosen end heuristic,

@@ -123,7 +123,9 @@ def test_grammar_round_trips(s):
 def test_proposal_scores_equal_full_heuristic(s):
     for goal in GOALS:
         scores = proposal_scores(s, goal, WCFG)
-        full = [heuristic(idealized_outcome(s, a, WCFG), goal, WCFG) for a in action_grammar(s)]
+        full = [
+            heuristic([idealized_outcome(s, a, WCFG)], goal, WCFG)[0] for a in action_grammar(s)
+        ]
         assert scores.tolist() == full
 
 
@@ -159,7 +161,9 @@ def test_idealized_outcomes_equal_one_outcome_per_action(s, mcfg):
 def test_batched_heuristic_equals_one_call_per_frame(frames):
     # repr tells -0.0 from 0.0 and a numpy scalar from a Python float.
     for goal in GOALS:
-        assert repr(heuristic(frames, goal, WCFG)) == repr([heuristic(f, goal, WCFG) for f in frames])
+        assert repr(heuristic(frames, goal, WCFG)) == repr(
+            [heuristic([f], goal, WCFG)[0] for f in frames]
+        )
 
 
 @PROPERTY
@@ -173,7 +177,7 @@ def test_complete_iff_full_reward(s, goal):
 def test_complete_iff_zero_heuristic(s, goal):
     # Vanished blocks included: the predicate and the heuristic measure a
     # lost block by the same rule.
-    assert is_complete(s, goal, WCFG) == (heuristic(s, goal, WCFG) == 0.0)
+    assert is_complete(s, goal, WCFG) == (heuristic([s], goal, WCFG)[0] == 0.0)
 
 
 def oracle_region_distance(state, goal, i, p, cfg):
@@ -224,7 +228,9 @@ def test_array_geometry_equals_the_scalar_oracle(s):
         distances = oracle_goal_distances(s, goal, WCFG)
         assert goal_distance(s.positions, s.colors, goal, WCFG).tolist() == distances
         satisfied = [d <= GOAL_TOL for d in distances]
-        assert repr(heuristic(s, goal, WCFG, mcfg)) == repr(oracle_heuristic(s, goal, WCFG, mcfg))
+        assert repr(heuristic([s], goal, WCFG, mcfg)[0]) == repr(
+            oracle_heuristic(s, goal, WCFG, mcfg)
+        )
         assert reward(s, goal, WCFG) == 100.0 * sum(satisfied) / s.n_blocks
         assert is_complete(s, goal, WCFG) == all(satisfied)
 

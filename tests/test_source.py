@@ -82,8 +82,8 @@ def test_no_unreferenced_functions():
 
 
 def test_range_rules_written_once():
-    """No ``__post_init__`` builds a ``must be >`` or ``must be >=`` message
-    itself: every range rule goes through ``world.require``."""
+    """No ``__post_init__`` builds a ``must be >``, ``must be <`` or ``must
+    be in`` message itself: every range rule goes through ``world.require``."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -94,7 +94,9 @@ def test_range_rules_written_once():
                     for node in ast.walk(func)
                     if isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
-                    and "must be >" in node.value
+                    and any(
+                        rule in node.value for rule in ("must be >", "must be <", "must be in")
+                    )
                 )
     assert not sites, sites
 

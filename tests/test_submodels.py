@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockplan import submodels
-from blockplan.errors import InvalidActionError, InvalidGoalError
+from blockplan.errors import ConfigError, InvalidActionError, InvalidGoalError
 from blockplan.seeding import rng_from
 from blockplan.submodels import (
     AbstractAction,
@@ -188,7 +188,7 @@ class TestRollout:
             rollout_dynamics(s, AbstractAction(9, Target("center")), seed=0)
 
     def test_fault_probability_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"p_teleport must be <= 1, got 1.5"):
             FaultConfig(p_teleport=1.5)
 
     @pytest.mark.parametrize("faults", [FaultConfig(), FaultConfig(p_teleport=0.5, p_vanish=0.5)])
@@ -363,25 +363,25 @@ class TestNormContract:
 class TestHeuristic:
     def test_zero_iff_complete(self):
         done = make_state([(0.1, 0.1), (0.13, 0.1)], colors=[Color.RED, Color.RED])
-        assert heuristic(done, group_by_color()) == 0.0
+        assert heuristic([done], group_by_color())[0] == 0.0
         assert is_complete(done, group_by_color())
 
     def test_hand_solved_three_steps(self):
         # Block at x=0.0: distance to the centre line band is
         # |0.0 - 0.3| - 0.05 = 0.25, so ceil(0.25 / 0.1) = 3 actions.
         s = make_state([(0.0, 0.1), (0.3, 0.2)])
-        assert heuristic(s, make_line()) == -3.0
+        assert heuristic([s], make_line())[0] == -3.0
 
     def test_exact_multiple_no_extra_step(self):
         # Distance exactly 0.2 must cost 2 steps, not 3.
         s = make_state([(0.05, 0.1), (0.3, 0.2)])
-        assert heuristic(s, make_line()) == -2.0
+        assert heuristic([s], make_line())[0] == -2.0
 
     def test_nonpositive_everywhere(self):
         for seed in range(200):
             s = sample_initial_state(6, seed=seed)
             for goal in (move_to_area(Corner.TOP_LEFT), group_by_color(), make_line()):
-                v = heuristic(s, goal)
+                v = heuristic([s], goal)[0]
                 assert v <= 0.0
                 assert v == math.floor(v)
                 assert (v == 0.0) == is_complete(s, goal)
@@ -394,18 +394,18 @@ class TestHeuristic:
             rng = np.random.default_rng(seed)
             p = rng.uniform([0.3, 0.15], [0.6, 0.35])
             s = make_state([p])
-            prev = heuristic(s, goal)
+            prev = heuristic([s], goal)[0]
             while not is_complete(s, goal):
                 direction = np.array([0.0, 0.0]) - s.positions[0]
                 direction = direction / np.linalg.norm(direction)
                 s = s.with_positions(s.positions + direction * 0.02)
-                cur = heuristic(s, goal)
+                cur = heuristic([s], goal)[0]
                 assert cur >= prev
                 prev = cur
 
     def test_sentinel_block_counts(self):
         s = make_state([SENTINEL_POS, (0.3, 0.2)])
-        v = heuristic(s, make_line())
+        v = heuristic([s], make_line())[0]
         # The vanished block projects onto the board edge and still owes steps.
         assert v < 0.0
 
@@ -546,7 +546,7 @@ class TestProposals:
         a = propose_actions(s, goal, A=6, temperature=0.0, seed=1)
         b = propose_actions(s, goal, A=6, temperature=0.0, seed=99)
         assert a == b
-        scores = [heuristic(idealized_outcome(s, x), goal) for x in a]
+        scores = [heuristic([idealized_outcome(s, x)], goal)[0] for x in a]
         assert scores == sorted(scores, reverse=True)
 
     def test_distinct_actions(self):

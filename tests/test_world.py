@@ -181,7 +181,7 @@ class TestLostBlocks:
             [SENTINEL_POS, SENTINEL_POS, (0.3, 0.2)], colors=[Color.RED, Color.RED, Color.BLUE]
         )
         goal = group_by_color()
-        assert heuristic(s, goal) == -28.0
+        assert heuristic([s], goal)[0] == -28.0
         assert not is_complete(s, goal)
         assert reward(s, goal) == pytest.approx(100.0 / 3)
 
@@ -189,7 +189,7 @@ class TestLostBlocks:
         # The board point nearest to the sentinel is the bottom-left corner.
         s = make_state([SENTINEL_POS])
         goal = move_to_area(Corner.BOTTOM_LEFT)
-        assert heuristic(s, goal) == 0.0
+        assert heuristic([s], goal)[0] == 0.0
         assert is_complete(s, goal)
         assert reward(s, goal) == 100.0
 
@@ -199,7 +199,7 @@ class TestLostBlocks:
         for dx, inside in ((GOAL_TOL / 2, True), (1e-6, False)):
             s = make_state([(cfg.width / 2 + cfg.line_dist + dx, 0.2)])
             assert (goal_distance(s.positions, s.colors, goal, cfg)[0] <= GOAL_TOL) == inside
-            assert is_complete(s, goal, cfg) == inside == (heuristic(s, goal, cfg) == 0.0)
+            assert is_complete(s, goal, cfg) == inside == (heuristic([s], goal, cfg)[0] == 0.0)
 
 
 class TestSampleInitialState:
