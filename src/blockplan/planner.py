@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
+import numpy as np
+
 from .seeding import derive
 from .submodels import Rollout, Submodels, simulator_submodels
 from .tracing import round9
@@ -69,6 +71,12 @@ class Plan:
     def frames(self) -> list[WorldState]:
         """Flattened frame sequence with junction frames stored once."""
         return [self.start, *(f for seg in self.segments for f in seg.frames[1:])]
+
+    def positions(self) -> np.ndarray:
+        """The positions of `frames` as one ``(F, n, 2)`` stack, built from
+        the segments' arrays without their frame states."""
+        tails = (seg.positions[1:] for seg in self.segments)
+        return np.concatenate([self.start.positions[None], *tails])
 
     def segment_ends(self) -> list[int]:
         """Index in `frames` of each segment's last frame."""

@@ -124,7 +124,8 @@ class Target:
         ]
         if not peers:
             return state.pos(subject).copy()
-        return state.positions[peers].mean(axis=0)
+        # .mean(axis=0) is this sum over the same axis, divided by the count.
+        return np.add.reduce(state.positions[peers], 0) / len(peers)
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,8 @@ def rollout_dynamics(
             py = py if py < h else h
         xs.append(px)
         ys.append(py)
-    pos = np.repeat(state.positions[None], S, axis=0)
+    pos = np.empty((S, *state.positions.shape))
+    pos[:] = state.positions
     pos[1:, subj, 0] = xs
     pos[1:, subj, 1] = ys
     if vanish_idx >= 0:
@@ -297,7 +299,7 @@ def heuristic(
     ``(R, n, 2)`` stack. Terms are whole numbers, so each value equals what
     its state scores alone, the ``-0.0`` of a complete state included.
     """
-    d = goal_distance(np.stack([s.positions for s in states]), states[0].colors, goal, wcfg)
+    d = goal_distance(np.array([s.positions for s in states]), states[0].colors, goal, wcfg)
     return (-steps_needed(d, mcfg.push_reach).sum(axis=-1)).tolist()
 
 
@@ -313,7 +315,8 @@ def _goal_discrepancies(
         raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
     lost = is_lost(state.positions) | is_lost(goal_state.positions)
     deltas = np.where(lost[:, None], 0.0, goal_state.positions - state.positions)
-    return deltas, np.linalg.norm(deltas, axis=1)
+    # np.linalg.norm(deltas, axis=1), bit for bit, as in `goal_distance`.
+    return deltas, np.sqrt(np.add.reduce(deltas * deltas, 1))
 
 
 def goal_policy(
@@ -410,6 +413,15 @@ def _outcome_rows(
     return subjects, targets, tuple(groups)
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_targets(wcfg: WorldConfig) -> np.ndarray:
+    """The four corners in `Corner` order, then the center, as the rows of
+    one read-only ``(5, 2)`` array: the fixed rows of `idealized_outcomes`."""
+    rows = np.array([*(wcfg.corner_point(c) for c in Corner), wcfg.center_point])
+    rows.flags.writeable = False
+    return rows
+
+
 def idealized_outcomes(
     state: WorldState,
     wcfg: WorldConfig = WorldConfig(),
@@ -418,18 +430,18 @@ def idealized_outcomes(
     """The positions of every grammar action's `idealized_outcome`, in grammar
     order, as one ``(G, n, 2)`` array, bit for bit (tested). The subject's
     norm is the ``dot``-based one of `idealized_outcome`, and a centroid is
-    the same ``mean`` of its peers' positions."""
+    the same sum of its peers' positions over their count."""
     subjects, target_rows, peer_groups = _outcome_rows(state.ids, state.colors)
     p = state.positions
-    fixed = [wcfg.corner_point(c) for c in Corner] + [wcfg.center_point]
-    targets = np.concatenate([p, fixed, *(p[peers].mean(axis=1) for peers in peer_groups)])
-    targets = targets[target_rows]
+    centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
+    targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
     start = p[subjects]
     delta = targets - start
     d = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
     reached = (d <= mcfg.push_reach) | (d < 1e-15)
     moved = start + delta / np.where(reached, 1.0, d)[:, None] * mcfg.push_reach
-    out = np.repeat(p[None], len(subjects), axis=0)
+    out = np.empty((len(subjects), *p.shape))
+    out[:] = p
     out[np.arange(len(subjects)), subjects] = np.where(reached[:, None], targets, moved)
     return out
 
@@ -485,8 +497,14 @@ def propose_actions(
         for _ in range(k):
             s = scores[remaining]
             w = np.exp((s - s.max()) / temperature)
-            w = w / w.sum()
-            pick = int(rng.choice(len(remaining), p=w))
+            # rng.choice(len(w), p=w / w.sum()) draws this, without its checks
+            # of p: each weight is in [0, 1] or NaN, so a finite total is the
+            # one check left.
+            cdf = (w / w.sum()).cumsum()
+            if not math.isfinite(cdf[-1]):
+                raise ValueError(f"proposal weights must be finite, got {w}")
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), "right"))
             chosen.append(grammar[remaining.pop(pick)])
     return chosen
 

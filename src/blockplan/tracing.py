@@ -1,19 +1,24 @@
 """Serialization, state hashing, and JSONL trace persistence.
 
 Numbers serialize as decimals with 9 significant digits: each record rounds
-its floats with `round9` once, where the record is built, and records are
-written as sorted-key, compact JSON. Hashes are computed over that form.
-Replay checks are exact on one numpy and BLAS build running one CPU kernel,
-not across platforms: the norms of rollouts and proposal outcomes are BLAS
-``ddot`` calls, which OpenBLAS 0.3.31's Haswell kernel computes for a
-2-vector as ``fma(dy, dy, dx*dx)``. Another build or kernel may round them
-differently in the last bit and so move a recorded number. Trace files are
+its floats with `round9` once, where the record is built (a plan's frames in
+one pass, to the same values), and records are written as sorted-key,
+compact JSON. Hashes are computed over that form. Replay checks are exact on
+one numpy and BLAS build running one CPU kernel, not across platforms: every
+one-vector norm is a BLAS ``ddot`` call, which OpenBLAS 0.3.31's Haswell
+kernel computes for a 2-vector as ``fma(dy, dy, dx*dx)``. Those calls are
+the ``v.dot(v)`` of a rollout frame, of `step_true`'s control magnitude, of
+its collision pass's pair norm and of `sample_initial_state`'s spacing
+check; the ``v @ v`` of `harness.replay_plan`; and the batched ``@`` of
+`idealized_outcomes`. Another build or kernel may round them differently in
+the last bit and so move a recorded number. Trace files are
 one JSON object per line with a leading header record that carries the
 schema version, the run configuration and its hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any
@@ -30,10 +35,14 @@ def round9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
+# What json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace. Floats are written as
     given, so a record rounds its own floats when it is built."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _encode(obj)
 
 
 def digest(obj: Any) -> str:
@@ -63,8 +72,19 @@ def state_from_dict(d: dict) -> WorldState:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _state_json_head(ids: tuple[int, ...], colors: tuple[Color, ...]) -> str:
+    """The canonical JSON of a `state_to_dict` up to its positions, the last
+    key in sorted order."""
+    head = _encode({"colors": [c.value for c in colors], "ids": list(ids)})
+    return head[:-1] + ',"positions":'
+
+
 def state_digest(state: WorldState) -> str:
-    return digest(state_to_dict(state))
+    """``digest(state_to_dict(state))``, with the ids and colors encoded once
+    per block set."""
+    text = f"{_state_json_head(state.ids, state.colors)}{canonical_json(_positions(state))}}}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # --- Plan --------------------------------------------------------------------
@@ -72,7 +92,10 @@ def state_digest(state: WorldState) -> str:
 
 def plan_to_dict(plan) -> dict:
     """A `planner.Plan` with its blocks' ids and colors written once and each
-    frame as the bare list of its positions."""
+    frame as the bare list of its positions, rounded as `round9` does in one
+    pass over the plan's stacked positions."""
+    stack = plan.positions()
+    flat = list(map(float, map("{:.9g}".format, stack.ravel().tolist())))
     return {
         "actions": [a.text(plan.start) for a in plan.actions],
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],
@@ -80,7 +103,7 @@ def plan_to_dict(plan) -> dict:
         "beam_index": plan.beam_index,
         "ids": list(plan.start.ids),
         "colors": [c.value for c in plan.start.colors],
-        "frames": [_positions(f) for f in plan.frames()],
+        "frames": np.array(flat).reshape(stack.shape).tolist(),
     }
 
 

@@ -235,10 +235,10 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
     touch: pairs near at the start of the pass, and pairs with a block moved
     earlier in it. A pair is far when its larger coordinate gap m is at least
     ``far``. From m >= 2**-500 on, m squared is a normal number, so the
-    pair's `np.linalg.norm` (the square root of a rounded dot product) is at
-    least m * (1 - 2**-51) >= min_d and the pass would skip it anyway. Below
-    that, squares can underflow: two blocks 1e-200 apart measure 0, so such
-    pairs are always measured, as is a pair with a NaN gap.
+    pair's norm (the square root of its ``delta.dot(delta)``, a rounded BLAS
+    ``ddot``) is at least m * (1 - 2**-51) >= min_d and the pass would skip
+    it anyway. Below that, squares can underflow: two blocks 1e-200 apart
+    measure 0, so such pairs are always measured, as is a pair with a NaN gap.
     """
     pos = positions.copy()
     min_d = 2.0 * cfg.block_radius
@@ -253,7 +253,7 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
             if not (check or moved[i] or moved[j]):
                 continue
             delta = pos[j] - pos[i]
-            d = float(np.linalg.norm(delta))
+            d = math.sqrt(delta.dot(delta))
             if d >= min_d:
                 continue
             if d < 1e-12:
@@ -285,7 +285,7 @@ def step_true(
     """
     idx = state.index_of(u.target_block)
     vec = np.array(u.displacement, dtype=float)
-    magnitude = float(np.linalg.norm(vec))
+    magnitude = math.sqrt(vec.dot(vec))
     if not magnitude <= cfg.u_max + 1e-9:  # a NaN magnitude is refused too
         raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
     rng = rng_from(seed)
@@ -348,21 +348,25 @@ def goal_distance(
     return np.maximum(0.0, farthest - cfg.group_dist)
 
 
-def _satisfied(state: WorldState, goal: TaskGoal, cfg: WorldConfig) -> np.ndarray:
-    """Per block, whether it is within `GOAL_TOL` of its goal region."""
-    return goal_distance(state.positions, state.colors, goal, cfg) <= GOAL_TOL
+def satisfied(
+    positions: np.ndarray, colors: tuple[Color, ...], goal: TaskGoal, cfg: WorldConfig
+) -> np.ndarray:
+    """Per block of a stack ``(..., n, 2)`` of position sets, whether it is
+    within `GOAL_TOL` of its goal region: the goal predicate."""
+    return goal_distance(positions, colors, goal, cfg) <= GOAL_TOL
 
 
 def reward(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> float:
     """Percentage of blocks satisfying the goal predicate, in [0, 100]."""
     if state.n_blocks == 0:
         return 100.0
-    return 100.0 * np.count_nonzero(_satisfied(state, goal, cfg)) / state.n_blocks
+    hits = np.count_nonzero(satisfied(state.positions, state.colors, goal, cfg))
+    return 100.0 * hits / state.n_blocks
 
 
 def is_complete(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> bool:
     """True iff every block satisfies the goal predicate (reward 100)."""
-    return bool(_satisfied(state, goal, cfg).all())
+    return bool(satisfied(state.positions, state.colors, goal, cfg).all())
 
 
 def sample_initial_state(
@@ -391,7 +395,7 @@ def sample_initial_state(
     for _ in range(n_blocks):
         for attempt in range(MAX_TRIES_PER_BLOCK):
             p = rng.uniform([r, r], [cfg.width - r, cfg.height - r])
-            if all(np.linalg.norm(p - q) >= 2.0 * r for q in placed):
+            if all(math.sqrt(d.dot(d)) >= 2.0 * r for d in (p - q for q in placed)):
                 placed.append(p)
                 break
         else:

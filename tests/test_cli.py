@@ -390,12 +390,15 @@ class TestReplayCommand:
     #     --set task.kind=make_line
     #   blockplan plan --seed 10 --set n_blocks=5 --set planner.horizon=4
     #     --set planner.replace_period=2 --set faults.p_teleport=1.0
-    # The last holds three guard discards, one of them total and followed by
-    # a guard fallback, and a beam replacement.
+    #   blockplan plan --seed 0 --set n_blocks=6 --set planner.horizon=4
+    # The third holds three guard discards, one of them total and followed by
+    # a guard fallback, and a beam replacement. The last is the benchmark's
+    # block count, and its plan pushes to a color centroid that has peers.
     GOLDEN_TRACES = [
         "golden_plan_move_to_area.jsonl",
         "golden_episode_make_line.jsonl",
         "golden_plan_guard_fallback.jsonl",
+        "golden_plan_group_by_color.jsonl",
     ]
 
     @pytest.mark.parametrize("name", GOLDEN_TRACES)

@@ -170,6 +170,24 @@ def test_only_seeding_builds_generators():
     assert not sites, sites
 
 
+def test_one_spelling_per_norm_and_draw():
+    """No module names ``np.linalg.norm`` or calls a ``.choice(``: a norm is
+    the square root of a ``dot`` or of an ``np.add.reduce`` of squares, and a
+    proposal draw searches the cumulative weights, each equal to the wrapper
+    it stands in for (``tests/test_numpy_forms.py``) without its per-call
+    checks."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if any("linalg.norm" in name for name in _dotted(node)) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "choice"
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, sites
+
+
 def test_no_module_calls_idealized_outcome():
     """No module calls the one-action ``idealized_outcome``: the search and
     the oracle expand states through ``idealized_outcomes``, and the
