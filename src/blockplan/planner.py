@@ -7,7 +7,8 @@ survivor. Every ``replace_period`` steps the worst beam is overwritten by the
 best. The returned plan is the beam with the highest final heuristic.
 
 All branch seeds are derived from (root seed, beam, step, branch indices), so
-the result is independent of evaluation order.
+the result is independent of evaluation order. The rollout generators of a
+whole search are seeded from one `rng_words` grid, hashed once per plan.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .seeding import derive
+from .seeding import derive, rng_from_words, rng_words
 from .submodels import Rollout, Submodels, simulator_submodels
 from .tracing import round9
 from .world import TaskGoal, WorldState, require
@@ -128,23 +129,26 @@ class Planner:
         """
         sm = self.submodels
         root = derive(cfg.root_seed, *unit)
+        A, D = cfg.text_branch, cfg.video_branch
+        # The seed words of rollout (i, j) of beam b at step h (row 0 unused).
+        words = rng_words(derive(root, 0, _SEED_ROLLOUT), cfg.beams, cfg.horizon + 1, A, D)
         events: list[dict] = []
 
-        def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
+        def candidates(
+            beam: Plan, b: int, h: int, salt: int, step_words: np.ndarray
+        ) -> list[Rollout]:
             """A x D rollouts from the beam's last frame, whose value is
-            ``final_value``, valued in one call once all are made."""
+            ``final_value``, valued in one call once all are made. Rollout
+            (i, j) draws from the generator of ``step_words[i, j]``, seeded
+            ``derive(root, salt, _SEED_ROLLOUT, b, h, i, j)``."""
             frame = beam.last_frame
             actions = sm.propose(
-                frame,
-                goal,
-                cfg.text_branch,
-                cfg.policy_temperature,
-                derive(root, salt, _SEED_PROPOSE, b, h),
+                frame, goal, A, cfg.policy_temperature, derive(root, salt, _SEED_PROPOSE, b, h)
             )
             rollouts = [
-                sm.rollout(frame, action, derive(root, salt, _SEED_ROLLOUT, b, h, i, j))
+                sm.rollout(frame, action, rng_from_words(step_words[i, j]))
                 for i, action in enumerate(actions)
-                for j in range(cfg.video_branch)
+                for j in range(D)
             ]
             for r, v in zip(rollouts, sm.value([r.last for r in rollouts], goal)):
                 r.start_heuristic = beam.final_value
@@ -155,7 +159,7 @@ class Planner:
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b, beam in enumerate(beams):
-                found = candidates(beam, b, h, 0)
+                found = candidates(beam, b, h, 0, words[b, h])
                 kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
                 if len(kept) < len(found):
                     events.append(
@@ -170,7 +174,8 @@ class Planner:
                 if not kept:
                     # Total discard is not covered by the search rule: resample once
                     # with fresh seeds, then fall back to the least-suspect candidate.
-                    resampled = candidates(beam, b, h, _SEED_RESAMPLE)
+                    fresh = rng_words(derive(root, _SEED_RESAMPLE, _SEED_ROLLOUT, b, h), A, D)
+                    resampled = candidates(beam, b, h, _SEED_RESAMPLE, fresh)
                     kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
                     if not kept:
                         kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]
@@ -205,6 +210,7 @@ def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConf
     structure). With beams = text_branch = video_branch = 1 and a non-binding
     guard, ``Planner(sm).plan`` reduces to exactly this chain."""
     beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
+    words = rng_words(derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0), cfg.horizon + 1, 1, 1)
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
         action = sm.propose(
@@ -214,7 +220,7 @@ def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConf
             cfg.policy_temperature,
             derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
         )[0]
-        r = sm.rollout(frame, action, derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0, h, 0, 0))
+        r = sm.rollout(frame, action, rng_from_words(words[h, 0, 0]))
         r.start_heuristic = beam.final_value
         [r.end_heuristic] = sm.value([r.last], goal)
         beam.segments.append(r)

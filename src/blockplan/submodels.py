@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidActionError, InvalidGoalError
-from .seeding import SeedLike, rng_from
+from .seeding import Rng, SeedLike, rng_from
 from .world import (
     GOAL_TOL,
     SENTINEL_POS,
@@ -204,12 +204,12 @@ class Rollout:
 def rollout_dynamics(
     state: WorldState,
     action: AbstractAction,
+    rng: Rng,
     faults: FaultConfig = FaultConfig(),
-    seed: SeedLike = 0,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
 ) -> Rollout:
-    """Predict S frames for one action.
+    """Predict S frames for one action, drawing from ``rng``.
 
     The pushed block interpolates toward the resolved target at per-frame speed
     ``v_model`` with noise ``sigma_model``. With probability ``p_teleport`` the
@@ -224,11 +224,10 @@ def rollout_dynamics(
     array.
     """
     subj = state.index_of(action.subject)
-    rng = rng_from(seed)
     target = action.target.resolve(state, action.subject, wcfg)
     S = mcfg.frames_per_rollout
 
-    # Fault draws are fixed up front (stable per seed, independent of frames).
+    # Fault draws are fixed up front (stable per generator, independent of frames).
     teleport_frame = -1
     if faults.p_teleport > 0 and rng.random() < faults.p_teleport:
         teleport_frame = int(rng.integers(1, S))
@@ -519,6 +518,11 @@ class Submodels:
     Callables mirror the four roles; the default factory wires in the
     simulator-backed reference implementations above.
 
+    ``propose(state, goal, A, temperature, seed)`` returns up to A actions.
+    ``rollout(state, action, rng)`` returns one `Rollout`, whose noise and
+    faults it draws from the generator ``rng``: the planner seeds one per
+    (beam, step, branch) from the rows of one `seeding.rng_words` grid.
+
     ``value(frames, goal)`` returns one float per frame of a sequence, so the
     planner values all A x D rollouts of a search step in one call.
 
@@ -548,8 +552,8 @@ def simulator_submodels(
     def _propose(state, goal, A, temperature, seed):
         return propose_actions(state, goal, A, temperature, seed, wcfg, mcfg)
 
-    def _rollout(state, action, seed):
-        return rollout_dynamics(state, action, faults, seed, wcfg, mcfg)
+    def _rollout(state, action, rng):
+        return rollout_dynamics(state, action, rng, faults, wcfg, mcfg)
 
     def _value(frames, goal):
         return heuristic(frames, goal, wcfg, mcfg)

@@ -219,7 +219,7 @@ class TestAcceptance:
         for seed in range(10):
             s = sample_initial_state(5, seed=seed)
             for action in action_grammar(s)[::5]:
-                r = rollout_dynamics(s, action, seed=seed, mcfg=mcfg)
+                r = rollout_dynamics(s, action, rng_from(seed), mcfg=mcfg)
                 subj = s.index_of(action.subject)
                 for a, b in zip(r.frames[:-1], r.frames[1:]):
                     step = np.linalg.norm(b.positions - a.positions, axis=1)

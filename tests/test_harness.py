@@ -13,6 +13,7 @@ from blockplan.harness import (
 )
 from blockplan.executor import ExecutionConfig
 from blockplan.planner import Plan, Planner, PlannerConfig
+from blockplan.seeding import rng_from
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -83,7 +84,7 @@ class TestReplayPlan:
         segments = []
         state = x0
         for a in actions:
-            r = sm.rollout(state, a, seed=0)
+            r = sm.rollout(state, a, rng_from(0))
             segments.append(r)
             state = r.last
         return Plan(start=x0, segments=segments, final_value=0.0, beam_index=0)
@@ -104,7 +105,7 @@ class TestReplayPlan:
             EXACT_WORLD, EXACT_MODEL, FaultConfig(p_teleport=1.0)
         )
         a = AbstractAction(0, Target("color_centroid", color=Color.RED))
-        r = sm.rollout(x0, a, seed=0)
+        r = sm.rollout(x0, a, rng_from(0))
         plan = Plan(start=x0, segments=[r], final_value=0.0, beam_index=0)
         from blockplan.world import is_complete
 

@@ -12,6 +12,7 @@ from blockplan.planner import (
     greedy_chain,
     replace_beams,
 )
+from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -88,7 +89,7 @@ class TestGuard:
             mcfg=ModelConfig(sigma_model=0.0), faults=FaultConfig(p_teleport=1.0)
         )
         action = AbstractAction(0, Target("color_centroid", color=Color.RED))
-        r = sm.rollout(s, action, seed=0)
+        r = sm.rollout(s, action, rng_from(0))
         r.start_heuristic = sm.value([s], goal)[0]
         r.end_heuristic = sm.value([r.last], goal)[0]
         assert r.end_heuristic - r.start_heuristic > 3.0
@@ -99,7 +100,7 @@ class TestGuard:
         goal = group_by_color()
         sm = simulator_submodels(mcfg=ModelConfig(sigma_model=0.0))
         action = AbstractAction(0, Target("color_centroid", color=Color.RED))
-        r = sm.rollout(s, action, seed=0)
+        r = sm.rollout(s, action, rng_from(0))
         r.start_heuristic = sm.value([s], goal)[0]
         r.end_heuristic = sm.value([r.last], goal)[0]
         # Pulling one block a push_reach closer shrinks the pairwise gap for
@@ -117,15 +118,28 @@ class TestGuardResample:
     def _plan(self, gains):
         # Stub bundle: the value of a state is block 0's x; rollout (i, j) of
         # the round salted ``salt`` moves block 0 by gains[salt][i * D + j].
+        # It reads (salt, i, j) back from its generator, which must be the one
+        # `rng_from` makes of the seed derive(root, salt, 2, beam, step, i, j).
         made = {}
+        D = self.CFG.video_branch
+
+        def key(rng):
+            return rng.bit_generator.state["state"]["state"]
+
+        units = {
+            key(rng_from(derive(0, salt, 2, 0, 1, i, j))): (salt, i, j)
+            for salt in gains
+            for i in range(self.CFG.text_branch)
+            for j in range(D)
+        }
 
         def propose(state, goal, A, temperature, seed):
             return action_grammar(state)[:A]
 
-        def rollout(state, action, seed):
-            _, salt, _, _, _, i, j = seed
+        def rollout(state, action, rng):
+            salt, i, j = units[key(rng)]
             pos = state.positions.copy()
-            pos[0, 0] += gains[salt][i * self.CFG.video_branch + j]
+            pos[0, 0] += gains[salt][i * D + j]
             made[(salt, i, j)] = Rollout(state, np.stack([state.positions, pos]), action)
             return made[(salt, i, j)]
 

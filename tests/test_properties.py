@@ -26,7 +26,7 @@ from blockplan.config import RunConfig, config_from_dict, config_to_dict
 from blockplan.errors import ConfigError, InvalidActionError
 from blockplan.executor import ExecutionConfig, Extractor
 from blockplan.planner import Planner, PlannerConfig, greedy_chain
-from blockplan.seeding import derive
+from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     FaultConfig,
     ModelConfig,
@@ -99,7 +99,7 @@ def model_rollouts(draw):
     """The frames of a dynamics-model rollout that may teleport or vanish a block."""
     s = sample_initial_state(draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1)), WCFG)
     action = draw(st.sampled_from(action_grammar(s)))
-    return rollout_dynamics(s, action, FAULTS, seed=draw(st.integers(0, 2**32 - 1))).frames
+    return rollout_dynamics(s, action, rng_from(draw(st.integers(0, 2**32 - 1))), FAULTS).frames
 
 
 @st.composite

@@ -153,9 +153,12 @@ def _dotted(node) -> list[str]:
 
 
 def test_only_seeding_builds_generators():
-    """No module but ``seeding.py`` names ``default_rng``, ``SeedSequence`` or
-    ``numpy.random``: every generator comes from ``seeding.rng_from``, so one
-    rule turns every seed into its generator."""
+    """No module but ``seeding.py`` names ``default_rng``, ``SeedSequence``,
+    ``PCG64``, ``ISeedSequence``, ``bit_generator`` or ``numpy.random``:
+    every generator comes from ``seeding.rng_from`` or, seeded in bulk, from
+    ``seeding.rng_from_words``, whose parity test pins it to ``rng_from``, so
+    one rule turns every seed into its generator. Other modules name the
+    generator type as ``seeding.Rng``."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "seeding.py":
@@ -164,7 +167,9 @@ def test_only_seeding_builds_generators():
             if any(
                 word in name
                 for name in _dotted(node)
-                for word in ("default_rng", "SeedSequence", "numpy.random")
+                for word in (
+                    "default_rng", "SeedSequence", "PCG64", "bit_generator", "numpy.random"
+                )
             ):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, sites

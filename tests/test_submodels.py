@@ -112,14 +112,14 @@ class TestRollout:
     def test_frame_zero_is_input(self):
         s = sample_initial_state(4, seed=1)
         a = AbstractAction(0, Target("center"))
-        r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
+        r = rollout_dynamics(s, a, rng_from(0), mcfg=EXACT)
         assert r.frames[0] is s
         assert len(r.frames) == EXACT.frames_per_rollout
 
     def test_noise_free_constant_speed(self):
         s = make_state([(0.10, 0.175)])
         a = AbstractAction(0, Target("corner", corner=Corner.BOTTOM_RIGHT))
-        r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
+        r = rollout_dynamics(s, a, rng_from(0), mcfg=EXACT)
         for t in range(1, len(r.frames)):
             step = np.linalg.norm(r.frames[t].positions[0] - r.frames[t - 1].positions[0])
             assert step == pytest.approx(EXACT.v_model)
@@ -127,14 +127,14 @@ class TestRollout:
     def test_total_travel_equals_push_reach(self):
         s = make_state([(0.10, 0.175)])
         a = AbstractAction(0, Target("corner", corner=Corner.BOTTOM_RIGHT))
-        r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
+        r = rollout_dynamics(s, a, rng_from(0), mcfg=EXACT)
         moved = np.linalg.norm(r.last.positions[0] - s.positions[0])
         assert moved == pytest.approx(EXACT.push_reach)
 
     def test_non_subject_blocks_frozen(self):
         s = sample_initial_state(5, seed=7)
         a = AbstractAction(2, Target("center"))
-        r = rollout_dynamics(s, a, seed=3)
+        r = rollout_dynamics(s, a, rng_from(3))
         idx = s.index_of(2)
         others = [i for i in range(5) if i != idx]
         for f in r.frames:
@@ -143,14 +143,14 @@ class TestRollout:
     def test_stops_at_target(self):
         s = make_state([(0.29, 0.175)])
         a = AbstractAction(0, Target("center"))
-        r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
+        r = rollout_dynamics(s, a, rng_from(0), mcfg=EXACT)
         assert np.allclose(r.last.positions[0], WCFG.center_point, atol=1e-12)
 
     def test_closed_form_matches_simulated(self):
         for seed in range(20):
             s = sample_initial_state(6, seed=seed)
             for a in action_grammar(s)[::7]:
-                r = rollout_dynamics(s, a, seed=0, mcfg=EXACT)
+                r = rollout_dynamics(s, a, rng_from(0), mcfg=EXACT)
                 idx = s.index_of(a.subject)
                 closed = idealized_outcome(s, a, WCFG, EXACT).positions[idx]
                 assert np.allclose(r.last.positions[idx], closed, atol=1e-9)
@@ -158,8 +158,8 @@ class TestRollout:
     def test_seed_determinism(self):
         s = sample_initial_state(4, seed=2)
         a = AbstractAction(1, Target("corner", corner=Corner.TOP_LEFT))
-        r1 = rollout_dynamics(s, a, seed=(5, 6))
-        r2 = rollout_dynamics(s, a, seed=(5, 6))
+        r1 = rollout_dynamics(s, a, rng_from((5, 6)))
+        r2 = rollout_dynamics(s, a, rng_from((5, 6)))
         for f1, f2 in zip(r1.frames, r2.frames):
             assert np.array_equal(f1.positions, f2.positions)
 
@@ -167,7 +167,7 @@ class TestRollout:
         s = make_state([(0.05, 0.05)])
         a = AbstractAction(0, Target("corner", corner=Corner.TOP_RIGHT))
         r = rollout_dynamics(
-            s, a, faults=FaultConfig(p_teleport=1.0), seed=0, mcfg=EXACT
+            s, a, rng_from(0), faults=FaultConfig(p_teleport=1.0), mcfg=EXACT
         )
         corner = WCFG.corner_point(Corner.TOP_RIGHT)
         assert np.allclose(r.last.positions[0], corner)
@@ -178,14 +178,14 @@ class TestRollout:
         s = make_state([(0.3, 0.2)])
         a = AbstractAction(0, Target("center"))
         r = rollout_dynamics(
-            s, a, faults=FaultConfig(p_vanish=1.0), seed=0, mcfg=EXACT
+            s, a, rng_from(0), faults=FaultConfig(p_vanish=1.0), mcfg=EXACT
         )
         assert np.array_equal(r.last.positions[0], SENTINEL_POS)
 
     def test_unknown_subject_rejected(self):
         s = make_state([(0.3, 0.2)])
         with pytest.raises(InvalidActionError):
-            rollout_dynamics(s, AbstractAction(9, Target("center")), seed=0)
+            rollout_dynamics(s, AbstractAction(9, Target("center")), rng_from(0))
 
     def test_fault_probability_rejected(self):
         with pytest.raises(ConfigError, match=r"p_teleport must be <= 1, got 1.5"):
@@ -195,7 +195,7 @@ class TestRollout:
     def test_frames_are_views_of_the_array(self, faults):
         s = sample_initial_state(4, seed=2)
         for k, a in enumerate(action_grammar(s)[::3]):
-            r = rollout_dynamics(s, a, faults, seed=(2, k))
+            r = rollout_dynamics(s, a, rng_from((2, k)), faults)
             assert r.positions.shape == (ModelConfig().frames_per_rollout, 4, 2)
             assert not r.positions.flags.writeable
             assert r.start is s and r.frames[0] is s
@@ -259,7 +259,7 @@ class TestRolloutParity:
             for n in (1, 3, 6):
                 s = sample_initial_state(n, seed=seed)
                 for k, a in enumerate(action_grammar(s)[::4]):
-                    r = rollout_dynamics(s, a, faults, (seed, k), WCFG, mcfg)
+                    r = rollout_dynamics(s, a, rng_from((seed, k)), faults, WCFG, mcfg)
                     ref, vanished = reference_rollout(s, a, faults, (seed, k), WCFG, mcfg)
                     assert len(r.frames) == len(ref)
                     for f, expected in zip(r.frames, ref):
@@ -270,7 +270,7 @@ class TestRolloutParity:
 
     def test_frames_are_read_only(self):
         s = sample_initial_state(4, seed=1)
-        r = rollout_dynamics(s, action_grammar(s)[5], seed=0)
+        r = rollout_dynamics(s, action_grammar(s)[5], rng_from(0))
         with pytest.raises(ValueError):
             r.frames[1].positions[0, 0] = 0.5
         assert r.frames[0] is s and s.positions.flags.writeable
@@ -319,7 +319,7 @@ class TestRolloutProperty:
         s, a = inputs
         faults = FaultConfig(p_teleport=p_teleport, p_vanish=p_vanish)
         mcfg = ModelConfig(sigma_model=sigma, frames_per_rollout=frames)
-        r = rollout_dynamics(s, a, faults, seed, WCFG, mcfg)
+        r = rollout_dynamics(s, a, rng_from(seed), faults, WCFG, mcfg)
         ref, _ = reference_rollout(s, a, faults, seed, WCFG, mcfg)
         assert len(r.positions) == len(ref)
         for got, want in zip(r.positions, ref):
