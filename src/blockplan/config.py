@@ -37,14 +37,14 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
-        # The heuristic measures distances with squared coordinates and counts
-        # up to hypot(width, height) / push_reach steps for each block.
+        # The heuristic measures distances with squared coordinates and counts up
+        # to sqrt(w * w + h * h) / push_reach steps per block, inf if a square is.
         w, h = self.world.width, self.world.height
         try:
-            steps = self.n_blocks * math.hypot(w, h) / self.model.push_reach
+            steps = self.n_blocks * math.sqrt(w * w + h * h) / self.model.push_reach
         except OverflowError:  # n_blocks beyond any float
             steps = math.inf
-        if not (math.isfinite(w * w + h * h) and math.isfinite(steps)):
+        if not math.isfinite(steps):
             raise ConfigError(
                 f"a {w}x{h} board with {self.n_blocks} blocks and push_reach "
                 f"{self.model.push_reach} is too large for the heuristic to measure"

@@ -120,7 +120,8 @@ def replay_plan(
         target = action.target.resolve(state, action.subject, wcfg)
         for _ in range(controls_per_action):
             delta = target - state.pos(action.subject)
-            d = float((delta @ delta) ** 0.5)
+            dx, dy = delta.tolist()
+            d = math.sqrt(dx * dx + dy * dy)
             u = ControlAction.bounded(action.subject, delta, d, wcfg.u_max)
             state = step_true(state, u, derive(seed, step), wcfg)
             step += 1

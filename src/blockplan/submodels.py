@@ -219,9 +219,9 @@ def rollout_dynamics(
     deliberately an imperfect stand-in for the true dynamics.
 
     The fault draws come first, then the noise of every frame but a teleport
-    one, in a single draw. The subject's track is stepped in floats and
-    written as two columns into the rollout's one read-only ``(S, n, 2)``
-    array.
+    one, in a single draw. The subject's track is stepped in floats, each
+    frame's distance the square root of two rounded squares, and written as
+    two columns into the rollout's one read-only ``(S, n, 2)`` array.
     """
     subj = state.index_of(action.subject)
     target = action.target.resolve(state, action.subject, wcfg)
@@ -240,17 +240,13 @@ def rollout_dynamics(
 
     (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
     v, (w, h) = mcfg.v_model, wcfg.board
-    delta = np.empty(2)
-    dot = delta.dot
     xs, ys = [], []
     for t in range(1, S):
         if t == teleport_frame:
             px, py = tx, ty
         else:
             dx, dy = tx - px, ty - py
-            delta[0], delta[1] = dx, dy
-            # BLAS's fma(dy, dy, dx*dx), which traces depend on: dx*dx + dy*dy differs.
-            d = math.sqrt(dot(delta))
+            d = math.sqrt(dx * dx + dy * dy)
             if d > v:
                 dx, dy = dx / d * v, dy / d * v
             nx, ny = next(noise)
@@ -371,7 +367,7 @@ def idealized_outcome(
     target = action.target.resolve(state, action.subject, wcfg)
     pos = state.positions.copy()
     delta = target - pos[i]
-    d = math.sqrt(delta.dot(delta))
+    d = np.sqrt(np.add.reduce(delta * delta, -1))
     pos[i] = target if d <= mcfg.push_reach or d < 1e-15 else pos[i] + delta / d * mcfg.push_reach
     return state.with_positions(pos)
 
@@ -428,15 +424,16 @@ def idealized_outcomes(
 ) -> np.ndarray:
     """The positions of every grammar action's `idealized_outcome`, in grammar
     order, as one ``(G, n, 2)`` array, bit for bit (tested). The subject's
-    norm is the ``dot``-based one of `idealized_outcome`, and a centroid is
-    the same sum of its peers' positions over their count."""
+    norm is the square root of the sum of its two rounded squares, as in
+    `idealized_outcome`, and a centroid is the same sum of its peers'
+    positions over their count."""
     subjects, target_rows, peer_groups = _outcome_rows(state.ids, state.colors)
     p = state.positions
     centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
     targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
     start = p[subjects]
     delta = targets - start
-    d = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+    d = np.sqrt(np.add.reduce(delta * delta, -1))
     reached = (d <= mcfg.push_reach) | (d < 1e-15)
     moved = start + delta / np.where(reached, 1.0, d)[:, None] * mcfg.push_reach
     out = np.empty((len(subjects), *p.shape))

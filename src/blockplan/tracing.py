@@ -3,17 +3,12 @@
 Numbers serialize as decimals with 9 significant digits: each record rounds
 its floats with `round9` once, where the record is built (a plan's frames in
 one pass, to the same values), and records are written as sorted-key,
-compact JSON. Hashes are computed over that form. Replay checks are exact on
-one numpy and BLAS build running one CPU kernel, not across platforms: every
-one-vector norm is a BLAS ``ddot`` call, which OpenBLAS 0.3.31's Haswell
-kernel computes for a 2-vector as ``fma(dy, dy, dx*dx)``. Those calls are
-the ``v.dot(v)`` of a rollout frame, of `step_true`'s control magnitude, of
-its collision pass's pair norm and of `sample_initial_state`'s spacing
-check; the ``v @ v`` of `harness.replay_plan`; and the batched ``@`` of
-`idealized_outcomes`. Another build or kernel may round them differently in
-the last bit and so move a recorded number. Trace files are
-one JSON object per line with a leading header record that carries the
-schema version, the run configuration and its hash.
+compact JSON. Hashes are computed over that form. Every distance is the
+square root of the sum of two rounded squares, which round alike on every
+IEEE host, so replay rests on no BLAS build or CPU kernel; it still rests on
+numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence`` and
+``PCG64`` algorithms. Trace files are one JSON object per line with a
+leading header record: the schema version, the run configuration and its hash.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import numpy as np
 
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def round9(x: float) -> float:

@@ -234,11 +234,12 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
     Each pass visits the pairs in order and measures only those that can
     touch: pairs near at the start of the pass, and pairs with a block moved
     earlier in it. A pair is far when its larger coordinate gap m is at least
-    ``far``. From m >= 2**-500 on, m squared is a normal number, so the
-    pair's norm (the square root of its ``delta.dot(delta)``, a rounded BLAS
-    ``ddot``) is at least m * (1 - 2**-51) >= min_d and the pass would skip
-    it anyway. Below that, squares can underflow: two blocks 1e-200 apart
-    measure 0, so such pairs are always measured, as is a pair with a NaN gap.
+    ``far``. From m >= 2**-500 on, m squared is a normal number: its rounded
+    square is at least m*m * (1 - 2**-53), the other square cannot lower the
+    rounded sum, and so the pair's norm, the rounded root of that sum, is at
+    least m * (1 - 2**-51) >= min_d and the pass would skip it anyway. Below
+    that, squares can underflow: two blocks 1e-200 apart measure 0, so such
+    pairs are always measured, as is a pair with a NaN gap.
     """
     pos = positions.copy()
     min_d = 2.0 * cfg.block_radius
@@ -253,7 +254,8 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
             if not (check or moved[i] or moved[j]):
                 continue
             delta = pos[j] - pos[i]
-            d = math.sqrt(delta.dot(delta))
+            dx, dy = delta.tolist()
+            d = math.sqrt(dx * dx + dy * dy)
             if d >= min_d:
                 continue
             if d < 1e-12:
@@ -285,7 +287,8 @@ def step_true(
     """
     idx = state.index_of(u.target_block)
     vec = np.array(u.displacement, dtype=float)
-    magnitude = math.sqrt(vec.dot(vec))
+    dx, dy = vec.tolist()
+    magnitude = math.sqrt(dx * dx + dy * dy)
     if not magnitude <= cfg.u_max + 1e-9:  # a NaN magnitude is refused too
         raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
     rng = rng_from(seed)
@@ -294,10 +297,6 @@ def step_true(
     pos[idx] = pos[idx] + vec + noise
     pos = np.clip(pos, 0.0, cfg.board)
     return state.with_view(_resolve_collisions(pos, cfg))
-
-
-# math.hypot per element: np.hypot differs from it in the last bit.
-_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def is_lost(positions: np.ndarray) -> np.ndarray:
@@ -335,10 +334,9 @@ def goal_distance(
     if (positions < 0.0).any():
         own = np.clip(positions, 0.0, cfg.board)
     if goal.kind is GoalKind.MOVE_TO_AREA:
-        c = cfg.corner_point(goal.corner)
-        dx = np.maximum(0.0, np.abs(own[..., 0] - c[0]) - cfg.area_dx)
-        dy = np.maximum(0.0, np.abs(own[..., 1] - c[1]) - cfg.area_dy)
-        return _hypot(dx, dy).astype(float)
+        gap = np.abs(own - cfg.corner_point(goal.corner)) - (cfg.area_dx, cfg.area_dy)
+        gap = np.maximum(0.0, gap)
+        return np.sqrt(np.add.reduce(gap * gap, -1))
     if goal.kind is GoalKind.MAKE_LINE:
         return np.maximum(0.0, np.abs(own[..., 0] - cfg.width / 2.0) - cfg.line_dist)
     rows, real = _peer_rows(colors)
@@ -395,7 +393,8 @@ def sample_initial_state(
     for _ in range(n_blocks):
         for attempt in range(MAX_TRIES_PER_BLOCK):
             p = rng.uniform([r, r], [cfg.width - r, cfg.height - r])
-            if all(math.sqrt(d.dot(d)) >= 2.0 * r for d in (p - q for q in placed)):
+            gaps = ((p - q).tolist() for q in placed)
+            if all(math.sqrt(dx * dx + dy * dy) >= 2.0 * r for dx, dy in gaps):
                 placed.append(p)
                 break
         else:

@@ -36,7 +36,7 @@ def full_gauss_seidel(positions, cfg):
         for i in range(n):
             for j in range(i + 1, n):
                 delta = pos[j] - pos[i]
-                d = float(np.linalg.norm(delta))
+                d = float(np.sqrt(np.add.reduce(delta * delta)))
                 if d >= min_d:
                     continue
                 if d < 1e-12:

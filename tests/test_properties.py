@@ -187,7 +187,7 @@ def oracle_region_distance(state, goal, i, p, cfg):
         c = cfg.corner_point(goal.corner)
         dx = max(0.0, abs(p[0] - c[0]) - cfg.area_dx)
         dy = max(0.0, abs(p[1] - c[1]) - cfg.area_dy)
-        return math.hypot(dx, dy)
+        return math.sqrt(dx * dx + dy * dy)
     if goal.kind is GoalKind.MAKE_LINE:
         return max(0.0, abs(p[0] - cfg.width / 2.0) - cfg.line_dist)
     peers = [j for j in range(state.n_blocks) if j != i and state.colors[j] == state.colors[i]]

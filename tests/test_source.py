@@ -101,24 +101,6 @@ def test_range_rules_written_once():
     assert not sites, sites
 
 
-def test_no_numpy_hypot_or_einsum_in_the_geometry():
-    """``world.py`` and ``submodels.py`` use neither ``np.hypot`` nor
-    ``np.einsum``: both differ in the last bit from the formulas that traces
-    depend on (``math.hypot`` per element, and the ``dot``-based norm)."""
-    sites = []
-    for name in ("world.py", "submodels.py"):
-        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
-        sites.extend(
-            f"{name}:{node.lineno} {node.value.id}.{node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("hypot", "einsum")
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("np", "numpy")
-        )
-    assert not sites, sites
-
-
 def test_only_world_compares_with_the_sentinel():
     """No module but ``world.py`` compares a value with ``SENTINEL_POS``, by an
     operator or an equality function: ``world.is_lost`` is the one test of a
@@ -176,16 +158,25 @@ def test_only_seeding_builds_generators():
 
 
 def test_one_spelling_per_norm_and_draw():
-    """No module names ``np.linalg.norm`` or calls a ``.choice(``: a norm is
-    the square root of a ``dot`` or of an ``np.add.reduce`` of squares, and a
-    proposal draw searches the cumulative weights, each equal to the wrapper
-    it stands in for (``tests/test_numpy_forms.py``) without its per-call
-    checks."""
+    """One rule for every norm: the square root of the sum of two rounded
+    squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and
+    ``np.sqrt(np.add.reduce(d * d, -1))`` on arrays, which round alike on
+    every IEEE host (``tests/test_numpy_forms.py``). So no module names a
+    ``dot``, bound or called, multiplies with ``@`` or names anything
+    ``hypot``, ``linalg`` or ``einsum``: a BLAS dot product rounds as its CPU
+    kernel does, and ``hypot`` and ``einsum`` differ from the rule in the
+    last bit. Nor does a module call a ``.choice(``: a proposal draw searches
+    the cumulative weights, equal to ``Generator.choice`` without its
+    per-call checks."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if any("linalg.norm" in name for name in _dotted(node)) or (
-                isinstance(node, ast.Call)
+            parts = {part for name in _dotted(node) for part in name.split(".")}
+            if (
+                parts & {"dot", "hypot", "linalg", "einsum"}
+                or isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "choice"
             ):
