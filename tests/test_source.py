@@ -157,6 +157,24 @@ def test_only_seeding_builds_generators():
     assert not sites, sites
 
 
+def test_no_numpy_hypot_or_einsum_in_the_geometry():
+    """``world.py`` and ``submodels.py`` use neither ``np.hypot`` nor
+    ``np.einsum``: both differ in the last bit from the norm rule that traces
+    depend on, the square root of the sum of two rounded squares."""
+    sites = []
+    for name in ("world.py", "submodels.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        sites.extend(
+            f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("hypot", "einsum")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    assert not sites, sites
+
+
 def test_one_spelling_per_norm_and_draw():
     """One rule for every norm: the square root of the sum of two rounded
     squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and
