@@ -31,7 +31,6 @@ from .planner import (
     Planner,
     PlannerConfig,
     apply_guard,
-    greedy_chain,
     replace_beams,
 )
 from .submodels import (

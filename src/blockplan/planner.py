@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .seeding import derive, rng_from_words, rng_words
-from .submodels import Rollout, Submodels, simulator_submodels
+from .submodels import Rollout, Submodels, action_grammar, simulator_submodels
 from .tracing import round9
 from .world import TaskGoal, WorldState, require
 
@@ -129,7 +129,8 @@ class Planner:
         """
         sm = self.submodels
         root = derive(cfg.root_seed, *unit)
-        A, D = cfg.text_branch, cfg.video_branch
+        # Propose returns at most the grammar's actions: hash no seed beyond.
+        A, D = min(cfg.text_branch, len(action_grammar(x0))), cfg.video_branch
         # The seed words of rollout (i, j) of beam b at step h (row 0 unused).
         words = rng_words(derive(root, 0, _SEED_ROLLOUT), cfg.beams, cfg.horizon + 1, A, D)
         events: list[dict] = []
@@ -203,26 +204,3 @@ class Planner:
         best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
         return replace(beams[best], beam_index=best)
 
-
-def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
-    """No-search baseline over the bundle ``sm``: chain propose(1) -> rollout
-    -> append with no selection and no guard (the "no value function"
-    structure). With beams = text_branch = video_branch = 1 and a non-binding
-    guard, ``Planner(sm).plan`` reduces to exactly this chain."""
-    beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
-    words = rng_words(derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0), cfg.horizon + 1, 1, 1)
-    for h in range(1, cfg.horizon + 1):
-        frame = beam.last_frame
-        action = sm.propose(
-            frame,
-            goal,
-            1,
-            cfg.policy_temperature,
-            derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
-        )[0]
-        r = sm.rollout(frame, action, rng_from_words(words[h, 0, 0]))
-        r.start_heuristic = beam.final_value
-        [r.end_heuristic] = sm.value([r.last], goal)
-        beam.segments.append(r)
-        beam.final_value = r.end_heuristic
-    return beam

@@ -515,7 +515,8 @@ class Submodels:
     Callables mirror the four roles; the default factory wires in the
     simulator-backed reference implementations above.
 
-    ``propose(state, goal, A, temperature, seed)`` returns up to A actions.
+    ``propose(state, goal, A, temperature, seed)`` returns up to A actions; a
+    search step proposes at most min(``text_branch``, grammar size) actions.
     ``rollout(state, action, rng)`` returns one `Rollout`, whose noise and
     faults it draws from the generator ``rng``: the planner seeds one per
     (beam, step, branch) from the rows of one `seeding.rng_words` grid.

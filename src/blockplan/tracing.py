@@ -1,14 +1,15 @@
 """Serialization, state hashing, and JSONL trace persistence.
 
 Numbers serialize as decimals with 9 significant digits: each record rounds
-its floats with `round9` once, where the record is built (a plan's frames in
-one pass, to the same values), and records are written as sorted-key,
-compact JSON. Hashes are computed over that form. Every distance is the
-square root of the sum of two rounded squares, which round alike on every
-IEEE host, so replay rests on no BLAS build or CPU kernel; it still rests on
-numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence`` and
-``PCG64`` algorithms. Trace files are one JSON object per line with a
-leading header record: the schema version, the run configuration and its hash.
+its floats once, where the record is built (a scalar with `round9`, every
+position array with `wire_positions` in one pass, to the same values), and
+records are written as sorted-key, compact JSON. Hashes are computed over
+that form. Every distance is the square root of the sum of two rounded
+squares, which round alike on every IEEE host, so replay rests on no BLAS
+build or CPU kernel; it still rests on numpy's SIMD ``np.exp`` (the proposal
+softmax) and its ``SeedSequence`` and ``PCG64`` algorithms. Trace files are
+one JSON object per line with a leading header record: the schema version,
+the run configuration and its hash.
 """
 
 from __future__ import annotations
@@ -44,18 +45,21 @@ def digest(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
+def wire_positions(positions: np.ndarray) -> list:
+    """A position array as nested lists of floats, each rounded as `round9`
+    does, in one pass over the flattened array."""
+    flat = list(map(float, map("{:.9g}".format, positions.ravel().tolist())))
+    return np.array(flat).reshape(positions.shape).tolist()
+
+
 # --- WorldState --------------------------------------------------------------
-
-
-def _positions(state: WorldState) -> list[list[float]]:
-    return [[round9(x), round9(y)] for x, y in state.positions.tolist()]
 
 
 def state_to_dict(state: WorldState) -> dict:
     return {
         "ids": list(state.ids),
         "colors": [c.value for c in state.colors],
-        "positions": _positions(state),
+        "positions": wire_positions(state.positions),
     }
 
 
@@ -78,7 +82,8 @@ def _state_json_head(ids: tuple[int, ...], colors: tuple[Color, ...]) -> str:
 def state_digest(state: WorldState) -> str:
     """``digest(state_to_dict(state))``, with the ids and colors encoded once
     per block set."""
-    text = f"{_state_json_head(state.ids, state.colors)}{canonical_json(_positions(state))}}}"
+    positions = canonical_json(wire_positions(state.positions))
+    text = f"{_state_json_head(state.ids, state.colors)}{positions}}}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -87,10 +92,8 @@ def state_digest(state: WorldState) -> str:
 
 def plan_to_dict(plan) -> dict:
     """A `planner.Plan` with its blocks' ids and colors written once and each
-    frame as the bare list of its positions, rounded as `round9` does in one
-    pass over the plan's stacked positions."""
-    stack = plan.positions()
-    flat = list(map(float, map("{:.9g}".format, stack.ravel().tolist())))
+    frame as the bare list of its positions, rounded in one pass over the
+    plan's stacked positions."""
     return {
         "actions": [a.text(plan.start) for a in plan.actions],
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],
@@ -98,7 +101,7 @@ def plan_to_dict(plan) -> dict:
         "beam_index": plan.beam_index,
         "ids": list(plan.start.ids),
         "colors": [c.value for c in plan.start.colors],
-        "frames": np.array(flat).reshape(stack.shape).tolist(),
+        "frames": wire_positions(plan.positions()),
     }
 
 

@@ -1,9 +1,12 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and `greedy_chain`, the no-search
+reference that criterion 7 pins the degenerate `Planner.plan` to."""
 
 import numpy as np
 
-from blockplan.submodels import ModelConfig
-from blockplan.world import Color, WorldConfig, WorldState
+from blockplan.planner import _SEED_PROPOSE, _SEED_ROLLOUT, Plan, PlannerConfig
+from blockplan.seeding import derive, rng_from_words, rng_words
+from blockplan.submodels import ModelConfig, Submodels
+from blockplan.world import Color, TaskGoal, WorldConfig, WorldState
 
 EXACT_WORLD = WorldConfig(sigma_env=0.0)
 EXACT_MODEL = ModelConfig(sigma_model=0.0)
@@ -18,3 +21,27 @@ def make_state(positions, colors=None):
         colors=tuple(colors),
         positions=np.array(positions, dtype=float),
     )
+
+
+def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
+    """No-search baseline over the bundle ``sm``: chain propose(1) -> rollout
+    -> append with no selection and no guard (the "no value function"
+    structure). With beams = text_branch = video_branch = 1 and a non-binding
+    guard, ``Planner(sm).plan`` reduces to exactly this chain."""
+    beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
+    words = rng_words(derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0), cfg.horizon + 1, 1, 1)
+    for h in range(1, cfg.horizon + 1):
+        frame = beam.last_frame
+        action = sm.propose(
+            frame,
+            goal,
+            1,
+            cfg.policy_temperature,
+            derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
+        )[0]
+        r = sm.rollout(frame, action, rng_from_words(words[h, 0, 0]))
+        r.start_heuristic = beam.final_value
+        [r.end_heuristic] = sm.value([r.last], goal)
+        beam.segments.append(r)
+        beam.final_value = r.end_heuristic
+    return beam

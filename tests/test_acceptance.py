@@ -15,7 +15,7 @@ from blockplan.harness import (
     replay_plan,
     scaling_suite,
 )
-from blockplan.planner import Planner, PlannerConfig, greedy_chain
+from blockplan.planner import Planner, PlannerConfig
 from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     FaultConfig,
@@ -40,6 +40,8 @@ from blockplan.world import (
     sample_initial_state,
     step_true,
 )
+
+from helpers import greedy_chain
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["plan_once.py", "closed_loop.py"])
+@pytest.mark.parametrize("demo", ["plan_once.py", "closed_loop.py", "guard_demo.py"])
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from blockplan.planner import (
     Planner,
     PlannerConfig,
     apply_guard,
-    greedy_chain,
     replace_beams,
 )
-from blockplan.seeding import derive, rng_from
+from blockplan.seeding import derive, rng_from, rng_words
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -24,6 +24,7 @@ from blockplan.submodels import (
     heuristic,
     simulator_submodels,
 )
+from blockplan.tracing import canonical_json, plan_to_dict
 from blockplan.world import (
     Color,
     Corner,
@@ -34,7 +35,7 @@ from blockplan.world import (
     sample_initial_state,
 )
 
-from helpers import make_state
+from helpers import greedy_chain, make_state
 
 
 class TestPlannerConfig:
@@ -361,6 +362,18 @@ class TestSelection:
             p = Planner().plan(s, goal, cfg)
             results.append(p.final_value)
         assert results == sorted(results)
+
+    def test_text_branch_beyond_the_grammar_hashes_no_extra_seeds(self):
+        # Propose returns at most the grammar's G actions, so a larger
+        # text_branch sizes no seed grid beyond G and plans as text_branch=G.
+        s = sample_initial_state(2, seed=4)
+        G = len(action_grammar(s))
+        cfg = PlannerConfig(beams=1, text_branch=10_000, video_branch=1, horizon=2, root_seed=5)
+        with mock.patch("blockplan.planner.rng_words", wraps=rng_words) as spy:
+            wide = Planner().plan(s, group_by_color(), cfg)
+        assert spy.call_args_list and all(c.args[-2] <= G for c in spy.call_args_list)
+        exact = Planner().plan(s, group_by_color(), replace(cfg, text_branch=G))
+        assert canonical_json(plan_to_dict(wide)) == canonical_json(plan_to_dict(exact))
 
 
 class TestGreedyChain:

@@ -5,8 +5,8 @@ heuristic, their agreement with a scalar oracle of the array region geometry,
 that the degenerate search is the greedy chain over drawn configs, what the
 true dynamics keep and the controls they refuse, the serialization
 round-trips of configs and states, that the CLI runs every config it loads
-or refuses it with exit 2, and that ``replay`` of a mutated trace verifies,
-refuses or reports a divergence."""
+or refuses it with exit 2, and that ``replay`` of a mutated copy of each
+golden trace verifies, refuses or reports a divergence."""
 
 import io
 import json
@@ -25,7 +25,7 @@ from blockplan.cli import main
 from blockplan.config import RunConfig, config_from_dict, config_to_dict
 from blockplan.errors import ConfigError, InvalidActionError
 from blockplan.executor import ExecutionConfig, Extractor
-from blockplan.planner import Planner, PlannerConfig, greedy_chain
+from blockplan.planner import Planner, PlannerConfig
 from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     FaultConfig,
@@ -66,6 +66,8 @@ from blockplan.world import (
     sample_initial_state,
     step_true,
 )
+
+from helpers import greedy_chain
 
 WCFG = WorldConfig()
 GOALS = [move_to_area(c) for c in Corner] + [group_by_color(), make_line()]
@@ -521,9 +523,20 @@ def test_state_dict_round_trips(s):
     assert state_to_dict(state_from_dict(d)) == d
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_plan_move_to_area.jsonl")
-with open(GOLDEN) as fh:
-    GOLDEN_LINES = fh.read().splitlines()
+GOLDEN_NAMES = [
+    "golden_plan_move_to_area.jsonl",
+    "golden_episode_make_line.jsonl",
+    "golden_plan_guard_fallback.jsonl",
+    "golden_plan_group_by_color.jsonl",
+]
+
+
+def golden_lines(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        return fh.read().splitlines()
+
+
+GOLDEN_LINES = {name: golden_lines(name) for name in GOLDEN_NAMES}
 
 
 def node_paths(node, path=()):
@@ -540,8 +553,11 @@ def node_paths(node, path=()):
     return paths
 
 
-# Per record, the path of the record and of every node in it.
-GOLDEN_PATHS = [[(i,), *node_paths(json.loads(line), (i,))] for i, line in enumerate(GOLDEN_LINES)]
+# Per trace and record, the path of the record and of every node in it.
+GOLDEN_PATHS = {
+    name: [[(i,), *node_paths(json.loads(line), (i,))] for i, line in enumerate(lines)]
+    for name, lines in GOLDEN_LINES.items()
+}
 # Small values only: a valid header value such as planner.horizon=10**20
 # makes the replayed plan run effectively forever.
 small_values = (
@@ -555,14 +571,14 @@ small_values = (
 
 
 @st.composite
-def mutated_traces(draw):
-    """The golden trace's records with one change: a dropped key, a replaced
-    value or a dropped list item, in the header about half the time, else in
-    any record. The record itself may be the value replaced or the item
-    dropped."""
-    records = [json.loads(line) for line in GOLDEN_LINES]
+def mutated_traces(draw, name):
+    """The records of golden trace ``name`` with one change: a dropped key, a
+    replaced value or a dropped list item, in the header about half the time,
+    else in any record. The record itself may be the value replaced or the
+    item dropped."""
+    records = [json.loads(line) for line in GOLDEN_LINES[name]]
     index = draw(st.just(0) | st.integers(0, len(records) - 1))
-    *path, key = draw(st.sampled_from(GOLDEN_PATHS[index]))
+    *path, key = draw(st.sampled_from(GOLDEN_PATHS[name][index]))
     parent = records
     for k in path:
         parent = parent[k]
@@ -573,9 +589,11 @@ def mutated_traces(draw):
     return records
 
 
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 @settings(PROPERTY, max_examples=100)
-@given(mutated_traces())
-def test_every_mutated_trace_replays_or_exits_two_or_three(records):
+@given(data=st.data())
+def test_every_mutated_trace_replays_or_exits_two_or_three(name, data):
+    records = data.draw(mutated_traces(name))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
         with open(path, "w") as fh:
