@@ -2,8 +2,10 @@
 
 Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
 Exit codes: 0 success, 1 runtime failure, 2 usage error / invalid config /
-capacity error / unreadable path / a trace of another schema version or whose
-``config_hash`` is not the digest of its stored config, 3 replay divergence.
+capacity error / unreadable path / a JSON object whose key repeats (in a
+config file, a ``--set`` value or a trace line) / a trace of another schema
+version or whose ``config_hash`` is not the digest of its stored config, 3
+replay divergence.
 The output directory can be overridden with the ``BLOCKPLAN_OUT`` environment
 variable.
 """

@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .executor import ExecutionConfig
 from .planner import PlannerConfig
 from .submodels import FaultConfig, ModelConfig
+from .tracing import unique_keys
 from .world import TaskGoal, WorldConfig, require
 
 
@@ -129,7 +130,7 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # not UTF-8, an over-long int, too deep a nesting
@@ -151,7 +152,7 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
             raise ConfigError(f"override must look like path=value: {item!r}")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError):
             value = raw  # bare strings allowed; the type check rejects the rest
         node = data

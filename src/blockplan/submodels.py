@@ -13,6 +13,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,12 +118,8 @@ class Target:
             return cfg.center_point
         if self.kind == "block":
             return state.pos(self.block).copy()
-        peers = [
-            i
-            for i, c in enumerate(state.colors)
-            if c == self.color and state.ids[i] != subject
-        ]
-        if not peers:
+        peers = _grammar(state.ids, state.colors)[4].get((subject, self.color))
+        if peers is None:
             return state.pos(subject).copy()
         # .mean(axis=0) is this sum over the same axis, divided by the count.
         return np.add.reduce(state.positions[peers], 0) / len(peers)
@@ -146,23 +143,43 @@ def action_grammar(state: WorldState) -> tuple[AbstractAction, ...]:
     It depends only on ids and colors, which neither the model nor the true
     dynamics changes, so one shared immutable tuple serves each pair.
     """
-    return _grammar(state.ids, state.colors)
+    return _grammar(state.ids, state.colors)[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple[AbstractAction, ...]:
-    actions: list[AbstractAction] = []
-    present_colors = [c for c in Color if c in colors]
-    for subject in sorted(ids):
-        for corner in Corner:
-            actions.append(AbstractAction(subject, Target("corner", corner=corner)))
-        actions.append(AbstractAction(subject, Target("center")))
-        for other in sorted(ids):
-            if other != subject:
-                actions.append(AbstractAction(subject, Target("block", block=other)))
-        for color in present_colors:
-            actions.append(AbstractAction(subject, Target("color_centroid", color=color)))
-    return tuple(actions)
+def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
+    """The grammar table of one block set, enumerated in one pass. In order:
+    the actions; per action, its subject's row of the positions; per action,
+    its target's row of the stack [positions; the four corners; the center;
+    the color centroids] of `idealized_outcomes`; those centroids' peer rows,
+    one ``(m, k)`` array per peer count k, in that order; and the peer rows
+    of each ``(subject, color)`` centroid target, which `Target.resolve`
+    reads. A centroid with no peer is the subject itself and has no entry.
+    Every part is read-only."""
+    n, order = len(ids), sorted(range(len(ids)), key=ids.__getitem__)
+    actions, subjects, targets, peers_of, by_count = [], [], [], {}, {}
+    for i in order:
+        rows = [(Target("corner", corner=c), n + k) for k, c in enumerate(Corner)]
+        rows.append((Target("center"), n + len(Corner)))
+        rows += [(Target("block", block=ids[j]), j) for j in order if j != i]
+        for color in (c for c in Color if c in colors):
+            peers = [j for j, c in enumerate(colors) if c == color and j != i]
+            if peers:
+                peers_of[ids[i], color] = np.array(peers)
+                by_count.setdefault(len(peers), []).append((len(actions) + len(rows), peers))
+            rows.append((Target("color_centroid", color=color), i))  # with peers, replaced below
+        for target, row in rows:
+            actions.append(AbstractAction(ids[i], target))
+            subjects.append(i)
+            targets.append(row)
+    groups = [by_count[k] for k in sorted(by_count)]
+    for row, (g, _) in enumerate(itertools.chain(*groups), start=n + len(Corner) + 1):
+        targets[g] = row
+    groups = [np.array([peers for _, peers in group]) for group in groups]
+    subjects, targets = np.array(subjects), np.array(targets)
+    for a in (subjects, targets, *groups, *peers_of.values()):
+        a.flags.writeable = False
+    return tuple(actions), subjects, targets, tuple(groups), MappingProxyType(peers_of)
 
 
 def parse_action(text: str, state: WorldState) -> AbstractAction:
@@ -372,42 +389,6 @@ def idealized_outcome(
     return state.with_positions(pos)
 
 
-@functools.lru_cache(maxsize=256)
-def _outcome_rows(
-    ids: tuple[int, ...], colors: tuple[Color, ...]
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Index arrays of `idealized_outcomes`, per grammar action: its subject's
-    row of the positions, and its target's row of the stack [positions; the
-    four corners; the center; the color centroids]. The centroids come from
-    the peer rows returned last, one ``(m, k)`` array per peer count k, in
-    that order. A centroid with no peer is the subject itself, as in
-    `Target.resolve`."""
-    n, corners = len(ids), list(Corner)
-    subjects, targets, by_count = [], [], {}
-    for g, action in enumerate(_grammar(ids, colors)):
-        i, t = ids.index(action.subject), action.target
-        subjects.append(i)
-        if t.kind == "corner":
-            targets.append(n + corners.index(t.corner))
-        elif t.kind == "center":
-            targets.append(n + len(corners))
-        elif t.kind == "block":
-            targets.append(ids.index(t.block))
-        else:
-            peers = [j for j, c in enumerate(colors) if c == t.color and j != i]
-            targets.append(i)  # with peers, replaced by a centroid row below
-            if peers:
-                by_count.setdefault(len(peers), []).append((g, peers))
-    groups = [by_count[k] for k in sorted(by_count)]
-    for row, (g, _) in enumerate(itertools.chain(*groups), start=n + len(corners) + 1):
-        targets[g] = row
-    groups = [np.array([peers for _, peers in group]) for group in groups]
-    subjects, targets = np.array(subjects), np.array(targets)
-    for a in (subjects, targets, *groups):
-        a.flags.writeable = False
-    return subjects, targets, tuple(groups)
-
-
 @functools.lru_cache(maxsize=64)
 def _fixed_targets(wcfg: WorldConfig) -> np.ndarray:
     """The four corners in `Corner` order, then the center, as the rows of
@@ -427,7 +408,7 @@ def idealized_outcomes(
     norm is the square root of the sum of its two rounded squares, as in
     `idealized_outcome`, and a centroid is the same sum of its peers'
     positions over their count."""
-    subjects, target_rows, peer_groups = _outcome_rows(state.ids, state.colors)
+    _, subjects, target_rows, peer_groups, _ = _grammar(state.ids, state.colors)
     p = state.positions
     centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
     targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]

@@ -21,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ConfigError
 from .world import Color, WorldState
 
 SCHEMA_VERSION = 4
@@ -123,13 +124,24 @@ def write_trace(path: str, config_dict: dict, records: list[dict]) -> None:
             fh.write(canonical_json({**rec, "ordinal": ordinal}) + "\n")
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` of every JSON document read from outside (a
+    config file, a ``--set`` value, a trace line): the object as a dict,
+    refusing a key that repeats, whose last value ``json`` would keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"repeated JSON key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_trace(path: str) -> list[dict]:
     records = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                records.append(json.loads(line, object_pairs_hook=unique_keys))
     if not all(isinstance(r, dict) for r in records):
         raise ValueError(f"{path}: every record must be a JSON object")
     if not records or records[0].get("kind") != "Header":

@@ -199,6 +199,21 @@ class TestConfigBoundary:
         assert run([*command, str(path)]) == 2
         assert_config_error(capsys)
 
+    def test_repeated_key_in_config_file_exit_two(self, outdir, capsys, tmp_path):
+        # json keeps a repeated key's last value: 5 blocks and no horizon 2.
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"n_blocks": 3, "n_blocks": 5, "planner": {"horizon": 2}, "planner": {"beams": 1}}'
+        )
+        assert run(["plan", "--config", str(path)]) == 2
+        assert "repeated JSON key 'n_blocks'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_repeated_key_in_override_exit_two(self, outdir, capsys):
+        assert run(["plan", "--set", 'planner={"horizon": 2, "horizon": 3}']) == 2
+        assert "repeated JSON key 'horizon'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_output_dir_naming_a_file_exit_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("BLOCKPLAN_OUT", raising=False)
         taken = tmp_path / "taken"
@@ -444,6 +459,19 @@ class TestReplayCommand:
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert run(["replay", str(path)]) == 2
         assert_config_error(capsys)
+
+    def test_repeated_key_in_golden_record_exit_two(self, capsys, tmp_path):
+        # The Reward record reads -1.0 and then its true 100.0: json would
+        # keep the 100.0 and verify the trace.
+        with open(os.path.join(os.path.dirname(__file__), "data", self.GOLDEN_TRACES[0])) as fh:
+            text = fh.read()
+        record = '"kind":"Reward","ordinal":6,"value":100.0}'
+        assert record in text
+        path = tmp_path / "repeated.jsonl"
+        path.write_text(text.replace("{" + record, '{"value":-1.0,' + record))
+        assert run(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeated JSON key 'value'" in err
 
     def test_config_float_past_wire_precision_verifies(self, outdir, capsys):
         # The header keeps all 11 significant digits of sigma_model; rounded

@@ -112,6 +112,12 @@ class TestGrammar:
         resolved = t.resolve(s, subject=0, cfg=WCFG)
         assert np.allclose(resolved, [(0.3 + 0.5) / 2, (0.1 + 0.3) / 2])
 
+    def test_centroid_of_a_missing_subject_rejected(self):
+        # As for a block target: block 99 has no peers because it is absent.
+        s = make_state([(0.1, 0.1), (0.3, 0.1)], colors=[Color.RED, Color.RED])
+        with pytest.raises(InvalidActionError):
+            Target("color_centroid", color=Color.RED).resolve(s, 99, WCFG)
+
 
 class TestRollout:
     def test_frame_zero_is_input(self):
