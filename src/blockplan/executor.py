@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import tracing
 from .planner import Plan, Planner, PlannerConfig
-from .seeding import derive
+from .seeding import rng_from_words, rng_words
 from .submodels import inverse_dynamics
 from .world import TaskGoal, WorldConfig, WorldState, is_complete, require, reward, step_true
 
@@ -83,6 +83,9 @@ def execute_segmentwise(
         def control(state, t):
             return controller(state, frames[t])
 
+    # Control k of this call draws from generator (env_seed, steps_used + k).
+    n_controls = max(0, min(len(tracked) * repeats, cfg.total_budget - steps_used))
+    words = rng_words(cfg.env_seed, n_controls, start=steps_used)
     issued = 0
     for t in tracked:
         for _ in range(repeats):
@@ -91,9 +94,7 @@ def execute_segmentwise(
             u = control(env_state, t)
             if u is None:
                 break  # goal frame out of the controller's reach
-            env_state = step_true(
-                env_state, u, derive(cfg.env_seed, steps_used + issued), wcfg
-            )
+            env_state = step_true(env_state, u, rng_from_words(words[issued]), wcfg)
             issued += 1
             if trace is not None:
                 trace.append(

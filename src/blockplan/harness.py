@@ -19,7 +19,7 @@ from .config import RunConfig
 from .errors import CapacityError, ConfigError
 from .executor import run_episode
 from .planner import Plan, Planner, PlannerConfig
-from .seeding import SeedLike, derive
+from .seeding import SeedLike, derive, rng_from
 from .submodels import (
     AbstractAction,
     ModelConfig,
@@ -123,7 +123,7 @@ def replay_plan(
             dx, dy = delta.tolist()
             d = math.sqrt(dx * dx + dy * dy)
             u = ControlAction.bounded(action.subject, delta, d, wcfg.u_max)
-            state = step_true(state, u, derive(seed, step), wcfg)
+            state = step_true(state, u, rng_from(derive(seed, step)), wcfg)
             step += 1
             if is_complete(state, goal, wcfg):
                 return True

@@ -111,7 +111,9 @@ class Target:
         return f"{self.color.value}_group"
 
     def resolve(self, state: WorldState, subject: int, cfg: WorldConfig) -> np.ndarray:
-        """Concrete board point the subject block is pushed toward."""
+        """Concrete board point the subject block is pushed toward. A color
+        centroid with no peer is the subject itself; a target naming a block
+        or a color that the state lacks raises `InvalidActionError`."""
         if self.kind == "corner":
             return cfg.corner_point(self.corner)
         if self.kind == "center":
@@ -120,6 +122,8 @@ class Target:
             return state.pos(self.block).copy()
         peers = _grammar(state.ids, state.colors)[4].get((subject, self.color))
         if peers is None:
+            if self.color not in state.colors:
+                raise InvalidActionError(f"no {self.color.value} block for a centroid target")
             return state.pos(subject).copy()
         # .mean(axis=0) is this sum over the same axis, divided by the count.
         return np.add.reduce(state.positions[peers], 0) / len(peers)

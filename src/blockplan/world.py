@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InvalidActionError
-from .seeding import SeedLike, rng_from
+from .seeding import Rng, SeedLike, rng_from
 
 # Intended bound on residual penetration after a transition. It does not
 # hold yet: a block pinned at the board edge has half of each separation
@@ -219,56 +219,48 @@ def make_line() -> TaskGoal:
     return TaskGoal(GoalKind.MAKE_LINE)
 
 
-@functools.lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """The block pairs i < j in Gauss-Seidel order, as a list and as the two
-    index arrays of their first and second blocks."""
-    first, second = np.triu_indices(n, 1)
-    first.flags.writeable = second.flags.writeable = False
-    return list(zip(first.tolist(), second.tolist())), first, second
+def _clamp(pos: list[list[float]], cfg: WorldConfig) -> None:
+    """Clamp each ``[x, y]`` of ``pos`` to the board in place, byte for byte
+    as ``np.clip(pos, 0.0, cfg.board)``: -0.0 becomes 0.0, NaN stays."""
+    w, h = cfg.board
+    for p in pos:
+        x, y = p
+        p[0] = 0.0 if x <= 0.0 else (w if x > w else x)
+        p[1] = 0.0 if y <= 0.0 else (h if y > h else y)
 
 
-def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
+def _resolve_collisions(pos: list[list[float]], cfg: WorldConfig) -> list[list[float]]:
     """Push overlapping disks apart, then re-clamp, iterated to a fixpoint.
 
-    Each pass visits the pairs in order and measures only those that can
-    touch: pairs near at the start of the pass, and pairs with a block moved
-    earlier in it. A pair is far when its larger coordinate gap m is at least
-    ``far``. From m >= 2**-500 on, m squared is a normal number: its rounded
-    square is at least m*m * (1 - 2**-53), the other square cannot lower the
-    rounded sum, and so the pair's norm, the rounded root of that sum, is at
-    least m * (1 - 2**-51) >= min_d and the pass would skip it anyway. Below
-    that, squares can underflow: two blocks 1e-200 apart measure 0, so such
-    pairs are always measured, as is a pair with a NaN gap.
+    ``pos`` holds one ``[x, y]`` list of Python floats per block and is
+    updated in place. Each pass is Gauss-Seidel over every pair i < j in
+    order: a pair whose centre distance is at least the block diameter is
+    left alone, and any other is moved apart along the line of its centres.
+    Then `_clamp` puts every block back on the board.
     """
-    pos = positions.copy()
     min_d = 2.0 * cfg.block_radius
-    far = max(min_d * (1.0 + 2.0**-40), 2.0**-500)
-    pairs, first, second = _pairs(pos.shape[0])
+    n = len(pos)
     for _ in range(cfg.collision_iters):
-        gap = pos.take(second, 0) - pos.take(first, 0)
-        np.abs(gap, out=gap)
-        near = ~(np.maximum(gap[:, 0], gap[:, 1]) >= far)
-        moved = [False] * pos.shape[0]
-        for (i, j), check in zip(pairs, near.tolist()):
-            if not (check or moved[i] or moved[j]):
-                continue
-            delta = pos[j] - pos[i]
-            dx, dy = delta.tolist()
-            d = math.sqrt(dx * dx + dy * dy)
-            if d >= min_d:
-                continue
-            if d < 1e-12:
+        moved = False
+        for i in range(n):
+            pi = pos[i]
+            for j in range(i + 1, n):
+                pj = pos[j]
+                dx = pj[0] - pi[0]
+                dy = pj[1] - pi[1]
+                d = math.sqrt(dx * dx + dy * dy)
+                if d >= min_d:
+                    continue
                 # Coincident centers: separate along a fixed axis.
-                normal = np.array([1.0, 0.0])
-            else:
-                normal = delta / d
-            shift = 0.5 * (min_d - d)
-            pos[i] -= shift * normal
-            pos[j] += shift * normal
-            moved[i] = moved[j] = True
-        pos = np.clip(pos, 0.0, cfg.board)
-        if not any(moved):
+                nx, ny = (1.0, 0.0) if d < 1e-12 else (dx / d, dy / d)
+                shift = 0.5 * (min_d - d)
+                pi[0] -= shift * nx
+                pi[1] -= shift * ny
+                pj[0] += shift * nx
+                pj[1] += shift * ny
+                moved = True
+        _clamp(pos, cfg)
+        if not moved:
             break
     return pos
 
@@ -276,27 +268,29 @@ def _resolve_collisions(positions: np.ndarray, cfg: WorldConfig) -> np.ndarray:
 def step_true(
     state: WorldState,
     u: ControlAction,
-    seed: SeedLike,
+    rng: Rng,
     cfg: WorldConfig = WorldConfig(),
 ) -> WorldState:
-    """Apply one low-level control under the true dynamics.
+    """Apply one low-level control under the true dynamics, drawing from
+    ``rng``.
 
     The target block translates by the commanded displacement plus zero-mean
-    noise (std ``sigma_env``); overlapping blocks are separated by disk
-    collision resolution; positions stay clamped to the board.
+    noise (std ``sigma_env``); positions are clamped to the board, and
+    overlapping blocks are separated by `_resolve_collisions`. The step runs
+    on Python floats, from one ``tolist`` to the one array it returns.
     """
     idx = state.index_of(u.target_block)
-    vec = np.array(u.displacement, dtype=float)
-    dx, dy = vec.tolist()
+    dx, dy = (float(v) for v in u.displacement)
     magnitude = math.sqrt(dx * dx + dy * dy)
     if not magnitude <= cfg.u_max + 1e-9:  # a NaN magnitude is refused too
         raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
-    rng = rng_from(seed)
-    noise = rng.normal(0.0, cfg.sigma_env, 2)
-    pos = state.positions.copy()
-    pos[idx] = pos[idx] + vec + noise
-    pos = np.clip(pos, 0.0, cfg.board)
-    return state.with_view(_resolve_collisions(pos, cfg))
+    nx, ny = rng.normal(0.0, cfg.sigma_env, 2).tolist()
+    pos = state.positions.tolist()
+    p = pos[idx]
+    p[0] = p[0] + dx + nx
+    p[1] = p[1] + dy + ny
+    _clamp(pos, cfg)
+    return state.with_view(np.array(_resolve_collisions(pos, cfg), dtype=float))
 
 
 def is_lost(positions: np.ndarray) -> np.ndarray:

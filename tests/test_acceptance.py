@@ -272,7 +272,7 @@ class TestAcceptance:
                 m = np.linalg.norm(vec)
                 if m > wcfg.u_max:
                     vec = vec / m * wcfg.u_max
-                s = step_true(s, ControlAction(bid, (vec[0], vec[1])), seed=(seed, t))
+                s = step_true(s, ControlAction(bid, (vec[0], vec[1])), rng_from((seed, t)))
             if s.ids != tuple(range(6)) or not (
                 np.all(s.positions >= 0)
                 and np.all(s.positions[:, 0] <= wcfg.width)

@@ -406,14 +406,18 @@ class TestReplayCommand:
     #   blockplan plan --seed 10 --set n_blocks=5 --set planner.horizon=4
     #     --set planner.replace_period=2 --set faults.p_teleport=1.0
     #   blockplan plan --seed 0 --set n_blocks=6 --set planner.horizon=4
+    #   blockplan execute --seed 4 --set n_blocks=6 --set planner.horizon=2
     # The third holds three guard discards, one of them total and followed by
-    # a guard fallback, and a beam replacement. The last is the benchmark's
+    # a guard fallback, and a beam replacement. The fourth is the benchmark's
     # block count, and its plan pushes to a color centroid that has peers.
+    # The last is one episode of the benchmark's execute workload: three
+    # replans, and controls whose collision pass moves a block.
     GOLDEN_TRACES = [
         "golden_plan_move_to_area.jsonl",
         "golden_episode_make_line.jsonl",
         "golden_plan_guard_fallback.jsonl",
         "golden_plan_group_by_color.jsonl",
+        "golden_episode_group_by_color.jsonl",
     ]
 
     @pytest.mark.parametrize("name", GOLDEN_TRACES)

@@ -127,6 +127,18 @@ class TestReplayPlan:
         with pytest.raises(InvalidActionError):
             replay_plan(x0, plan, group_by_color())
 
+    def test_centroid_of_an_absent_color_rejected(self):
+        # The two red blocks are apart, so the start is not complete and the
+        # push to a yellow centroid, which no block has, is resolved.
+        x0 = make_state(
+            [(0.05, 0.15), (0.45, 0.15), (0.3, 0.3)], colors=[Color.RED, Color.RED, Color.BLUE]
+        )
+        to_yellow = AbstractAction(0, Target("color_centroid", color=Color.YELLOW))
+        seg = Rollout(start=x0, positions=x0.positions[None], action=to_yellow)
+        plan = Plan(start=x0, segments=[seg], final_value=0.0, beam_index=0)
+        with pytest.raises(InvalidActionError):
+            replay_plan(x0, plan, group_by_color())
+
 
 class TestSuites:
     CFG = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=4, root_seed=0)

@@ -1,8 +1,8 @@
-"""Oracle tests of the two block-pair kernels of `blockplan.world`: collision
-resolution, which measures only the pairs that can touch, and the
+"""Oracle tests of the block-pair kernels of `blockplan.world`: the true
+step `step_true` with its collision pass, which run on Python floats, and the
 group-by-color `goal_distance`, which measures only same-color pairs. Each
-oracle is the all-pairs form the kernel replaced, kept here, and each kernel
-must equal it byte for byte."""
+oracle is a numpy form the kernel replaced, kept here, and each kernel must
+equal it byte for byte."""
 
 import dataclasses
 import math
@@ -12,13 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockplan.errors import InvalidActionError
+from blockplan.seeding import rng_from
 from blockplan.world import (
     SENTINEL_POS,
     Color,
+    ControlAction,
     WorldConfig,
+    WorldState,
+    _clamp,
     _resolve_collisions,
     goal_distance,
     group_by_color,
+    step_true,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=500, deadline=None)
@@ -53,6 +59,22 @@ def full_gauss_seidel(positions, cfg):
     return pos
 
 
+def numpy_step_true(state, u, rng, cfg):
+    """`step_true` on numpy arrays, with `full_gauss_seidel` as its
+    collision pass."""
+    idx = state.index_of(u.target_block)
+    vec = np.array(u.displacement, dtype=float)
+    dx, dy = vec.tolist()
+    magnitude = math.sqrt(dx * dx + dy * dy)
+    if not magnitude <= cfg.u_max + 1e-9:
+        raise InvalidActionError(f"control magnitude {magnitude:.6f} exceeds u_max {cfg.u_max}")
+    noise = rng.normal(0.0, cfg.sigma_env, 2)
+    pos = state.positions.copy()
+    pos[idx] = pos[idx] + vec + noise
+    pos = np.clip(pos, 0.0, cfg.board)
+    return state.with_view(full_gauss_seidel(pos, cfg))
+
+
 def all_pairs_goal_distance(positions, colors, cfg):
     """Group-by-color `goal_distance` over every ordered pair of blocks."""
     own = positions
@@ -68,7 +90,7 @@ def all_pairs_goal_distance(positions, colors, cfg):
 
 def assert_resolves_like_the_full_pass(positions, cfg):
     positions = np.array(positions, dtype=float)
-    got = _resolve_collisions(positions, cfg)
+    got = np.array(_resolve_collisions(positions.tolist(), cfg))
     want = full_gauss_seidel(positions, cfg)
     assert got.tobytes() == want.tobytes(), (positions.tolist(), cfg.block_radius)
     return got
@@ -112,8 +134,7 @@ def test_blocks_pinned_at_each_board_edge(edge):
     assert_resolves_like_the_full_pass([edge, near, np.add(near, 0.03 * inward)], WCFG)
 
 
-# Radii down to the smallest subnormal, with the 2**-500 floor of the
-# near-pair test and its neighbours.
+# Radii down to the smallest subnormal, and radii whose squares underflow.
 RADII = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-200, 2.0**-501, 2.0**-500, 2.0**-499, 1e-100, 0.02, 0.05]),
     st.floats(5e-324, 0.1),
@@ -157,6 +178,42 @@ def collision_cases(draw):
 @given(collision_cases())
 def test_resolve_collisions_equals_the_full_pass(case):
     assert_resolves_like_the_full_pass(*case)
+
+
+@st.composite
+def step_cases(draw):
+    """A `collision_cases` board, some coordinates set to -0.0, one control
+    within ``u_max`` on a drawn block (its components possibly -0.0 or along
+    an axis), a noise scale and a generator seed."""
+    pos, cfg = draw(collision_cases())
+    n = len(pos)
+    for _ in range(draw(st.integers(0, 3))):
+        pos[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = -0.0
+    cfg = dataclasses.replace(cfg, sigma_env=draw(st.sampled_from([0.0, 0.002, 0.05])))
+    part = st.one_of(st.sampled_from([0.0, -0.0, 0.02, -0.02]), st.floats(-0.02, 0.02))
+    u = ControlAction(draw(st.integers(0, n - 1)), (draw(part), draw(part)))
+    state = WorldState(tuple(range(n)), (Color.RED,) * n, pos)
+    return state, u, draw(st.integers(0, 2**32 - 1)), cfg
+
+
+@PROPERTY
+@given(step_cases())
+def test_step_true_equals_the_numpy_step(case):
+    state, u, seed, cfg = case
+    got = step_true(state, u, rng_from(seed), cfg).positions
+    want = numpy_step_true(state, u, rng_from(seed), cfg).positions
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (state.positions.tolist(), u, seed, cfg)
+
+
+def test_clamp_equals_np_clip():
+    """Every pair of edge coordinates: signed zeros, NaNs, infinities, the
+    board's own bounds and the subnormals either side of 0."""
+    edge = [-0.0, 0.0, math.nan, -math.nan, -1.0, 5e-324, -5e-324, W, H, 0.5, math.inf, -math.inf]
+    pos = [[x, y] for x in edge for y in edge]
+    want = np.clip(np.array(pos), 0.0, WCFG.board)
+    _clamp(pos, WCFG)
+    assert np.array(pos).tobytes() == want.tobytes()
 
 
 def assert_measures_like_all_pairs(positions, colors):

@@ -302,7 +302,7 @@ def control_chains(draw):
 def test_step_true_keeps_blocks_on_the_board(example):
     s, chain, seed = example
     for k, u in enumerate(chain):
-        nxt = step_true(s, u, derive(seed, k), WCFG)
+        nxt = step_true(s, u, rng_from(derive(seed, k)), WCFG)
         assert nxt.ids == s.ids and nxt.colors == s.colors
         assert np.all(nxt.positions >= 0.0) and np.all(nxt.positions <= WCFG.board)
         s = nxt
@@ -326,7 +326,7 @@ def test_step_true_refuses_a_non_finite_control(n, seed, bad, other, bad_first, 
     s = sample_initial_state(n, seed, WCFG)
     u = ControlAction(data.draw(st.sampled_from(s.ids)), (bad, other) if bad_first else (other, bad))
     with pytest.raises(InvalidActionError):
-        step_true(s, u, seed, WCFG)
+        step_true(s, u, rng_from(seed), WCFG)
 
 
 nonneg = st.floats(0.0, allow_infinity=False)

@@ -127,6 +127,35 @@ def test_rng_words_equal_rng_from(prefix, shape):
         assert got.normal() == want.normal()
 
 
+N_ROWS = 5
+
+
+@pytest.mark.parametrize("prefix", [0, (0,), (7, 2**40)])
+@pytest.mark.parametrize("start", [0, 1, 1499, 2**32 - N_ROWS])
+def test_rng_words_from_a_start(prefix, start):
+    """Row k of a grid whose axis starts at ``start`` is the generator of
+    index ``start + k``, up to the last index a uint32 word holds."""
+    words = rng_words(prefix, N_ROWS, start=start)
+    assert words.shape == (N_ROWS, 4) and not words.flags.writeable
+    for k in range(N_ROWS):
+        got = rng_from_words(words[k])
+        want = rng_from(derive(prefix, start + k))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.normal(0.0, 0.002, 2).tolist() == want.normal(0.0, 0.002, 2).tolist()
+    assert np.array_equal(words[2:], rng_words(prefix, N_ROWS - 2, start=start + 2))
+
+
+@pytest.mark.parametrize(
+    "shape, start",
+    [((1,), 2**32), ((2,), 2**32 - 1), ((N_ROWS,), 2**32 - N_ROWS + 1), ((1, 3), 2**40)],
+)
+def test_rng_words_refuses_an_index_past_a_word(shape, start):
+    """An index of 2**32 or more would wrap in a uint32 word and seed another
+    index's generator; it raises instead."""
+    with pytest.raises(ValueError):
+        rng_words(0, *shape, start=start)
+
+
 @pytest.mark.parametrize("n_words", [1, 2, 3, 4, 5, 8])
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, "u8", np.int64, np.float64])
 def test_words_seed_gives_only_four_uint64_words(n_words, dtype):

@@ -212,3 +212,29 @@ def test_no_module_calls_idealized_outcome():
             if isinstance(node, ast.Call) and "idealized_outcome" in _names_used(node.func):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, sites
+
+
+def test_the_true_step_runs_on_python_floats():
+    """``world.step_true``, ``_resolve_collisions`` and ``_clamp`` call no
+    ``np.*`` function but the one ``np.array`` that ``step_true`` returns:
+    the step runs on Python floats, whose per-call cost a numpy call on two
+    or twelve numbers would dwarf."""
+    tree = ast.parse((PACKAGE / "world.py").read_text(), filename="world.py")
+    funcs = {
+        f.name: f
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("step_true", "_resolve_collisions", "_clamp")
+    }
+    assert len(funcs) == 3
+    calls = [
+        (name, node)
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and any(n.startswith("numpy.") for n in _dotted(node.func))
+    ]
+    sites = [f"{name}:{node.lineno} {ast.unparse(node.func)}" for name, node in calls]
+    assert [(name, _dotted(node.func)) for name, node in calls] == [
+        ("step_true", ["numpy.array"])
+    ], sites
+    returned = funcs["step_true"].body[-1]
+    assert isinstance(returned, ast.Return) and calls[0][1] in list(ast.walk(returned)), sites

@@ -118,6 +118,19 @@ class TestGrammar:
         with pytest.raises(InvalidActionError):
             Target("color_centroid", color=Color.RED).resolve(s, 99, WCFG)
 
+    def test_centroid_of_an_absent_color_rejected(self):
+        # No block is yellow, so the push has no target; it is not a
+        # zero-length push of the subject onto itself.
+        s = make_state([(0.1, 0.1), (0.3, 0.1)], colors=[Color.RED, Color.BLUE])
+        to_yellow = AbstractAction(0, Target("color_centroid", color=Color.YELLOW))
+        with pytest.raises(InvalidActionError):
+            simulator_submodels().rollout(s, to_yellow, rng_from(0))
+
+    def test_own_color_centroid_without_peers_is_the_subject(self):
+        s = make_state([(0.1, 0.1), (0.3, 0.1)], colors=[Color.RED, Color.BLUE])
+        resolved = Target("color_centroid", color=Color.RED).resolve(s, 0, WCFG)
+        assert resolved.tolist() == [0.1, 0.1]
+
 
 class TestRollout:
     def test_frame_zero_is_input(self):
@@ -469,7 +482,7 @@ class TestControllers:
         budget = math.ceil(0.12 / cfg.u_max)
         for t in range(budget):
             u = goal_policy(s, g, cfg)
-            s = step_true(s, u, seed=t, cfg=cfg)
+            s = step_true(s, u, rng_from(t), cfg=cfg)
         assert np.allclose(s.positions, g.positions, atol=1e-9)
 
     def test_simulator_controller_is_goal_policy_within_reach(self):
@@ -538,7 +551,7 @@ class TestControllers:
         a = make_state([(0.2, 0.2), (0.4, 0.2)])
         u = inverse_dynamics(a, make_state(after))
         assert u.displacement == (0.0, 0.0)
-        assert np.array_equal(step_true(a, u, seed=0, cfg=EXACT_WORLD).positions, a.positions)
+        assert np.array_equal(step_true(a, u, rng_from(0), cfg=EXACT_WORLD).positions, a.positions)
 
 
 class TestProposals:

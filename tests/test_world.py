@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockplan.errors import CapacityError, InvalidActionError
+from blockplan.seeding import rng_from
 from blockplan.submodels import heuristic
 from blockplan.world import (
     GOAL_TOL,
@@ -33,14 +34,14 @@ NOISE_FREE = WorldConfig(sigma_env=0.0)
 class TestStepTrue:
     def test_noise_free_translation(self):
         s = make_state([(0.30, 0.20)])
-        out = step_true(s, ControlAction(0, (0.02, 0.0)), seed=0, cfg=NOISE_FREE)
+        out = step_true(s, ControlAction(0, (0.02, 0.0)), rng_from(0), cfg=NOISE_FREE)
         assert np.allclose(out.positions[0], (0.32, 0.20))
 
     def test_disk_separation_hand_solved(self):
         # A pushed to x=0.32, B at 0.33: gap 0.01 < 0.04, so each moves
         # 0.015 along the +x contact normal -> 0.305 and 0.345.
         s = make_state([(0.30, 0.20), (0.33, 0.20)])
-        out = step_true(s, ControlAction(0, (0.02, 0.0)), seed=0, cfg=NOISE_FREE)
+        out = step_true(s, ControlAction(0, (0.02, 0.0)), rng_from(0), cfg=NOISE_FREE)
         assert np.allclose(out.positions[0], (0.305, 0.20))
         assert np.allclose(out.positions[1], (0.345, 0.20))
         d = np.linalg.norm(out.positions[0] - out.positions[1])
@@ -50,7 +51,7 @@ class TestStepTrue:
         # Coincident centres have no contact normal; they are pushed apart
         # along +x by half the overlap each, leaving y untouched.
         s = make_state([(0.3, 0.175), (0.3, 0.175)])
-        out = step_true(s, ControlAction(0, (0.0, 0.0)), seed=0, cfg=NOISE_FREE)
+        out = step_true(s, ControlAction(0, (0.0, 0.0)), rng_from(0), cfg=NOISE_FREE)
         assert out.positions[0][0] == pytest.approx(0.28, abs=EPS_GEOM)
         assert out.positions[1][0] == pytest.approx(0.32, abs=EPS_GEOM)
         assert out.positions[0][1] == out.positions[1][1] == 0.175
@@ -59,24 +60,24 @@ class TestStepTrue:
 
     def test_clamp_at_board_edge(self):
         s = make_state([(0.59, 0.20)])
-        out = step_true(s, ControlAction(0, (0.02, 0.0)), seed=0, cfg=NOISE_FREE)
+        out = step_true(s, ControlAction(0, (0.02, 0.0)), rng_from(0), cfg=NOISE_FREE)
         assert out.positions[0][0] == pytest.approx(0.6)
 
     def test_unknown_block_rejected(self):
         s = make_state([(0.30, 0.20)])
         with pytest.raises(InvalidActionError):
-            step_true(s, ControlAction(5, (0.01, 0.0)), seed=0, cfg=NOISE_FREE)
+            step_true(s, ControlAction(5, (0.01, 0.0)), rng_from(0), cfg=NOISE_FREE)
 
     def test_oversized_control_rejected(self):
         s = make_state([(0.30, 0.20)])
         with pytest.raises(InvalidActionError):
-            step_true(s, ControlAction(0, (0.05, 0.0)), seed=0, cfg=NOISE_FREE)
+            step_true(s, ControlAction(0, (0.05, 0.0)), rng_from(0), cfg=NOISE_FREE)
 
     def test_deterministic_in_seed(self):
         s = sample_initial_state(5, seed=3)
         u = ControlAction(2, (0.01, -0.01))
-        a = step_true(s, u, seed=11)
-        b = step_true(s, u, seed=11)
+        a = step_true(s, u, rng_from(11))
+        b = step_true(s, u, rng_from(11))
         assert np.array_equal(a.positions, b.positions)
 
     def test_block_conservation_and_non_overlap(self):
@@ -89,7 +90,7 @@ class TestStepTrue:
             m = np.linalg.norm(vec)
             if m > cfg.u_max:
                 vec = vec / m * cfg.u_max
-            s = step_true(s, ControlAction(bid, (vec[0], vec[1])), seed=step, cfg=cfg)
+            s = step_true(s, ControlAction(bid, (vec[0], vec[1])), rng_from(step), cfg=cfg)
             assert s.ids == tuple(range(8))
             assert len(s.colors) == 8
             for i in range(8):
