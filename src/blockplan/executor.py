@@ -8,14 +8,19 @@ a fixed prefix of the plan, replan, until completion or budget exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import tracing
 from .planner import Plan, Planner, PlannerConfig
-from .seeding import rng_from_words, rng_words
+from .seeding import derive, rng_from
 from .submodels import inverse_dynamics
 from .world import TaskGoal, WorldConfig, WorldState, is_complete, require, reward, step_true
+
+
+# The salt that ends a closed-loop seed: with it the seed is never numpy's
+# zero-padded form of a shorter one, such as the seed of the initial state.
+_SEED_CONTROL = 1
 
 
 class Extractor(str, Enum):
@@ -43,7 +48,6 @@ class EpisodeResult:
     completed: bool
     steps_used: int
     replan_count: int
-    trace: list[dict] = field(default_factory=list)
 
 
 def execute_segmentwise(
@@ -63,7 +67,8 @@ def execute_segmentwise(
     frame through ``controller(state, goal_frame)``; a ``None`` from the
     controller skips the rest of that frame without spending budget. Inverse
     dynamics issues one control per consecutive frame pair. Stops early on
-    completion or budget exhaustion.
+    completion or budget exhaustion. The controls draw in turn from one
+    generator, seeded ``derive(cfg.env_seed, steps_used, _SEED_CONTROL)``.
     """
     frames = plan.frames()
     n_exec = min(cfg.frames_per_plan, len(frames) - 1)
@@ -83,9 +88,7 @@ def execute_segmentwise(
         def control(state, t):
             return controller(state, frames[t])
 
-    # Control k of this call draws from generator (env_seed, steps_used + k).
-    n_controls = max(0, min(len(tracked) * repeats, cfg.total_budget - steps_used))
-    words = rng_words(cfg.env_seed, n_controls, start=steps_used)
+    rng = rng_from(derive(cfg.env_seed, steps_used, _SEED_CONTROL))
     issued = 0
     for t in tracked:
         for _ in range(repeats):
@@ -94,7 +97,7 @@ def execute_segmentwise(
             u = control(env_state, t)
             if u is None:
                 break  # goal frame out of the controller's reach
-            env_state = step_true(env_state, u, rng_from_words(words[issued]), wcfg)
+            env_state = step_true(env_state, u, rng, wcfg)
             issued += 1
             if trace is not None:
                 trace.append(
@@ -118,17 +121,18 @@ def run_episode(
     ecfg: ExecutionConfig,
     planner: Planner,
     wcfg: WorldConfig = WorldConfig(),
-    collect_trace: bool = False,
+    trace: list[dict] | None = None,
     open_loop: bool = False,
 ) -> EpisodeResult:
     """Receding-horizon closed loop: plan with ``planner``, execute a prefix,
     replan. Deterministic in its inputs: each replan uses a root seed derived
-    from (pcfg.root_seed, replan index), and every environment step uses a
-    seed derived from (ecfg.env_seed, global step index). Goal-policy controls
-    come from ``planner.submodels.controller``; a replan at which it issues no
-    control ends the episode. ``open_loop`` executes one whole plan.
+    from (pcfg.root_seed, replan index), and the controls issued after it
+    draw from one generator seeded from (ecfg.env_seed, steps used so far).
+    Goal-policy controls come from ``planner.submodels.controller``; a replan
+    at which it issues no control ends the episode. ``open_loop`` executes
+    one whole plan. A ``trace`` list gets one record per replan and control
+    and a closing ``EpisodeEnd``.
     """
-    trace: list[dict] | None = [] if collect_trace else None
     env_state = initial
     steps_used = 0
     replan_count = 0
@@ -161,13 +165,6 @@ def run_episode(
             break  # open loop, or no progress possible (degenerate plan or exhausted budget)
     final = reward(env_state, goal, wcfg)
     done = is_complete(env_state, goal, wcfg)
-    result = EpisodeResult(
-        final_reward=final,
-        completed=done,
-        steps_used=steps_used,
-        replan_count=replan_count,
-        trace=trace if trace is not None else [],
-    )
     if trace is not None:
         trace.append(
             {
@@ -178,5 +175,5 @@ def run_episode(
                 "replan_count": replan_count,
             }
         )
-    return result
+    return EpisodeResult(final, done, steps_used, replan_count)
 

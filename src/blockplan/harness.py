@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
-from .executor import run_episode
+from .executor import _SEED_CONTROL, run_episode
 from .planner import Plan, Planner, PlannerConfig
 from .seeding import SeedLike, derive, rng_from
 from .submodels import (
@@ -108,12 +108,14 @@ def replay_plan(
     Each abstract action gets the control budget a real push is worth,
     ceil(push_reach / u_max) controls toward the action's resolved target, so
     teleported or hidden progress in the plan's frames cannot be reproduced.
-    Success iff any replayed state completes the goal. An action naming a
-    block the state lacks raises `InvalidActionError`.
+    The controls draw in turn from one generator, seeded
+    ``derive(seed, _SEED_CONTROL)``. Success iff any replayed state completes
+    the goal. An action naming a block the state lacks raises
+    `InvalidActionError`.
     """
     controls_per_action = max(1, math.ceil(mcfg.push_reach / wcfg.u_max))
+    rng = rng_from(derive(seed, _SEED_CONTROL))
     state = x0
-    step = 0
     if is_complete(state, goal, wcfg):
         return True
     for action in plan.actions:
@@ -123,8 +125,7 @@ def replay_plan(
             dx, dy = delta.tolist()
             d = math.sqrt(dx * dx + dy * dy)
             u = ControlAction.bounded(action.subject, delta, d, wcfg.u_max)
-            state = step_true(state, u, rng_from(derive(seed, step)), wcfg)
-            step += 1
+            state = step_true(state, u, rng, wcfg)
             if is_complete(state, goal, wcfg):
                 return True
     return False

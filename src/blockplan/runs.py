@@ -36,15 +36,6 @@ def episode_records(cfg: RunConfig, seed: int) -> list[dict]:
     x0 = sample_initial_state(cfg.n_blocks, derive(seed), cfg.world)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
     ecfg = replace(cfg.execution, env_seed=int(cfg.execution.env_seed) + seed)
-    result = run_episode(
-        x0,
-        cfg.task,
-        cfg.planner,
-        ecfg,
-        planner=planner,
-        wcfg=cfg.world,
-        collect_trace=True,
-    )
     records: list[dict] = [{"kind": "InitialState", "state": state_to_dict(x0)}]
-    records.extend(result.trace)
+    run_episode(x0, cfg.task, cfg.planner, ecfg, planner, cfg.world, trace=records)
     return records

@@ -1,9 +1,12 @@
 """Deterministic seed derivation.
 
 Every stochastic operation in the library takes an explicit seed. Seeds for
-nested work units (beam / step / branch / control index) are derived from the
-root seed plus the unit's indices, never from call order, so results are
-identical under any execution interleaving.
+work units (a search's beam / step / branch, one closed-loop call, one
+replay) are derived from the root seed plus the unit's indices, never from
+call order, so results are identical under any execution interleaving.
+numpy pads a seed of fewer than four words with zeros, so ``(5,)`` and
+``(5, 0)`` seed one generator; a seed that ends in a nonzero salt is never
+the padded form of a shorter one.
 
 `rng_words` hashes a whole grid of sibling seeds at once, with numpy's
 `SeedSequence` algorithm written out over uint32 arrays, and `rng_from_words`
@@ -100,12 +103,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def rng_words(prefix: SeedLike, *shape: int, start: int = 0) -> np.ndarray:
+def rng_words(prefix: SeedLike, *shape: int) -> np.ndarray:
     """The PCG64 seed words of ``rng_from(derive(prefix, *idx))`` for every
-    index ``idx`` of a grid of ``shape`` whose first axis starts at
-    ``start``, as one read-only ``(*shape, 4)`` uint64 array; `rng_from_words`
-    of a row is that generator. An index is one uint32 word, so one at or
-    past 2**32 raises `ValueError`.
+    index ``idx`` of a grid of ``shape``, as one read-only ``(*shape, 4)``
+    uint64 array; `rng_from_words` of a row is that generator. An index is
+    one uint32 word, so an axis longer than 2**32 raises `ValueError`.
 
     This is `SeedSequence`'s `mix_entropy` into a pool of 4 and its
     ``generate_state(4, uint64)``, run on uint32 arrays; the k-th hash of
@@ -115,14 +117,13 @@ def rng_words(prefix: SeedLike, *shape: int, start: int = 0) -> np.ndarray:
     one call should cover as many seeds as possible.
     """
     shape = seed_tuple(shape)
-    starts = seed_tuple(start) + (0,) * len(shape)
-    if any(s + n > 2**32 for s, n in zip(starts, shape)):
-        raise ValueError(f"grid of shape {shape} from {start} has an index past 2**32 - 1")
+    if any(n > 2**32 for n in shape):
+        raise ValueError(f"grid of shape {shape} has an index past 2**32 - 1")
     ones = (1,) * len(shape)
     cols = [np.full(ones, w, np.uint32) for w in _words(prefix)]
     cols += [
-        np.arange(s, s + n, dtype=np.uint32).reshape(ones[:k] + (n,) + ones[k + 1 :])
-        for k, (s, n) in enumerate(zip(starts, shape))
+        np.arange(n, dtype=np.uint32).reshape(ones[:k] + (n,) + ones[k + 1 :])
+        for k, n in enumerate(shape)
     ]
     cols += [np.zeros(ones, np.uint32)] * (4 - len(cols))
     consts = _powers(_INIT_A, _MULT_A, 4 * len(cols))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def round9(x: float) -> float:

@@ -182,15 +182,14 @@ class TestAcceptance:
         pcfg = PlannerConfig(beams=2, text_branch=4, video_branch=4, horizon=2, root_seed=0)
         x0 = sample_initial_state(6, seed=11)
         goal = group_by_color()
-        res = run_episode(
-            x0, goal, pcfg, ExecutionConfig(env_seed=5), Planner(), collect_trace=True
-        )
+        trace = []
+        res = run_episode(x0, goal, pcfg, ExecutionConfig(env_seed=5), Planner(), trace=trace)
 
         # Controls between consecutive replans: full 64-control segments
         # except for an early-terminated final one.
         counts = []
         current = None
-        for rec in res.trace:
+        for rec in trace:
             if rec["kind"] == "PlanStep":
                 if current is not None:
                     counts.append(current)

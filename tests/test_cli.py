@@ -425,12 +425,13 @@ class TestReplayCommand:
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
 
-    # Each edits the header of a golden trace: a schema-1, schema-2 or
-    # schema-3 trace, and a config that no longer matches its hash.
+    # Each edits the header of a golden trace: a schema-1 to schema-4 trace,
+    # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
         "schema_version_2": lambda header: header.update(schema_version=2),
         "schema_version_3": lambda header: header.update(schema_version=3),
+        "schema_version_4": lambda header: header.update(schema_version=4),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 

@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from blockplan import executor, runs
+from blockplan.config import RunConfig
 from blockplan.errors import ConfigError
 from blockplan.executor import (
     EpisodeResult,
@@ -13,6 +16,7 @@ from blockplan.executor import (
     run_episode,
 )
 from blockplan.planner import Plan, Planner, PlannerConfig
+from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     AbstractAction,
     Rollout,
@@ -169,6 +173,22 @@ class TestExecuteSegmentwise:
         assert issued == 60
         assert [r["step"] for r in trace] == list(range(1, 61))
 
+    def test_no_seeds_for_controls_never_issued(self):
+        # A controller that declines every frame issues no control, however
+        # many the frame count, controls per frame and budget would allow.
+        s = make_state([(0.3, 0.3)])
+        goal = move_to_area(Corner.BOTTOM_LEFT)
+        plan = exact_plan(s, goal, horizon=1)
+        cfg = ExecutionConfig(controls_per_frame=250_000, total_budget=10**8)
+        tracemalloc.start()
+        try:
+            out, issued = execute_segmentwise(s, plan, goal, cfg, lambda x, g: None, EXACT_WORLD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is s and issued == 0
+        assert peak < 2**20
+
     def test_stops_on_completion(self):
         s = make_state([(0.08, 0.08)])
         goal = move_to_area(Corner.BOTTOM_LEFT)
@@ -204,25 +224,26 @@ class TestRunEpisode:
     def test_deterministic(self):
         s = sample_initial_state(6, seed=3)
         ecfg = ExecutionConfig(env_seed=9)
-        a = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), collect_trace=True)
-        b = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), collect_trace=True)
+        ta, tb = [], []
+        a = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), trace=ta)
+        b = run_episode(s, group_by_color(), self.PCFG, ecfg, Planner(), trace=tb)
         assert a.final_reward == b.final_reward
         assert a.steps_used == b.steps_used
-        assert a.trace == b.trace
+        assert ta == tb
 
     def test_trace_shape(self):
         s = sample_initial_state(6, seed=3)
+        trace = []
         res = run_episode(
-            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(),
-            collect_trace=True,
+            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(), trace=trace
         )
-        kinds = [r["kind"] for r in res.trace]
+        kinds = [r["kind"] for r in trace]
         assert kinds[0] == "PlanStep"
         assert kinds[-1] == "EpisodeEnd"
         n_controls = sum(1 for k in kinds if k == "Control")
         assert n_controls == res.steps_used
         assert sum(1 for k in kinds if k == "PlanStep") == res.replan_count
-        end = res.trace[-1]
+        end = trace[-1]
         assert end["reward"] == res.final_reward
         assert end["completed"] == res.completed
 
@@ -250,12 +271,31 @@ class TestRunEpisode:
 
     def test_trace_steps_monotone(self):
         s = sample_initial_state(6, seed=3)
-        res = run_episode(
-            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(),
-            collect_trace=True,
+        trace = []
+        run_episode(
+            s, group_by_color(), self.PCFG, ExecutionConfig(env_seed=9), Planner(), trace=trace
         )
-        steps = [r["step"] for r in res.trace if r["kind"] == "Control"]
+        steps = [r["step"] for r in trace if r["kind"] == "Control"]
         assert steps == list(range(1, len(steps) + 1))
+
+
+class _FirstControl(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_first_control_draws_apart_from_the_initial_state(monkeypatch, seed):
+    # `blockplan execute --seed s` places its blocks from derive(s); numpy pads
+    # a short seed with zeros, so a control seed of (s, 0) would draw the
+    # same stream.
+    def first_step(state, u, rng, wcfg):
+        raise _FirstControl(rng.bit_generator.state)
+
+    monkeypatch.setattr(executor, "step_true", first_step)
+    cfg = RunConfig(n_blocks=6, planner=PlannerConfig(horizon=2))
+    with pytest.raises(_FirstControl) as first:
+        runs.episode_records(cfg, seed)
+    assert first.value.args[0] != rng_from(derive(seed)).bit_generator.state
 
 
 class TestOpenLoop:
