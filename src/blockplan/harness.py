@@ -142,39 +142,49 @@ def _check_episodes(n: int) -> None:
 def plan_accuracy_suite(cfg: RunConfig, n: int) -> CellSummary:
     """Generate n plans for the run's task from initial states seeded by
     ``cfg.seeds[0]`` and score each plan both naively (any plan frame
-    completes the goal) and replay-verified."""
-    _check_episodes(n)
-    planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
-    goal, wcfg, seed = cfg.task, cfg.world, cfg.seeds[0]
-    t0 = time.perf_counter()
-    naive = replayed = 0
-    for ep in range(n):
-        # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
-        # ablation runs reproducible.
-        x0 = sample_initial_state(cfg.n_blocks, derive(seed, 0, ep), wcfg)
-        plan = planner.plan(x0, goal, cfg.planner, 0, ep)
-        if satisfied(plan.positions(), x0.colors, goal, wcfg).all(axis=-1).any():
-            naive += 1
-            if replay_plan(x0, plan, goal, derive(seed, 0, ep, 1), wcfg, cfg.model):
-                replayed += 1
-    return CellSummary(
-        label=goal.kind.value,
-        episodes=n,
-        naive_success=naive / n,
-        replay_success=replayed / n,
-        wall_clock=time.perf_counter() - t0,
-    )
+    completes the goal) and replay-verified: `scaling_suite`'s one cell."""
+    row = scaling_suite(cfg, [cfg.planner], n)[0]
+    return replace(row, label=cfg.task.kind.value)
 
 
 def scaling_suite(cfg: RunConfig, cells: list[PlannerConfig], n: int) -> list[CellSummary]:
     """Plan-accuracy ablation: one row of n episodes per planner config, on
-    the same initial states in every cell."""
-    rows = []
-    for pcfg in cells:
-        row = plan_accuracy_suite(replace(cfg, planner=pcfg), n)
-        label = f"B{pcfg.beams}_A{pcfg.text_branch}_D{pcfg.video_branch}_H{pcfg.horizon}"
-        rows.append(replace(row, label=label))
-    return rows
+    the same initial states in every cell.
+
+    Episodes run outside and cells inside, and the plans of one episode share
+    a memo (`Planner.plan`), so a candidate set that cells have in common is
+    rolled out and valued once. Each row's ``wall_clock`` is its cell's own
+    time in this run, after that reuse: a later cell's figure is not its
+    standalone cost. Nothing is kept across episodes, suite calls or CLI
+    calls.
+    """
+    _check_episodes(n)
+    planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
+    goal, wcfg, seed = cfg.task, cfg.world, cfg.seeds[0]
+    naive, replayed, wall = [0] * len(cells), [0] * len(cells), [0.0] * len(cells)
+    for ep in range(n):
+        # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
+        # ablation runs reproducible.
+        x0 = sample_initial_state(cfg.n_blocks, derive(seed, 0, ep), wcfg)
+        memo: dict = {}
+        for c, pcfg in enumerate(cells):
+            t0 = time.perf_counter()
+            plan = planner.plan(x0, goal, pcfg, 0, ep, memo=memo)
+            if satisfied(plan.positions(), x0.colors, goal, wcfg).all(axis=-1).any():
+                naive[c] += 1
+                if replay_plan(x0, plan, goal, derive(seed, 0, ep, 1), wcfg, cfg.model):
+                    replayed[c] += 1
+            wall[c] += time.perf_counter() - t0
+    return [
+        CellSummary(
+            label=f"B{pcfg.beams}_A{pcfg.text_branch}_D{pcfg.video_branch}_H{pcfg.horizon}",
+            episodes=n,
+            naive_success=naive[c] / n,
+            replay_success=replayed[c] / n,
+            wall_clock=wall[c],
+        )
+        for c, pcfg in enumerate(cells)
+    ]
 
 
 def execution_suite(cfg: RunConfig, n: int, open_loop: bool = False) -> CellSummary:

@@ -118,7 +118,14 @@ class Planner:
         self.submodels = submodels if submodels is not None else simulator_submodels()
         self.events: list[dict] = []
 
-    def plan(self, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig, *unit: int) -> Plan:
+    def plan(
+        self,
+        x0: WorldState,
+        goal: TaskGoal,
+        cfg: PlannerConfig,
+        *unit: int,
+        memo: dict | None = None,
+    ) -> Plan:
         """Run the full H-step beam search and return the best plan. Its root
         seed is ``derive(cfg.root_seed, *unit)``: ``unit`` holds the indices of
         the caller's work unit (a run seed, an episode, a replan).
@@ -126,6 +133,17 @@ class Planner:
         Each step appends to each beam the best surviving rollout of its
         A x D candidates (on ties the first: `max` and `min` return the first
         extreme).
+
+        ``memo`` lets plans share their candidate sets: a set is keyed by
+        every input it depends on, ``(root, salt, b, h, A, D,
+        policy_temperature, frame positions)``, and a set already in the memo
+        is returned, valued, without a propose, rollout or value call. The
+        guard, ``beams``, ``horizon`` and ``replace_period`` act only after a
+        set is built, so plans that differ in them share it. A memo may be
+        shared only by plans from one start state and goal on this planner:
+        `harness.scaling_suite` hands the cells of one episode one memo, and
+        keeps none across episodes, suite calls or CLI calls. With no memo,
+        nothing is kept past the call.
         """
         sm = self.submodels
         root = derive(cfg.root_seed, *unit)
@@ -135,14 +153,21 @@ class Planner:
         words = rng_words(derive(root, 0, _SEED_ROLLOUT), cfg.beams, cfg.horizon + 1, A, D)
         events: list[dict] = []
 
-        def candidates(
-            beam: Plan, b: int, h: int, salt: int, step_words: np.ndarray
-        ) -> list[Rollout]:
+        def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
             """A x D rollouts from the beam's last frame, whose value is
             ``final_value``, valued in one call once all are made. Rollout
-            (i, j) draws from the generator of ``step_words[i, j]``, seeded
-            ``derive(root, salt, _SEED_ROLLOUT, b, h, i, j)``."""
+            (i, j) draws from the generator seeded ``derive(root, salt,
+            _SEED_ROLLOUT, b, h, i, j)``: a row of ``words`` for salt 0, of a
+            grid of its own for a resample."""
             frame = beam.last_frame
+            if memo is not None:
+                key = (root, salt, b, h, A, D, cfg.policy_temperature, frame.positions.tobytes())
+                if key in memo:
+                    return memo[key]
+            if salt == 0:
+                step_words = words[b, h]
+            else:
+                step_words = rng_words(derive(root, salt, _SEED_ROLLOUT, b, h), A, D)
             actions = sm.propose(
                 frame, goal, A, cfg.policy_temperature, derive(root, salt, _SEED_PROPOSE, b, h)
             )
@@ -154,13 +179,15 @@ class Planner:
             for r, v in zip(rollouts, sm.value([r.last for r in rollouts], goal)):
                 r.start_heuristic = beam.final_value
                 r.end_heuristic = v
+            if memo is not None:
+                memo[key] = rollouts
             return rollouts
 
         v0 = sm.value([x0], goal)[0]
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
             for b, beam in enumerate(beams):
-                found = candidates(beam, b, h, 0, words[b, h])
+                found = candidates(beam, b, h, 0)
                 kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
                 if len(kept) < len(found):
                     events.append(
@@ -175,8 +202,7 @@ class Planner:
                 if not kept:
                     # Total discard is not covered by the search rule: resample once
                     # with fresh seeds, then fall back to the least-suspect candidate.
-                    fresh = rng_words(derive(root, _SEED_RESAMPLE, _SEED_ROLLOUT, b, h), A, D)
-                    resampled = candidates(beam, b, h, _SEED_RESAMPLE, fresh)
+                    resampled = candidates(beam, b, h, _SEED_RESAMPLE)
                     kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
                     if not kept:
                         kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]

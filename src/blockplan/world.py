@@ -22,8 +22,8 @@ from .seeding import Rng, SeedLike, rng_from
 # Intended bound on residual penetration after a transition. It does not
 # hold yet: a block pinned at the board edge has half of each separation
 # undone by the re-clamp, and `collision_iters` passes can leave overlaps of
-# about 1.7e-5 (ROADMAP defect "`step_true` can leave blocks overlapping by
-# more than `EPS_GEOM`").
+# up to about 4.8e-5: 12 of 16,000 steps of 10 blocks broke the bound (ROADMAP
+# defect "`step_true` can leave blocks overlapping by more than `EPS_GEOM`").
 EPS_GEOM = 1e-6
 
 # Off-board position marking a block the dynamics model has "lost".

@@ -4,9 +4,9 @@ from unittest import mock
 
 import pytest
 
-from blockplan import harness
 from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
+from blockplan.planner import Planner
 from blockplan.tracing import read_trace
 
 
@@ -315,11 +315,10 @@ class TestAblateCommand:
         assert run(["ablate", "--cells", "1,2", "--episodes", "1"]) == 2
 
     def test_bad_later_cell_refused_before_any_episode(self, outdir, capsys):
-        with mock.patch.object(
-            harness, "plan_accuracy_suite", wraps=harness.plan_accuracy_suite
-        ) as suite:
+        # Every episode of every cell runs through `Planner.plan`.
+        with mock.patch.object(Planner, "plan", autospec=True, side_effect=Planner.plan) as plan:
             assert run(["ablate", "--cells", "1,1,1,1;1,0,1", "--episodes", "1"]) == 2
-        assert suite.call_count == 0
+        assert plan.call_count == 0
         assert capsys.readouterr().err == "error: text_branch must be >= 1, got 0\n"
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockplan import harness
+from blockplan.cli import main
 from blockplan.config import RunConfig
 from blockplan.errors import CapacityError, ConfigError, InvalidActionError
 from blockplan.harness import (
@@ -13,7 +20,7 @@ from blockplan.harness import (
 )
 from blockplan.executor import ExecutionConfig
 from blockplan.planner import Plan, Planner, PlannerConfig
-from blockplan.seeding import rng_from
+from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -28,6 +35,7 @@ from blockplan.world import (
     group_by_color,
     make_line,
     move_to_area,
+    sample_initial_state,
 )
 
 from helpers import EXACT_MODEL, EXACT_WORLD, make_state
@@ -191,3 +199,149 @@ class TestSuites:
     def test_suites_refuse_fewer_than_one_episode(self, suite, n):
         with pytest.raises(ConfigError, match=f"episodes must be >= 1, got {n}"):
             suite(self.EXEC_CFG, n)
+
+
+# --- Cells that share an episode ----------------------------------------------
+
+SHARED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# Each change makes a cell from the base cell; two changes to one field make
+# cells that differ in it alone, and {} repeats the base cell.
+CELL_CHANGES = [
+    {},
+    {"beams": 1},
+    {"beams": 2},
+    {"horizon": 2},
+    {"horizon": 4},
+    {"text_branch": 1},
+    {"text_branch": 3},
+    {"video_branch": 1},
+    {"video_branch": 2},
+    {"guard_threshold": 3.0},
+    {"guard_threshold": 1e9},
+    {"policy_temperature": 0.0},
+    {"policy_temperature": 0.3},
+]
+
+
+@st.composite
+def ablations(draw):
+    """A small run config and 2-4 cells, each the base cell with one change."""
+    base = PlannerConfig(
+        beams=draw(st.integers(1, 2)),
+        text_branch=draw(st.integers(1, 3)),
+        video_branch=draw(st.integers(1, 2)),
+        horizon=draw(st.integers(1, 4)),
+        # At 0.5 whole candidate sets are discarded often enough that the
+        # resampled sets are shared too.
+        guard_threshold=draw(st.sampled_from([0.5, 3.0])),
+        root_seed=draw(st.integers(0, 3)),
+    )
+    changes = draw(st.lists(st.sampled_from(CELL_CHANGES), min_size=2, max_size=4))
+    cfg = RunConfig(
+        task=draw(st.sampled_from([group_by_color(), make_line()])),
+        planner=base,
+        faults=FaultConfig(p_teleport=draw(st.sampled_from([0.0, 0.5]))),
+        n_blocks=draw(st.integers(2, 5)),
+        seeds=(draw(st.integers(0, 99)),),
+    )
+    return cfg, [replace(base, **c) for c in changes]
+
+
+def _scores(row):
+    return row.label, row.episodes, row.naive_success, row.replay_success
+
+
+@SHARED
+@given(ablations())
+def test_each_row_is_its_cell_run_alone(example):
+    cfg, cells = example
+    rows = scaling_suite(cfg, cells, 2)
+    assert [_scores(r) for r in rows] == [_scores(scaling_suite(cfg, [c], 2)[0]) for c in cells]
+
+
+@SHARED
+@given(ablations(), st.integers(0, 3))
+def test_a_filled_memo_leaves_the_plan_unchanged(example, ep):
+    # Each cell plans through a memo its earlier cells filled, and again with
+    # none; plans and events must not tell the two apart.
+    cfg, cells = example
+    x0 = sample_initial_state(cfg.n_blocks, derive(cfg.seeds[0], 0, ep), cfg.world)
+    sm = simulator_submodels(cfg.world, cfg.model, cfg.faults)
+    shared, alone, memo = Planner(sm), Planner(sm), {}
+    for pcfg in cells:
+        a = shared.plan(x0, cfg.task, pcfg, 0, ep, memo=memo)
+        b = alone.plan(x0, cfg.task, pcfg, 0, ep)
+        assert a.positions().tobytes() == b.positions().tobytes()
+        assert a.actions == b.actions
+        assert (a.final_value, a.beam_index) == (b.final_value, b.beam_index)
+        assert shared.events == alone.events
+
+
+@contextlib.contextmanager
+def counted_rollouts():
+    """Within the block, each bundle the harness makes counts its rollout
+    calls: yields the list of their `mock.Mock` rollouts, one per bundle."""
+    rollouts = []
+    factory = harness.simulator_submodels
+
+    def make(*args):
+        sm = factory(*args)
+        rollouts.append(mock.Mock(wraps=sm.rollout))
+        return replace(sm, rollout=rollouts[-1])
+
+    with mock.patch.object(harness, "simulator_submodels", make):
+        yield rollouts
+
+
+class TestSharedCandidates:
+    # make_line's guard never fires, so no cell resamples.
+    CFG = RunConfig(task=make_line(), n_blocks=5, seeds=(3,))
+    BASE = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=4)
+
+    def test_cells_in_common_are_rolled_out_once(self):
+        # H4 < replace_period: B2's beam 0 is never overwritten, so it
+        # repeats the B1 cell.
+        cells = [self.BASE, self.BASE, replace(self.BASE, beams=2, guard_threshold=1e9)]
+        with counted_rollouts() as rollouts:
+            scaling_suite(self.CFG, cells, 1)
+            (shared,) = rollouts
+            # The repeated cell and B2's beam 0 reuse the first cell's sets.
+            assert shared.call_count == 2 * 4 * 2 * 2
+            for c in cells:
+                scaling_suite(self.CFG, [c], 1)
+        assert sum(r.call_count for r in rollouts[1:]) == (1 + 1 + 2) * 4 * 2 * 2
+
+    def test_resampled_sets_are_shared(self):
+        cfg = RunConfig(
+            task=group_by_color(), n_blocks=5, seeds=(0,), faults=FaultConfig(p_teleport=0.5)
+        )
+        cell = replace(self.BASE, guard_threshold=0.5)
+        with counted_rollouts() as rollouts:
+            scaling_suite(cfg, [cell, cell], 1)
+        # Three of the first cell's four steps discard all four candidates and
+        # resample; the repeated cell makes none.
+        assert rollouts[0].call_count == (4 + 3) * 2 * 2
+
+    def test_memory_does_not_grow_with_episodes(self):
+        cfg = replace(self.CFG, task=group_by_color(), n_blocks=6)
+        cells = [PlannerConfig(horizon=8), PlannerConfig(beams=1, horizon=8)]
+        scaling_suite(cfg, cells, 1)  # the first call builds module-level caches
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                scaling_suite(cfg, cells, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(2)
+
+    def test_nothing_survives_a_cli_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BLOCKPLAN_OUT", str(tmp_path))
+        argv = ["ablate", "--cells", "1,2,2,4;2,2,2,4", "--episodes", "2", "--set", "n_blocks=4"]
+        with counted_rollouts() as rollouts:
+            assert main(argv) == 0
+            assert main(argv) == 0
+        first, second = rollouts
+        assert first.call_count == second.call_count > 0
