@@ -119,12 +119,12 @@ def replay_plan(
     if is_complete(state, goal, wcfg):
         return True
     for action in plan.actions:
-        target = action.target.resolve(state, action.subject, wcfg)
+        tx, ty = action.target.resolve(state, action.subject, wcfg).tolist()
         for _ in range(controls_per_action):
-            delta = target - state.pos(action.subject)
-            dx, dy = delta.tolist()
+            x, y = state.pos(action.subject).tolist()
+            dx, dy = tx - x, ty - y
             d = math.sqrt(dx * dx + dy * dy)
-            u = ControlAction.bounded(action.subject, delta, d, wcfg.u_max)
+            u = ControlAction.bounded(action.subject, dx, dy, d, wcfg.u_max)
             state = step_true(state, u, rng, wcfg)
             if is_complete(state, goal, wcfg):
                 return True

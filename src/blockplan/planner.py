@@ -42,6 +42,10 @@ class PlannerConfig:
 
     def __post_init__(self):
         require(self, ">= 1", "beams", "text_branch", "video_branch", "horizon", "replace_period")
+        # A seed grid's index is one uint32 word (`seeding.rng_words`); the
+        # horizon axis is horizon + 1 long. `text_branch` is capped at the
+        # grammar size before any grid is built.
+        require(self, "<= 4294967295", "beams", "video_branch", "horizon")
         require(self, "> 0", "guard_threshold")
         require(self, ">= 0", "policy_temperature", "root_seed")
 

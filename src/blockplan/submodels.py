@@ -29,7 +29,7 @@ from .world import (
     WorldConfig,
     WorldState,
     goal_distance,
-    is_lost,
+    lost_rows,
     require,
     require_finite,
 )
@@ -322,17 +322,31 @@ def heuristic(
 # --- Low-level controllers ---------------------------------------------------
 
 
-def _goal_discrepancies(
-    state: WorldState, goal_state: WorldState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block displacement to the goal frame and its length; a block lost
-    in either frame counts as not displaced."""
+Discrepancies = tuple[list[tuple[float, float]], list[float]]
+
+
+def _goal_discrepancies(state: WorldState, goal_state: WorldState) -> Discrepancies:
+    """Per-block displacement to the goal frame and its length, as Python
+    floats; a block lost in either frame counts as not displaced."""
     if state.ids != goal_state.ids:
         raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
-    lost = is_lost(state.positions) | is_lost(goal_state.positions)
-    deltas = np.where(lost[:, None], 0.0, goal_state.positions - state.positions)
+    a = state.positions.tolist()
+    b = goal_state.positions.tolist()
+    deltas = [
+        (0.0, 0.0) if lost_a or lost_b else (bx - ax, by - ay)
+        for (ax, ay), (bx, by), lost_a, lost_b in zip(a, b, lost_rows(a), lost_rows(b))
+    ]
     # np.linalg.norm(deltas, axis=1), bit for bit, as in `goal_distance`.
-    return deltas, np.sqrt(np.add.reduce(deltas * deltas, 1))
+    return deltas, [math.sqrt(dx * dx + dy * dy) for dx, dy in deltas]
+
+
+def _largest(norms: list[float]) -> int:
+    """The index ``np.argmax(norms)`` gives for non-negative floats: the first
+    NaN if there is one, which makes their sum NaN, else the first of the
+    largest. So ``norms[_largest(norms)]`` is ``np.max(norms)``."""
+    if math.isnan(sum(norms)):
+        return next(i for i, n in enumerate(norms) if math.isnan(n))
+    return norms.index(max(norms))
 
 
 def goal_policy(
@@ -341,7 +355,7 @@ def goal_policy(
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
     *,
-    discrepancies: tuple[np.ndarray, np.ndarray] | None = None,
+    discrepancies: Discrepancies | None = None,
 ) -> ControlAction:
     """Servo toward a goal frame: push the block with the largest positional
     discrepancy, displacement clipped to u_max. A block lost in either frame
@@ -351,10 +365,10 @@ def goal_policy(
     if discrepancies is None:
         discrepancies = _goal_discrepancies(state, goal_state)
     deltas, norms = discrepancies
-    idx = int(np.argmax(norms))
+    idx = _largest(norms)
     if norms[idx] <= mcfg.goal_eps:
         return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
-    return ControlAction.bounded(state.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
+    return ControlAction.bounded(state.ids[idx], *deltas[idx], norms[idx], wcfg.u_max)
 
 
 def inverse_dynamics(
@@ -366,8 +380,8 @@ def inverse_dynamics(
     with the largest delta, clipped to u_max. A block lost in either frame is
     not displaced, so if no block moves the control is zero."""
     deltas, norms = _goal_discrepancies(frame_a, frame_b)
-    idx = int(np.argmax(norms))
-    return ControlAction.bounded(frame_a.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
+    idx = _largest(norms)
+    return ControlAction.bounded(frame_a.ids[idx], *deltas[idx], norms[idx], wcfg.u_max)
 
 
 # --- Scripted proposal policy ------------------------------------------------
@@ -543,7 +557,8 @@ def simulator_submodels(
 
     def _controller(state, goal_state):
         discrepancies = _goal_discrepancies(state, goal_state)
-        if discrepancies[1].max() > mcfg.controller_reach:
+        norms = discrepancies[1]
+        if norms[_largest(norms)] > mcfg.controller_reach:
             return None
         return goal_policy(state, goal_state, wcfg, mcfg, discrepancies=discrepancies)
 

@@ -96,7 +96,8 @@ class WorldConfig:
     area_dx: float = 0.2
     area_dy: float = 0.27
     line_dist: float = 0.05
-    # Collision resolution: pairwise disk separation iterated to fixpoint.
+    # Collision resolution: at most this many passes of pairwise disk
+    # separation; a run that reaches the cap can leave overlaps (`EPS_GEOM`).
     collision_iters: int = 8
 
     def __post_init__(self):
@@ -109,10 +110,13 @@ class WorldConfig:
     def board(self) -> tuple[float, float]:
         return (self.width, self.height)
 
-    def corner_point(self, corner: Corner) -> np.ndarray:
+    def corner_xy(self, corner: Corner) -> tuple[float, float]:
         x = 0.0 if corner in (Corner.TOP_LEFT, Corner.BOTTOM_LEFT) else self.width
         y = self.height if corner in (Corner.TOP_LEFT, Corner.TOP_RIGHT) else 0.0
-        return np.array([x, y])
+        return x, y
+
+    def corner_point(self, corner: Corner) -> np.ndarray:
+        return np.array(self.corner_xy(corner))
 
     @property
     def center_point(self) -> np.ndarray:
@@ -178,10 +182,14 @@ class ControlAction:
     displacement: tuple[float, float]
 
     @classmethod
-    def bounded(cls, block: int, delta: np.ndarray, norm: float, u_max: float) -> "ControlAction":
-        """Move ``block`` by ``delta``, scaled to ``u_max`` if its ``norm`` exceeds it."""
-        d = delta / norm * u_max if norm > u_max else delta
-        return cls(block, (float(d[0]), float(d[1])))
+    def bounded(
+        cls, block: int, dx: float, dy: float, norm: float, u_max: float
+    ) -> "ControlAction":
+        """Move ``block`` by ``(dx, dy)``, scaled to ``u_max`` if its ``norm``
+        exceeds it."""
+        if norm > u_max:
+            dx, dy = dx / norm * u_max, dy / norm * u_max
+        return cls(block, (dx, dy))
 
 
 @dataclass(frozen=True)
@@ -230,7 +238,9 @@ def _clamp(pos: list[list[float]], cfg: WorldConfig) -> None:
 
 
 def _resolve_collisions(pos: list[list[float]], cfg: WorldConfig) -> list[list[float]]:
-    """Push overlapping disks apart, then re-clamp, iterated to a fixpoint.
+    """Push overlapping disks apart, then re-clamp, for up to
+    ``collision_iters`` passes, stopping early after a pass that moves no
+    block. A capped run can end with overlaps left (see `EPS_GEOM`).
 
     ``pos`` holds one ``[x, y]`` list of Python floats per block and is
     updated in place. Each pass is Gauss-Seidel over every pair i < j in
@@ -300,6 +310,12 @@ def is_lost(positions: np.ndarray) -> np.ndarray:
     return (positions < 0.0).any(axis=-1)
 
 
+def lost_rows(pos: list[list[float]]) -> list[bool]:
+    """`is_lost` of one position set given as ``[x, y]`` pairs of Python
+    floats, bit for bit (tested)."""
+    return [x < 0.0 or y < 0.0 for x, y in pos]
+
+
 @functools.lru_cache(maxsize=256)
 def _peer_rows(colors: tuple[Color, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each block's same-color peers, in index order, as the rows of an
@@ -311,6 +327,17 @@ def _peer_rows(colors: tuple[Color, ...]) -> tuple[np.ndarray, np.ndarray]:
     real = np.take_along_axis(peer, rows, axis=1)
     rows.flags.writeable = real.flags.writeable = False
     return rows, real
+
+
+@functools.lru_cache(maxsize=256)
+def _peer_lists(colors: tuple[Color, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each block's same-color peers, in index order: the peers of
+    `_peer_rows` as tuples of Python ints."""
+    rows, real = _peer_rows(colors)
+    return tuple(
+        tuple(j for j, peer in zip(row, mask) if peer)
+        for row, mask in zip(rows.tolist(), real.tolist())
+    )
 
 
 def goal_distance(
@@ -348,17 +375,55 @@ def satisfied(
     return goal_distance(positions, colors, goal, cfg) <= GOAL_TOL
 
 
+def satisfied_rows(
+    pos: list[list[float]], colors: tuple[Color, ...], goal: TaskGoal, cfg: WorldConfig
+) -> list[bool]:
+    """`satisfied` of one position set given as ``[x, y]`` pairs of Python
+    floats, bit for bit (tested). It does `goal_distance`'s arithmetic but
+    for steps that cannot change the answer: the clamp at 0 before the
+    make-line test, and the farthest peer of a group-by-color block, which
+    is in its region iff every peer is within ``group_dist`` of it."""
+    own = pos
+    if any(lost_rows(pos)):
+        own = [[x, y] for x, y in pos]
+        _clamp(own, cfg)
+    if goal.kind is GoalKind.MOVE_TO_AREA:
+        cx, cy = cfg.corner_xy(goal.corner)
+        out = []
+        for x, y in own:
+            gx = abs(x - cx) - cfg.area_dx
+            gy = abs(y - cy) - cfg.area_dy
+            gx = 0.0 if gx <= 0.0 else gx  # np.maximum(0.0, gap): NaN stays
+            gy = 0.0 if gy <= 0.0 else gy
+            out.append(math.sqrt(gx * gx + gy * gy) <= GOAL_TOL)
+        return out
+    if goal.kind is GoalKind.MAKE_LINE:
+        mid = cfg.width / 2.0
+        return [abs(x - mid) - cfg.line_dist <= GOAL_TOL for x, _ in own]
+    out = []
+    for (ox, oy), peers in zip(own, _peer_lists(colors)):
+        ok = True
+        for j in peers:
+            dx = pos[j][0] - ox
+            dy = pos[j][1] - oy
+            if not math.sqrt(dx * dx + dy * dy) - cfg.group_dist <= GOAL_TOL:
+                ok = False  # a NaN distance too, as numpy's max propagates it
+                break
+        out.append(ok)
+    return out
+
+
 def reward(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> float:
     """Percentage of blocks satisfying the goal predicate, in [0, 100]."""
     if state.n_blocks == 0:
         return 100.0
-    hits = np.count_nonzero(satisfied(state.positions, state.colors, goal, cfg))
+    hits = sum(satisfied_rows(state.positions.tolist(), state.colors, goal, cfg))
     return 100.0 * hits / state.n_blocks
 
 
 def is_complete(state: WorldState, goal: TaskGoal, cfg: WorldConfig = WorldConfig()) -> bool:
     """True iff every block satisfies the goal predicate (reward 100)."""
-    return bool(satisfied(state.positions, state.colors, goal, cfg).all())
+    return all(satisfied_rows(state.positions.tolist(), state.colors, goal, cfg))
 
 
 def sample_initial_state(

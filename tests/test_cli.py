@@ -85,6 +85,10 @@ OUT_OF_RANGE = [
     "model.push_reach=Infinity",
     "world.sigma_env=Infinity",
     "planner.beams=0",
+    # A seed grid's index is one uint32 word.
+    "planner.beams=5000000000",
+    "planner.video_branch=5000000000",
+    "planner.horizon=5000000000",
     "planner.guard_threshold=0",
     "execution.total_budget=0",
     "n_blocks=0",
@@ -313,6 +317,7 @@ class TestAblateCommand:
 
     def test_bad_cells_exit_two(self, outdir):
         assert run(["ablate", "--cells", "1,2", "--episodes", "1"]) == 2
+        assert run(["ablate", "--cells", "1,1,5000000000,1", "--episodes", "1"]) == 2
 
     def test_bad_later_cell_refused_before_any_episode(self, outdir, capsys):
         # Every episode of every cell runs through `Planner.plan`.

@@ -291,7 +291,7 @@ def control_chains(draw):
         st.lists(st.tuples(st.sampled_from(s.ids), component, component), min_size=1, max_size=20)
     )
     chain = [
-        ControlAction.bounded(b, np.array([dx, dy]), np.hypot(dx, dy), WCFG.u_max)
+        ControlAction.bounded(b, dx, dy, float(np.hypot(dx, dy)), WCFG.u_max)
         for b, dx, dy in controls
     ]
     return s, chain, draw(st.integers(0, 2**32 - 1))

@@ -238,3 +238,31 @@ def test_the_true_step_runs_on_python_floats():
     ], sites
     returned = funcs["step_true"].body[-1]
     assert isinstance(returned, ast.Return) and calls[0][1] in list(ast.walk(returned)), sites
+
+
+def test_the_control_path_runs_on_python_floats():
+    """Per control, the closed loop checks completion and asks a controller
+    for the next push: ``world.is_complete``, ``reward``, ``satisfied_rows``,
+    ``lost_rows`` and ``ControlAction.bounded``, and in ``submodels.py`` the
+    controllers, their discrepancies and their argmax, call no ``np.*``
+    function. Each reads a state's positions with one ``tolist``."""
+    wanted = {
+        "world.py": {"is_complete", "reward", "satisfied_rows", "lost_rows", "bounded"},
+        "submodels.py": {
+            "_goal_discrepancies", "_largest", "goal_policy", "inverse_dynamics", "_controller"
+        },
+    }
+    sites, found = [], set()
+    for name, funcs in wanted.items():
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in funcs:
+                found.add(func.name)
+                sites.extend(
+                    f"{name}:{node.lineno} {func.name} {ast.unparse(node.func)}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and any(n.startswith("numpy.") for n in _dotted(node.func))
+                )
+    assert found == set().union(*wanted.values())
+    assert not sites, sites
