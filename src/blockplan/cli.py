@@ -2,10 +2,10 @@
 
 Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
 Exit codes: 0 success, 1 runtime failure, 2 usage error / invalid config /
-capacity error / unreadable path / a JSON object whose key repeats (in a
-config file, a ``--set`` value or a trace line) / a trace of another schema
-version or whose ``config_hash`` is not the digest of its stored config, 3
-replay divergence.
+capacity error / an allocation the machine cannot make / unreadable path /
+a JSON object whose key repeats (in a config file, a ``--set`` value or a
+trace line) / a trace of another schema version or whose ``config_hash`` is
+not the digest of its stored config, 3 replay divergence.
 The output directory can be overridden with the ``BLOCKPLAN_OUT`` environment
 variable.
 """
@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, CapacityError, OSError) as e:
+    except (ConfigError, CapacityError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BlockplanError as e:

@@ -105,7 +105,7 @@ def execute_segmentwise(
                         "kind": "Control",
                         "step": steps_used + issued,
                         "block": u.target_block,
-                        "displacement": [tracing.round9(d) for d in u.displacement],
+                        "displacement": tracing.wire_positions(u.displacement),
                         "state_hash": tracing.state_digest(env_state),
                     }
                 )

@@ -115,7 +115,7 @@ class Target:
         centroid with no peer is the subject itself; a target naming a block
         or a color that the state lacks raises `InvalidActionError`."""
         if self.kind == "corner":
-            return cfg.corner_point(self.corner)
+            return np.array(cfg.corner_xy(self.corner))
         if self.kind == "center":
             return cfg.center_point
         if self.kind == "block":
@@ -411,7 +411,7 @@ def idealized_outcome(
 def _fixed_targets(wcfg: WorldConfig) -> np.ndarray:
     """The four corners in `Corner` order, then the center, as the rows of
     one read-only ``(5, 2)`` array: the fixed rows of `idealized_outcomes`."""
-    rows = np.array([*(wcfg.corner_point(c) for c in Corner), wcfg.center_point])
+    rows = np.array([*(wcfg.corner_xy(c) for c in Corner), wcfg.center_point])
     rows.flags.writeable = False
     return rows
 

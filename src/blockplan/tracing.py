@@ -1,20 +1,21 @@
 """Serialization, state hashing, and JSONL trace persistence.
 
-Numbers serialize as decimals with 9 significant digits: each record rounds
-its floats once, where the record is built (a scalar with `round9`, every
-position array with `wire_positions` in one pass, to the same values), and
-records are written as sorted-key, compact JSON. Hashes are computed over
-that form. Every distance is the square root of the sum of two rounded
-squares, which round alike on every IEEE host, so replay rests on no BLAS
-build or CPU kernel; it still rests on numpy's SIMD ``np.exp`` (the proposal
-softmax) and its ``SeedSequence`` and ``PCG64`` algorithms. Trace files are
-one JSON object per line with a leading header record: the schema version,
-the run configuration and its hash.
+Each record rounds its numbers once, where it is built: a length (a
+position, a plan frame, a control's displacement) becomes with
+`wire_positions` the nearest integer count of 1e-9 board units, exact on the
+wire at any board size, and every other float becomes with `round9` a
+decimal of 9 significant digits. Records are written as sorted-key, compact
+JSON, and hashes are computed over that form. Every distance is the square
+root of the sum of two rounded squares, which round alike on every IEEE
+host, so replay rests on no BLAS build or CPU kernel; it still rests on
+numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence`` and
+``PCG64`` algorithms. Trace files are one JSON object per line with a
+leading header record: the schema version, the run configuration and its
+hash.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from typing import Any
@@ -24,11 +25,12 @@ import numpy as np
 from .errors import ConfigError
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def round9(x: float) -> float:
-    """Round to 9 significant decimal digits (the wire precision)."""
+    """Round to 9 significant decimal digits (the wire precision of a float
+    that is not a length)."""
     return float(f"{float(x):.9g}")
 
 
@@ -46,11 +48,15 @@ def digest(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def wire_positions(positions: np.ndarray) -> list:
-    """A position array as nested lists of floats, each rounded as `round9`
-    does, in one pass over the flattened array."""
-    flat = list(map(float, map("{:.9g}".format, positions.ravel().tolist())))
-    return np.array(flat).reshape(positions.shape).tolist()
+_round = np.frompyfunc(round, 1, 1)  # to a Python int, elementwise
+
+
+def wire_positions(x) -> list:
+    """Lengths as nested lists of Python ints, each the nearest count of 1e-9
+    board units (half to even). Python ints are unbounded, so a board too
+    wide for int64 still writes exactly; a NaN or infinity raises
+    `ValueError` or `OverflowError`."""
+    return _round(np.multiply(x, 1e9)).tolist()
 
 
 # --- WorldState --------------------------------------------------------------
@@ -68,24 +74,12 @@ def state_from_dict(d: dict) -> WorldState:
     return WorldState(
         ids=tuple(int(i) for i in d["ids"]),
         colors=tuple(Color(c) for c in d["colors"]),
-        positions=np.array(d["positions"], dtype=float),
+        positions=np.array(d["positions"], dtype=float) / 1e9,
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _state_json_head(ids: tuple[int, ...], colors: tuple[Color, ...]) -> str:
-    """The canonical JSON of a `state_to_dict` up to its positions, the last
-    key in sorted order."""
-    head = _encode({"colors": [c.value for c in colors], "ids": list(ids)})
-    return head[:-1] + ',"positions":'
-
-
 def state_digest(state: WorldState) -> str:
-    """``digest(state_to_dict(state))``, with the ids and colors encoded once
-    per block set."""
-    positions = canonical_json(wire_positions(state.positions))
-    text = f"{_state_json_head(state.ids, state.colors)}{positions}}}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest(state_to_dict(state))
 
 
 # --- Plan --------------------------------------------------------------------
@@ -93,8 +87,8 @@ def state_digest(state: WorldState) -> str:
 
 def plan_to_dict(plan) -> dict:
     """A `planner.Plan` with its blocks' ids and colors written once and each
-    frame as the bare list of its positions, rounded in one pass over the
-    plan's stacked positions."""
+    frame as the bare list of its positions, in one pass over the plan's
+    stacked positions."""
     return {
         "actions": [a.text(plan.start) for a in plan.actions],
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],

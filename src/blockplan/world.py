@@ -115,9 +115,6 @@ class WorldConfig:
         y = self.height if corner in (Corner.TOP_LEFT, Corner.TOP_RIGHT) else 0.0
         return x, y
 
-    def corner_point(self, corner: Corner) -> np.ndarray:
-        return np.array(self.corner_xy(corner))
-
     @property
     def center_point(self) -> np.ndarray:
         return np.array([self.width / 2.0, self.height / 2.0])
@@ -355,7 +352,7 @@ def goal_distance(
     if (positions < 0.0).any():
         own = np.clip(positions, 0.0, cfg.board)
     if goal.kind is GoalKind.MOVE_TO_AREA:
-        gap = np.abs(own - cfg.corner_point(goal.corner)) - (cfg.area_dx, cfg.area_dy)
+        gap = np.abs(own - cfg.corner_xy(goal.corner)) - (cfg.area_dx, cfg.area_dy)
         gap = np.maximum(0.0, gap)
         return np.sqrt(np.add.reduce(gap * gap, -1))
     if goal.kind is GoalKind.MAKE_LINE:

@@ -7,7 +7,9 @@ import pytest
 from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.planner import Planner
+from blockplan.seeding import derive
 from blockplan.tracing import read_trace
+from blockplan.world import WorldConfig, sample_initial_state
 
 
 @pytest.fixture
@@ -185,6 +187,12 @@ class TestConfigBoundary:
     def test_radius_too_large_to_square_exit_two(self, outdir, capsys):
         overrides = ["n_blocks=3", "planner.horizon=1", "world.block_radius=1e300"]
         assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 2
+        assert_config_error(capsys)
+
+    def test_allocation_past_any_address_space_exit_two(self, outdir, capsys):
+        # A rollout's noise would take 14 PiB, more than any 64-bit user
+        # address space: refused at once, whatever the overcommit setting.
+        assert run(["plan", "--set", "model.frames_per_rollout=1000000000000000"]) == 2
         assert_config_error(capsys)
 
     def test_directory_as_config_exit_two(self, outdir, capsys, tmp_path):
@@ -383,6 +391,20 @@ class TestReplayCommand:
         )
         assert run(["replay", str(outdir / "episode_5.jsonl")]) == 0
 
+    def test_board_past_int64_writes_exact_integers_and_verifies(self, outdir):
+        # Lengths are unbounded counts of 1e-9 board units: an int64 count
+        # would wrap past 9.2e9 units on this 1e12-wide board.
+        assert run(["plan", "--set", "world.width=1e12", "--set", "planner.horizon=2"]) == 0
+        path = str(outdir / "plan_0.jsonl")
+        records = read_trace(path)
+        x0 = sample_initial_state(4, derive(0), WorldConfig(width=1e12))
+        want = [[round(x * 1e9), round(y * 1e9)] for x, y in x0.positions.tolist()]
+        assert records[1]["state"]["positions"] == want
+        assert 636961687321448808448 in want[0]
+        frames = records[-1]["plan"]["frames"]
+        assert frames[0] == want and max(v for f in frames for row in f for v in row) > 2**63
+        assert run(["replay", path]) == 0
+
     def test_tampered_trace_exit_three(self, outdir, capsys):
         run(["plan", "--seed", "6", "--set", "planner.horizon=2"])
         path = outdir / "plan_6.jsonl"
@@ -429,13 +451,14 @@ class TestReplayCommand:
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
 
-    # Each edits the header of a golden trace: a schema-1 to schema-4 trace,
+    # Each edits the header of a golden trace: a schema-1 to schema-5 trace,
     # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
         "schema_version_2": lambda header: header.update(schema_version=2),
         "schema_version_3": lambda header: header.update(schema_version=3),
         "schema_version_4": lambda header: header.update(schema_version=4),
+        "schema_version_5": lambda header: header.update(schema_version=5),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 

@@ -1,9 +1,10 @@
 """Oracle tests of the forms that stand in for numpy's Python-level wrappers
 on the per-call paths: the proposal draw for ``Generator.choice``, the
-centroid sum for ``.mean``, the row norms for ``np.linalg.norm``, the
-cached state digest and the one-pass plan rounding. Each oracle is the
-wrapper the form replaced, and each form must equal it byte for byte; the
-scalar norm's oracle is the row norm."""
+centroid sum for ``.mean``, the row norms for ``np.linalg.norm`` and the
+one-pass rounding of lengths to the wire. Each oracle is the wrapper the
+form replaced, and each form must equal it byte for byte; the scalar norm's
+oracle is the row norm, and the rounding's is Python's per-element
+``round``."""
 
 import math
 from unittest import mock
@@ -26,19 +27,11 @@ from blockplan.submodels import (
     propose_actions,
     simulator_submodels,
 )
-from blockplan.tracing import (
-    canonical_json,
-    digest,
-    plan_to_dict,
-    round9,
-    state_digest,
-    state_to_dict,
-)
+from blockplan.tracing import canonical_json, plan_to_dict, state_to_dict, wire_positions
 from blockplan.world import (
     Color,
     Corner,
     WorldConfig,
-    WorldState,
     group_by_color,
     is_complete,
     make_line,
@@ -245,15 +238,29 @@ def test_row_norms_equal_linalg_norm():
 # --- Tracing -------------------------------------------------------------------
 
 
+# Lengths up to the widest board a run accepts, whose squared diagonal is
+# finite, and values near a half count of 1e-9.
+LENGTH = st.floats(-1e154, 1e154) | st.sampled_from([-0.0, 5e-324, 5e-10, 1.5e-9, -2.5e-9])
+
+
 @PROPERTY
-@given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=8), st.data())
-def test_state_digest_equals_digest_of_dict(positions, data):
-    n = len(positions)
-    ids = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
-    colors = data.draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
-    sign = data.draw(st.sampled_from([1.0, -1.0]))
-    s = WorldState(tuple(ids), tuple(colors), sign * np.array(positions))
-    assert state_digest(s) == digest(state_to_dict(s))
+@given(st.lists(st.tuples(LENGTH, LENGTH), min_size=1, max_size=8))
+def test_wire_positions_equal_per_element_round(positions):
+    """Python ints, so a count past int64 (9.2e9 board units) stays exact."""
+    got = wire_positions(np.array(positions))
+    assert got == [[round(x * 1e9), round(y * 1e9)] for x, y in positions]
+    assert {type(v) for row in got for v in row} == {int}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_length_refused(bad):
+    """A NaN or infinite coordinate has no count of 1e-9 units, so it cannot
+    reach a trace as a non-JSON ``NaN`` or ``Infinity``."""
+    s = make_state([(0.1, 0.2), (bad, 0.3)])
+    with pytest.raises((ValueError, OverflowError)):
+        state_to_dict(s)
+    with pytest.raises((ValueError, OverflowError)):
+        plan_to_dict(Plan(s))
 
 
 def plans():
@@ -274,11 +281,17 @@ PLANS = list(plans())
 
 @pytest.mark.parametrize("plan", PLANS)
 def test_plan_frames_equal_per_frame_positions(plan):
+    frames = [f.positions.tolist() for f in plan.frames()]
+    if not np.isfinite(frames).all():  # the two edge plans
+        # numpy reports 1e300 * 1e9 overflowing before `round` refuses it.
+        with np.errstate(over="ignore"), pytest.raises((ValueError, OverflowError)):
+            plan_to_dict(plan)
+        return
     got = plan_to_dict(plan)["frames"]
     # The per-element rounding that the one pass replaced.
-    want = [[[round9(x), round9(y)] for x, y in f.positions.tolist()] for f in plan.frames()]
+    want = [[[round(x * 1e9), round(y * 1e9)] for x, y in f] for f in frames]
     assert canonical_json(got) == canonical_json(want)
-    assert {type(x) for frame in got for row in frame for x in row} <= {float}
+    assert {type(x) for frame in got for row in frame for x in row} <= {int}
 
 
 @pytest.mark.parametrize("plan", PLANS[:-2])

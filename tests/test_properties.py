@@ -186,7 +186,7 @@ def oracle_region_distance(state, goal, i, p, cfg):
     """The scalar region distance of block ``i`` at ``p`` that the array
     geometry replaced, kept as its oracle."""
     if goal.kind is GoalKind.MOVE_TO_AREA:
-        c = cfg.corner_point(goal.corner)
+        c = cfg.corner_xy(goal.corner)
         dx = max(0.0, abs(p[0] - c[0]) - cfg.area_dx)
         dy = max(0.0, abs(p[1] - c[1]) - cfg.area_dy)
         return math.sqrt(dx * dx + dy * dy)

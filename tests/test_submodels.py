@@ -193,7 +193,7 @@ class TestRollout:
         r = rollout_dynamics(
             s, a, rng_from(0), faults=FaultConfig(p_teleport=1.0), mcfg=EXACT
         )
-        corner = WCFG.corner_point(Corner.TOP_RIGHT)
+        corner = WCFG.corner_xy(Corner.TOP_RIGHT)
         assert np.allclose(r.last.positions[0], corner)
         # A fault-free rollout could only cover push_reach of the distance.
         assert np.linalg.norm(corner - s.positions[0]) > 2 * EXACT.push_reach
