@@ -151,25 +151,27 @@ def scaling_suite(cfg: RunConfig, cells: list[PlannerConfig], n: int) -> list[Ce
     """Plan-accuracy ablation: one row of n episodes per planner config, on
     the same initial states in every cell.
 
-    Episodes run outside and cells inside, and the plans of one episode share
-    a memo (`Planner.plan`), so a candidate set that cells have in common is
-    rolled out and valued once. Each row's ``wall_clock`` is its cell's own
-    time in this run, after that reuse: a later cell's figure is not its
-    standalone cost. Nothing is kept across episodes, suite calls or CLI
-    calls.
+    Episodes run outside and cells inside, largest ``(text_branch,
+    video_branch)`` first (ties in the given order), and the plans of one
+    episode share a memo (`Planner.plan`), so a candidate set that a larger
+    cell's grid covers is rolled out and valued once. Rows keep the given
+    order. Each row's ``wall_clock`` is its cell's own time in this run,
+    after that reuse: a shared set is charged to the largest cell, which
+    builds it. Nothing is kept across episodes, suite calls or CLI calls.
     """
     _check_episodes(n)
     planner = Planner(simulator_submodels(cfg.world, cfg.model, cfg.faults))
     goal, wcfg, seed = cfg.task, cfg.world, cfg.seeds[0]
     naive, replayed, wall = [0] * len(cells), [0] * len(cells), [0.0] * len(cells)
+    order = sorted(range(len(cells)), key=lambda c: (-cells[c].text_branch, -cells[c].video_branch))
     for ep in range(n):
         # The 0 in each seed keeps the seeds, and so the CSVs, of earlier
         # ablation runs reproducible.
         x0 = sample_initial_state(cfg.n_blocks, derive(seed, 0, ep), wcfg)
         memo: dict = {}
-        for c, pcfg in enumerate(cells):
+        for c in order:
             t0 = time.perf_counter()
-            plan = planner.plan(x0, goal, pcfg, 0, ep, memo=memo)
+            plan = planner.plan(x0, goal, cells[c], 0, ep, memo=memo)
             if satisfied(plan.positions(), x0.colors, goal, wcfg).all(axis=-1).any():
                 naive[c] += 1
                 if replay_plan(x0, plan, goal, derive(seed, 0, ep, 1), wcfg, cfg.model):

@@ -139,12 +139,14 @@ class Planner:
         extreme).
 
         ``memo`` lets plans share their candidate sets: a set is keyed by
-        every input it depends on, ``(root, salt, b, h, A, D,
-        policy_temperature, frame positions)``, and a set already in the memo
-        is returned, valued, without a propose, rollout or value call. The
-        guard, ``beams``, ``horizon`` and ``replace_period`` act only after a
-        set is built, so plans that differ in them share it. A memo may be
-        shared only by plans from one start state and goal on this planner:
+        every input it depends on but its grid, ``(root, salt, b, h,
+        policy_temperature, frame positions)``, and stored with the ``(A0,
+        D0)`` it was built on. A request with A <= A0 and D <= D0 gets its
+        sub-grid, valued, without a propose, rollout or value call (see
+        `Submodels`); any other builds its own set and stores it. The guard,
+        ``beams``, ``horizon`` and ``replace_period`` act only after a set is
+        built, so plans that differ in them share it. A memo may be shared
+        only by plans from one start state and goal on this planner:
         `harness.scaling_suite` hands the cells of one episode one memo, and
         keeps none across episodes, suite calls or CLI calls. With no memo,
         nothing is kept past the call.
@@ -165,9 +167,10 @@ class Planner:
             grid of its own for a resample."""
             frame = beam.last_frame
             if memo is not None:
-                key = (root, salt, b, h, A, D, cfg.policy_temperature, frame.positions.tobytes())
-                if key in memo:
-                    return memo[key]
+                key = (root, salt, b, h, cfg.policy_temperature, frame.positions.tobytes())
+                A0, D0, stored = memo.get(key, (0, 0, None))
+                if A <= A0 and D <= D0:
+                    return [stored[i * D0 + j] for i in range(A) for j in range(D)]
             if salt == 0:
                 step_words = words[b, h]
             else:
@@ -184,7 +187,7 @@ class Planner:
                 r.start_heuristic = beam.final_value
                 r.end_heuristic = v
             if memo is not None:
-                memo[key] = rollouts
+                memo[key] = (A, D, rollouts)
             return rollouts
 
         v0 = sm.value([x0], goal)[0]

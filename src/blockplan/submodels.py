@@ -523,6 +523,11 @@ class Submodels:
     ``value(frames, goal)`` returns one float per frame of a sequence, so the
     planner values all A x D rollouts of a search step in one call.
 
+    A memo shared by plans (`Planner.plan`) relies on two more rules: propose
+    is nested (the first k actions of a request for more equal a request for
+    k), and a rollout depends only on its frame, its action and its
+    generator. A set built on a larger grid then holds every smaller one.
+
     ``controller(state, goal_frame)`` returns the next ``ControlAction`` toward
     the goal frame, or ``None`` when the goal frame is beyond what the
     controller can reach; the executor then skips that frame without spending

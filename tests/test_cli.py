@@ -323,6 +323,23 @@ class TestAblateCommand:
             dat = (outdir / f"ablation_{column}.dat").read_text().strip().splitlines()
             assert len(dat) == 2
 
+    # An ablation CSV kept from an earlier commit, so scores that drift
+    # between commits fail here. Written by
+    #   blockplan ablate --cells "1,1,1,8;1,1,4,8;1,4,4,8;2,4,4,8"
+    #     --episodes 16 --seed 5 --set n_blocks=6 --set faults.p_teleport=0.2
+    # and compared without its wall_clock_s column, which is a timing.
+    def test_golden_ablation_csv(self, outdir):
+        argv = ["ablate", "--cells", "1,1,1,8;1,1,4,8;1,4,4,8;2,4,4,8", "--episodes", "16"]
+        argv += ["--seed", "5", "--set", "n_blocks=6", "--set", "faults.p_teleport=0.2"]
+        assert run(argv) == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden_ablation.csv")
+
+        def scores(path):
+            with open(path) as fh:
+                return [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
+
+        assert scores(outdir / "ablation.csv") == scores(golden)
+
     def test_bad_cells_exit_two(self, outdir):
         assert run(["ablate", "--cells", "1,2", "--episodes", "1"]) == 2
         assert run(["ablate", "--cells", "1,1,5000000000,1", "--episodes", "1"]) == 2

@@ -277,20 +277,34 @@ def test_a_filled_memo_leaves_the_plan_unchanged(example, ep):
         assert shared.events == alone.events
 
 
+@SHARED
+@given(ablations())
+def test_reversed_cells_give_reversed_rows(example):
+    cfg, cells = example
+    rows = scaling_suite(cfg, cells, 2)
+    reversed_rows = scaling_suite(cfg, cells[::-1], 2)
+    assert [_scores(r) for r in reversed_rows] == [_scores(r) for r in rows][::-1]
+
+
+def counting(sm):
+    """The bundle ``sm`` with its propose and rollout calls counted by
+    `mock.Mock` wrappers."""
+    return replace(sm, propose=mock.Mock(wraps=sm.propose), rollout=mock.Mock(wraps=sm.rollout))
+
+
 @contextlib.contextmanager
-def counted_rollouts():
-    """Within the block, each bundle the harness makes counts its rollout
-    calls: yields the list of their `mock.Mock` rollouts, one per bundle."""
-    rollouts = []
+def counted_bundles():
+    """Within the block, each bundle the harness makes counts its propose and
+    rollout calls: yields the list of those bundles (`counting`)."""
+    bundles = []
     factory = harness.simulator_submodels
 
     def make(*args):
-        sm = factory(*args)
-        rollouts.append(mock.Mock(wraps=sm.rollout))
-        return replace(sm, rollout=rollouts[-1])
+        bundles.append(counting(factory(*args)))
+        return bundles[-1]
 
     with mock.patch.object(harness, "simulator_submodels", make):
-        yield rollouts
+        yield bundles
 
 
 class TestSharedCandidates:
@@ -302,25 +316,55 @@ class TestSharedCandidates:
         # H4 < replace_period: B2's beam 0 is never overwritten, so it
         # repeats the B1 cell.
         cells = [self.BASE, self.BASE, replace(self.BASE, beams=2, guard_threshold=1e9)]
-        with counted_rollouts() as rollouts:
+        with counted_bundles() as bundles:
             scaling_suite(self.CFG, cells, 1)
-            (shared,) = rollouts
+            (shared,) = bundles
             # The repeated cell and B2's beam 0 reuse the first cell's sets.
-            assert shared.call_count == 2 * 4 * 2 * 2
+            assert shared.rollout.call_count == 2 * 4 * 2 * 2
             for c in cells:
                 scaling_suite(self.CFG, [c], 1)
-        assert sum(r.call_count for r in rollouts[1:]) == (1 + 1 + 2) * 4 * 2 * 2
+        assert sum(sm.rollout.call_count for sm in bundles[1:]) == (1 + 1 + 2) * 4 * 2 * 2
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_nested_cells_share_one_set(self, reverse):
+        # Each cell's A x D grid is a sub-grid of the next one's: whichever
+        # order they are given in, the largest is built and the others sliced.
+        cells = [
+            PlannerConfig(beams=1, text_branch=a, video_branch=d, horizon=1)
+            for a, d in [(1, 1), (1, 4), (4, 4)]
+        ]
+        cells = cells[::-1] if reverse else cells
+        with counted_bundles() as bundles:
+            rows = scaling_suite(self.CFG, cells, 1)
+            (shared,) = bundles
+            assert (shared.propose.call_count, shared.rollout.call_count) == (1, 4 * 4)
+            assert [_scores(r) for r in rows] == [
+                _scores(scaling_suite(self.CFG, [c], 1)[0]) for c in cells
+            ]
+
+    def test_cells_that_do_not_nest_build_their_own(self):
+        # Neither of A4 D1 and A1 D4 covers the other.
+        x0 = sample_initial_state(self.CFG.n_blocks, derive(3, 0, 0), self.CFG.world)
+        sm = simulator_submodels(self.CFG.world, self.CFG.model, self.CFG.faults)
+        counted, memo = counting(sm), {}
+        for a, d in [(4, 1), (1, 4)]:
+            pcfg = replace(self.BASE, text_branch=a, video_branch=d, horizon=1)
+            shared = Planner(counted).plan(x0, self.CFG.task, pcfg, 0, 0, memo=memo)
+            alone = Planner(sm).plan(x0, self.CFG.task, pcfg, 0, 0)
+            assert shared.positions().tobytes() == alone.positions().tobytes()
+            assert shared.actions == alone.actions
+        assert (counted.propose.call_count, counted.rollout.call_count) == (2, 4 + 4)
 
     def test_resampled_sets_are_shared(self):
         cfg = RunConfig(
             task=group_by_color(), n_blocks=5, seeds=(0,), faults=FaultConfig(p_teleport=0.5)
         )
         cell = replace(self.BASE, guard_threshold=0.5)
-        with counted_rollouts() as rollouts:
+        with counted_bundles() as bundles:
             scaling_suite(cfg, [cell, cell], 1)
         # Three of the first cell's four steps discard all four candidates and
         # resample; the repeated cell makes none.
-        assert rollouts[0].call_count == (4 + 3) * 2 * 2
+        assert bundles[0].rollout.call_count == (4 + 3) * 2 * 2
 
     def test_memory_does_not_grow_with_episodes(self):
         cfg = replace(self.CFG, task=group_by_color(), n_blocks=6)
@@ -340,8 +384,8 @@ class TestSharedCandidates:
     def test_nothing_survives_a_cli_call(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BLOCKPLAN_OUT", str(tmp_path))
         argv = ["ablate", "--cells", "1,2,2,4;2,2,2,4", "--episodes", "2", "--set", "n_blocks=4"]
-        with counted_rollouts() as rollouts:
+        with counted_bundles() as bundles:
             assert main(argv) == 0
             assert main(argv) == 0
-        first, second = rollouts
-        assert first.call_count == second.call_count > 0
+        first, second = bundles
+        assert first.rollout.call_count == second.rollout.call_count > 0
