@@ -6,46 +6,32 @@ frames claim the goal is met, but re-executing the chosen pushes in the true
 environment gets nowhere near it. The guard discards any rollout whose
 heuristic jumps by more than 3 steps, which physical pushing cannot produce.
 
+Both arms plan on the same initial states, and `scaling_suite` scores each
+plan twice: naively from its frames, and by replay in the true environment.
+
     python3 demos/guard_demo.py
 """
 
-from blockplan import (
-    FaultConfig,
-    Planner,
-    PlannerConfig,
-    group_by_color,
-    is_complete,
-    sample_initial_state,
-    simulator_submodels,
-)
-from blockplan.harness import replay_plan
-from blockplan.seeding import derive
+from blockplan import FaultConfig, PlannerConfig, group_by_color
+from blockplan.config import RunConfig
+from blockplan.harness import scaling_suite
 
 N_EPISODES = 20
 
 
-def evaluate(guard_threshold):
-    goal = group_by_color()
-    planner = Planner(simulator_submodels(faults=FaultConfig(p_teleport=0.3)))
-    claimed = verified = 0
-    for ep in range(N_EPISODES):
-        x0 = sample_initial_state(6, derive(7, ep))
-        cfg = PlannerConfig(
-            beams=2, text_branch=4, video_branch=4, horizon=8,
-            guard_threshold=guard_threshold,
-        )
-        plan = planner.plan(x0, goal, cfg, ep)
-        if any(is_complete(f, goal) for f in plan.frames()):
-            claimed += 1
-            if replay_plan(x0, plan, goal, derive(9, ep)):
-                verified += 1
-    return claimed, verified
-
-
 def main():
+    cfg = RunConfig(
+        n_blocks=6, faults=FaultConfig(p_teleport=0.3), task=group_by_color(), seeds=(7,)
+    )
+    arms = {"guard at 3 steps": 3.0, "guard disabled": 1e9}
+    cells = [
+        PlannerConfig(beams=2, text_branch=4, video_branch=4, horizon=8, guard_threshold=t)
+        for t in arms.values()
+    ]
     print(f"teleporting rollout model, {N_EPISODES} grouping episodes\n")
-    for label, threshold in (("guard at 3 steps", 3.0), ("guard disabled", 1e9)):
-        claimed, verified = evaluate(threshold)
+    for label, row in zip(arms, scaling_suite(cfg, cells, N_EPISODES)):
+        claimed = round(row.naive_success * N_EPISODES)
+        verified = round(row.replay_success * N_EPISODES)
         print(f"{label}:")
         print(f"  plans claiming success:   {claimed}/{N_EPISODES}")
         print(f"  claims surviving replay:  {verified}/{claimed if claimed else 1}")

@@ -31,7 +31,6 @@ from .world import (
     goal_distance,
     lost_rows,
     require,
-    require_finite,
 )
 
 
@@ -50,7 +49,6 @@ class ModelConfig:
     goal_eps: float = 1e-3
 
     def __post_init__(self):
-        require_finite(self)
         require(self, "> 0", "push_reach")
         require(self, ">= 0", "sigma_model", "goal_eps")
         require(self, ">= 2", "frames_per_rollout")
@@ -545,20 +543,12 @@ def simulator_submodels(
     mcfg: ModelConfig = ModelConfig(),
     faults: FaultConfig = FaultConfig(),
 ) -> Submodels:
-    """Reference submodels backed by the simulated environment.
+    """Reference submodels backed by the simulated environment: the module's
+    role functions with these configs bound.
 
     The controller is `goal_policy` limited to goal frames within
     ``mcfg.controller_reach``; farther goal frames get ``None``.
     """
-
-    def _propose(state, goal, A, temperature, seed):
-        return propose_actions(state, goal, A, temperature, seed, wcfg, mcfg)
-
-    def _rollout(state, action, rng):
-        return rollout_dynamics(state, action, rng, faults, wcfg, mcfg)
-
-    def _value(frames, goal):
-        return heuristic(frames, goal, wcfg, mcfg)
 
     def _controller(state, goal_state):
         discrepancies = _goal_discrepancies(state, goal_state)
@@ -568,8 +558,8 @@ def simulator_submodels(
         return goal_policy(state, goal_state, wcfg, mcfg, discrepancies=discrepancies)
 
     return Submodels(
-        propose=_propose,
-        rollout=_rollout,
-        value=_value,
+        propose=functools.partial(propose_actions, wcfg=wcfg, mcfg=mcfg),
+        rollout=functools.partial(rollout_dynamics, faults=faults, wcfg=wcfg, mcfg=mcfg),
+        value=functools.partial(heuristic, wcfg=wcfg, mcfg=mcfg),
         controller=_controller,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -58,21 +58,15 @@ class GoalKind(str, Enum):
     MAKE_LINE = "make_line"
 
 
-def require_finite(cfg) -> None:
-    """Reject a config dataclass with an infinite or NaN float field."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-
-
 def require(cfg, rule: str, *names: str) -> None:
-    """Reject a config dataclass whose named fields break ``rule``, ``"> n"``,
-    ``">= n"`` or ``"<= n"`` for an integer n; NaN breaks every rule."""
+    """Reject a config dataclass whose named fields are NaN or infinite floats
+    or break ``rule``, ``"> n"``, ``">= n"`` or ``"<= n"`` for an integer n."""
     op, bound = rule.split()
     bound = int(bound)
     for name in names:
         value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
         if not (value > bound if op == ">" else value >= bound if op == ">=" else value <= bound):
             raise ConfigError(f"{name} must be {rule}, got {value}")
 
@@ -101,7 +95,6 @@ class WorldConfig:
     collision_iters: int = 8
 
     def __post_init__(self):
-        require_finite(self)
         require(self, "> 0", "width", "height", "block_radius", "u_max")
         require(self, ">= 0", "sigma_env", "group_dist", "area_dx", "area_dy", "line_dist")
         require(self, ">= 1", "collision_iters")
@@ -156,12 +149,8 @@ class WorldState:
         return self.colors[self.index_of(block_id)]
 
     def with_positions(self, positions: np.ndarray) -> "WorldState":
-        """The same blocks at a copy of ``positions``. Only the shape is
-        checked: the ids are this state's, already checked to be unique."""
-        positions = np.array(positions, dtype=float)
-        if positions.shape != self.positions.shape:
-            raise ValueError("positions must be (n_blocks, 2)")
-        return self.with_view(positions)
+        """The same blocks at a copy of ``positions``."""
+        return WorldState(self.ids, self.colors, np.array(positions, dtype=float))
 
     def with_view(self, positions: np.ndarray) -> "WorldState":
         """The same blocks at ``positions`` itself, neither copied nor checked:

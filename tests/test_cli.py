@@ -86,6 +86,8 @@ OUT_OF_RANGE = [
     "world.height=Infinity",
     "model.push_reach=Infinity",
     "world.sigma_env=Infinity",
+    "planner.guard_threshold=Infinity",
+    "planner.policy_temperature=Infinity",
     "planner.beams=0",
     # A seed grid's index is one uint32 word.
     "planner.beams=5000000000",
@@ -392,7 +394,15 @@ class TestReplayCommand:
         assert code == 0
         assert "replay verified" in capsys.readouterr().out
 
-    def test_fresh_episode_trace_verifies(self, outdir):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param([], id="every_frame"),
+            pytest.param(["--set", "execution.extractor=inverse_dynamics"], id="inverse_dynamics"),
+            pytest.param(["--set", "faults.p_vanish=0.3"], id="p_vanish"),
+        ],
+    )
+    def test_fresh_episode_trace_verifies(self, outdir, extra):
         run(
             [
                 "execute",
@@ -404,6 +414,7 @@ class TestReplayCommand:
                 "n_blocks=6",
                 "--set",
                 "execution.total_budget=300",
+                *extra,
             ]
         )
         assert run(["replay", str(outdir / "episode_5.jsonl")]) == 0

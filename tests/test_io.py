@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,19 @@ class TestRunConfig:
         [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}") for case in RANGE_CASES],
     )
     def test_range_message(self, cls, name, value, message):
+        with pytest.raises(ConfigError) as info:
+            cls(**{name: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls,name,value,message",
+        [
+            (PlannerConfig, "guard_threshold", math.inf, "guard_threshold must be finite, got inf"),
+            (PlannerConfig, "policy_temperature", math.nan, "policy_temperature must be finite, got nan"),
+            (WorldConfig, "width", math.inf, "width must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_message(self, cls, name, value, message):
         with pytest.raises(ConfigError) as info:
             cls(**{name: value})
         assert str(info.value) == message

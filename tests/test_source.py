@@ -103,8 +103,9 @@ def test_range_rules_written_once():
 
 def test_only_world_compares_with_the_sentinel():
     """No module but ``world.py`` compares a value with ``SENTINEL_POS``, by an
-    operator or an equality function: ``world.is_lost`` is the one test of a
-    lost block."""
+    operator or an equality function: a lost block is told by its negative
+    coordinate, in ``world.goal_distance`` for a stack and ``world.lost_rows``
+    for one state."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "world.py":

@@ -624,3 +624,33 @@ class TestProposals:
         s = sample_initial_state(3, seed=0)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
             propose_actions(s, make_line(), A=2, temperature=float("nan"), seed=0)
+
+
+class TestSimulatorBundle:
+    def test_roles_are_the_module_functions_with_configs_bound(self):
+        # Non-default configs of all three kinds: a narrower board, a shorter
+        # reach over more frames, and rollouts that teleport and vanish. Each
+        # role also differs from the default bundle's at least once, so a
+        # config left unbound would show.
+        wcfg = WorldConfig(width=0.5)
+        mcfg = ModelConfig(push_reach=0.08, frames_per_rollout=9, sigma_model=0.01)
+        faults = FaultConfig(p_teleport=0.5, p_vanish=0.5)
+        sm, default = simulator_submodels(wcfg, mcfg, faults), simulator_submodels()
+        goal = group_by_color()
+        differs = {"propose": False, "rollout": False, "value": False}
+        for seed in range(4):
+            s = sample_initial_state(5, seed, wcfg)
+            actions = sm.propose(s, goal, 6, 0.3, seed)
+            assert actions == propose_actions(s, goal, 6, 0.3, seed, wcfg, mcfg)
+            differs["propose"] |= actions != default.propose(s, goal, 6, 0.3, seed)
+            for i, action in enumerate(actions):
+                got = sm.rollout(s, action, rng_from((seed, i))).positions.tobytes()
+                want = rollout_dynamics(s, action, rng_from((seed, i)), faults, wcfg, mcfg)
+                assert got == want.positions.tobytes()
+                other = default.rollout(s, action, rng_from((seed, i))).positions.tobytes()
+                differs["rollout"] |= got != other
+                frames = want.frames
+                got = np.array(sm.value(frames, goal)).tobytes()
+                assert got == np.array(heuristic(frames, goal, wcfg, mcfg)).tobytes()
+                differs["value"] |= got != np.array(default.value(frames, goal)).tobytes()
+        assert all(differs.values())
