@@ -6,9 +6,11 @@ improvement exceeds the exploitation guard threshold, and appends the best
 survivor. Every ``replace_period`` steps the worst beam is overwritten by the
 best. The returned plan is the beam with the highest final heuristic.
 
-All branch seeds are derived from (root seed, beam, step, branch indices), so
-the result is independent of evaluation order. The rollout generators of a
-whole search are seeded from one `rng_words` grid, hashed once per plan.
+Every draw depends only on the root seed and the indices of its work unit,
+so the result is independent of evaluation order: a step's proposal is seeded
+from (root seed, salt, beam, step), and its rollouts draw from one Philox
+generator keyed once per plan, whose counter holds (salt, beam, step, action,
+rollout).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .seeding import derive, rng_from_words, rng_words
+from .seeding import derive, rollout_streams
 from .submodels import Rollout, Submodels, action_grammar, simulator_submodels
 from .tracing import round9
 from .world import TaskGoal, WorldState, require
@@ -42,9 +44,9 @@ class PlannerConfig:
 
     def __post_init__(self):
         require(self, ">= 1", "beams", "text_branch", "video_branch", "horizon", "replace_period")
-        # A seed grid's index is one uint32 word (`seeding.rng_words`); the
-        # horizon axis is horizon + 1 long. `text_branch` is capped at the
-        # grammar size before any grid is built.
+        # Each index of a rollout stream's counter is one uint32 word
+        # (`seeding.rollout_streams`); `text_branch` is capped at the grammar
+        # size before any stream is drawn.
         require(self, "<= 4294967295", "beams", "video_branch", "horizon")
         require(self, "> 0", "guard_threshold")
         require(self, ">= 0", "policy_temperature", "root_seed")
@@ -153,33 +155,26 @@ class Planner:
         """
         sm = self.submodels
         root = derive(cfg.root_seed, *unit)
-        # Propose returns at most the grammar's actions: hash no seed beyond.
+        # Propose returns at most the grammar's actions: draw no stream beyond.
         A, D = min(cfg.text_branch, len(action_grammar(x0))), cfg.video_branch
-        # The seed words of rollout (i, j) of beam b at step h (row 0 unused).
-        words = rng_words(derive(root, 0, _SEED_ROLLOUT), cfg.beams, cfg.horizon + 1, A, D)
+        stream = rollout_streams(derive(root, _SEED_ROLLOUT))
         events: list[dict] = []
 
         def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
             """A x D rollouts from the beam's last frame, whose value is
             ``final_value``, valued in one call once all are made. Rollout
-            (i, j) draws from the generator seeded ``derive(root, salt,
-            _SEED_ROLLOUT, b, h, i, j)``: a row of ``words`` for salt 0, of a
-            grid of its own for a resample."""
+            (i, j) draws from ``stream(salt, b, h, i, j)``."""
             frame = beam.last_frame
             if memo is not None:
                 key = (root, salt, b, h, cfg.policy_temperature, frame.positions.tobytes())
                 A0, D0, stored = memo.get(key, (0, 0, None))
                 if A <= A0 and D <= D0:
                     return [stored[i * D0 + j] for i in range(A) for j in range(D)]
-            if salt == 0:
-                step_words = words[b, h]
-            else:
-                step_words = rng_words(derive(root, salt, _SEED_ROLLOUT, b, h), A, D)
             actions = sm.propose(
                 frame, goal, A, cfg.policy_temperature, derive(root, salt, _SEED_PROPOSE, b, h)
             )
             rollouts = [
-                sm.rollout(frame, action, rng_from_words(step_words[i, j]))
+                sm.rollout(frame, action, stream(salt, b, h, i, j))
                 for i, action in enumerate(actions)
                 for j in range(D)
             ]

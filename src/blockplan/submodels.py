@@ -515,8 +515,10 @@ class Submodels:
     ``propose(state, goal, A, temperature, seed)`` returns up to A actions; a
     search step proposes at most min(``text_branch``, grammar size) actions.
     ``rollout(state, action, rng)`` returns one `Rollout`, whose noise and
-    faults it draws from the generator ``rng``: the planner seeds one per
-    (beam, step, branch) from the rows of one `seeding.rng_words` grid.
+    faults it draws from the generator ``rng``: the planner hands each
+    (beam, step, branch) a stream of one `seeding.rollout_streams` generator.
+    Every stream of a plan is that one generator, reset to the rollout's
+    counter, so a rollout may draw from ``rng`` only during its call.
 
     ``value(frames, goal)`` returns one float per frame of a sequence, so the
     planner values all A x D rollouts of a search step in one call.
@@ -524,7 +526,7 @@ class Submodels:
     A memo shared by plans (`Planner.plan`) relies on two more rules: propose
     is nested (the first k actions of a request for more equal a request for
     k), and a rollout depends only on its frame, its action and its
-    generator. A set built on a larger grid then holds every smaller one.
+    stream. A set built on a larger grid then holds every smaller one.
 
     ``controller(state, goal_frame)`` returns the next ``ControlAction`` toward
     the goal frame, or ``None`` when the goal frame is beyond what the

@@ -8,10 +8,10 @@ decimal of 9 significant digits. Records are written as sorted-key, compact
 JSON, and hashes are computed over that form. Every distance is the square
 root of the sum of two rounded squares, which round alike on every IEEE
 host, so replay rests on no BLAS build or CPU kernel; it still rests on
-numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence`` and
-``PCG64`` algorithms. Trace files are one JSON object per line with a
-leading header record: the schema version, the run configuration and its
-hash.
+numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence``,
+``PCG64`` and ``Philox`` algorithms. Trace files are one JSON object per
+line with a leading header record: the schema version, the run
+configuration and its hash.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def round9(x: float) -> float:

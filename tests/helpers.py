@@ -4,7 +4,7 @@ reference that criterion 7 pins the degenerate `Planner.plan` to."""
 import numpy as np
 
 from blockplan.planner import _SEED_PROPOSE, _SEED_ROLLOUT, Plan, PlannerConfig
-from blockplan.seeding import derive, rng_from_words, rng_words
+from blockplan.seeding import derive, rollout_streams
 from blockplan.submodels import ModelConfig, Submodels
 from blockplan.world import Color, TaskGoal, WorldConfig, WorldState
 
@@ -29,7 +29,7 @@ def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConf
     structure). With beams = text_branch = video_branch = 1 and a non-binding
     guard, ``Planner(sm).plan`` reduces to exactly this chain."""
     beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
-    words = rng_words(derive(cfg.root_seed, 0, _SEED_ROLLOUT, 0), cfg.horizon + 1, 1, 1)
+    stream = rollout_streams(derive(cfg.root_seed, _SEED_ROLLOUT))
     for h in range(1, cfg.horizon + 1):
         frame = beam.last_frame
         action = sm.propose(
@@ -39,7 +39,7 @@ def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConf
             cfg.policy_temperature,
             derive(cfg.root_seed, 0, _SEED_PROPOSE, 0, h),
         )[0]
-        r = sm.rollout(frame, action, rng_from_words(words[h, 0, 0]))
+        r = sm.rollout(frame, action, stream(0, 0, h, 0, 0))
         r.start_heuristic = beam.final_value
         [r.end_heuristic] = sm.value([r.last], goal)
         beam.segments.append(r)

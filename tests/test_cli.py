@@ -479,7 +479,7 @@ class TestReplayCommand:
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
 
-    # Each edits the header of a golden trace: a schema-1 to schema-5 trace,
+    # Each edits the header of a golden trace: a schema-1 to schema-6 trace,
     # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
@@ -487,6 +487,7 @@ class TestReplayCommand:
         "schema_version_3": lambda header: header.update(schema_version=3),
         "schema_version_4": lambda header: header.update(schema_version=4),
         "schema_version_5": lambda header: header.update(schema_version=5),
+        "schema_version_6": lambda header: header.update(schema_version=6),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 

@@ -189,10 +189,13 @@ class TestSuites:
         assert row.label == "open_loop"
 
     def test_execution_suite_uses_faults(self):
-        # The run's fault config reaches the planner's rollouts.
+        # The planner's bundle, and so its rollouts, is built with the run's
+        # fault config.
         faulty = replace(self.EXEC_CFG, faults=FaultConfig(p_teleport=1.0))
-        clean = execution_suite(self.EXEC_CFG, n=4)
-        assert execution_suite(faulty, n=4).mean_reward != clean.mean_reward
+        factory = harness.simulator_submodels
+        with mock.patch.object(harness, "simulator_submodels", wraps=factory) as made:
+            execution_suite(faulty, n=1)
+        made.assert_called_once_with(faulty.world, faulty.model, faulty.faults)
 
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize("suite", [plan_accuracy_suite, execution_suite])
@@ -360,11 +363,21 @@ class TestSharedCandidates:
             task=group_by_color(), n_blocks=5, seeds=(0,), faults=FaultConfig(p_teleport=0.5)
         )
         cell = replace(self.BASE, guard_threshold=0.5)
-        with counted_bundles() as bundles:
+        events, plan = [], Planner.plan
+
+        def recorded(planner, *args, **kwargs):
+            out = plan(planner, *args, **kwargs)
+            events.append(planner.events)
+            return out
+
+        with counted_bundles() as bundles, mock.patch.object(Planner, "plan", recorded):
             scaling_suite(cfg, [cell, cell], 1)
-        # Three of the first cell's four steps discard all four candidates and
-        # resample; the repeated cell makes none.
-        assert bundles[0].rollout.call_count == (4 + 3) * 2 * 2
+        # Each of the first cell's total discards resamples one more set of
+        # A x D; the repeated cell rolls out none.
+        first, _ = events
+        resamples = sum(e["kind"] == "GuardDiscard" and e["discarded"] == e["of"] for e in first)
+        assert resamples >= 1
+        assert bundles[0].rollout.call_count == (cell.horizon + resamples) * 2 * 2
 
     def test_memory_does_not_grow_with_episodes(self):
         cfg = replace(self.CFG, task=group_by_color(), n_blocks=6)

@@ -161,7 +161,7 @@ class TestTraceFiles:
         write_trace(path, {"run": {}, "mode": "plan", "seed": 0}, records)
         back = read_trace(path)
         assert back[0]["kind"] == "Header"
-        assert back[0]["schema_version"] == 6
+        assert back[0]["schema_version"] == 7
         assert "config_hash" in back[0]
         assert [r["ordinal"] for r in back] == [0, 1, 2]
         assert back[1]["x"] == 1.5

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from blockplan.planner import (
     apply_guard,
     replace_beams,
 )
-from blockplan.seeding import derive, rng_from, rng_words
+from blockplan.seeding import derive, rng_from, rollout_streams
 from blockplan.submodels import (
     AbstractAction,
     FaultConfig,
@@ -119,16 +118,19 @@ class TestGuardResample:
     def _plan(self, gains):
         # Stub bundle: the value of a state is block 0's x; rollout (i, j) of
         # the round salted ``salt`` moves block 0 by gains[salt][i * D + j].
-        # It reads (salt, i, j) back from its generator, which must be the one
-        # `rng_from` makes of the seed derive(root, salt, 2, beam, step, i, j).
+        # It reads (salt, i, j) back from its generator's Philox key and
+        # counter, which must be those of stream (salt, beam, step, i, j) of
+        # `rollout_streams(derive(root, 2))`.
         made = {}
         D = self.CFG.video_branch
 
         def key(rng):
-            return rng.bit_generator.state["state"]["state"]
+            state = rng.bit_generator.state["state"]
+            return tuple(state["key"].tolist()), tuple(state["counter"].tolist())
 
+        stream = rollout_streams(derive(0, 2))
         units = {
-            key(rng_from(derive(0, salt, 2, 0, 1, i, j))): (salt, i, j)
+            key(stream(salt, 0, 1, i, j)): (salt, i, j)
             for salt in gains
             for i in range(self.CFG.text_branch)
             for j in range(D)
@@ -363,15 +365,13 @@ class TestSelection:
             results.append(p.final_value)
         assert results == sorted(results)
 
-    def test_text_branch_beyond_the_grammar_hashes_no_extra_seeds(self):
+    def test_text_branch_beyond_the_grammar_plans_as_the_grammar(self):
         # Propose returns at most the grammar's G actions, so a larger
-        # text_branch sizes no seed grid beyond G and plans as text_branch=G.
+        # text_branch plans as text_branch=G.
         s = sample_initial_state(2, seed=4)
         G = len(action_grammar(s))
         cfg = PlannerConfig(beams=1, text_branch=10_000, video_branch=1, horizon=2, root_seed=5)
-        with mock.patch("blockplan.planner.rng_words", wraps=rng_words) as spy:
-            wide = Planner().plan(s, group_by_color(), cfg)
-        assert spy.call_args_list and all(c.args[-2] <= G for c in spy.call_args_list)
+        wide = Planner().plan(s, group_by_color(), cfg)
         exact = Planner().plan(s, group_by_color(), replace(cfg, text_branch=G))
         assert canonical_json(plan_to_dict(wide)) == canonical_json(plan_to_dict(exact))
 

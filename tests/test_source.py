@@ -137,11 +137,11 @@ def _dotted(node) -> list[str]:
 
 def test_only_seeding_builds_generators():
     """No module but ``seeding.py`` names ``default_rng``, ``SeedSequence``,
-    ``PCG64``, ``ISeedSequence``, ``bit_generator`` or ``numpy.random``:
-    every generator comes from ``seeding.rng_from`` or, seeded in bulk, from
-    ``seeding.rng_from_words``, whose parity test pins it to ``rng_from``, so
-    one rule turns every seed into its generator. Other modules name the
-    generator type as ``seeding.Rng``."""
+    ``PCG64``, ``Philox``, ``ISeedSequence``, ``bit_generator`` or
+    ``numpy.random``: every generator comes from ``seeding.rng_from`` or, for
+    a plan's rollouts, from ``seeding.rollout_streams``, whose known first
+    draws `test_seeding` pins, so one module turns every seed into its
+    generator. Other modules name the generator type as ``seeding.Rng``."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "seeding.py":
@@ -151,7 +151,12 @@ def test_only_seeding_builds_generators():
                 word in name
                 for name in _dotted(node)
                 for word in (
-                    "default_rng", "SeedSequence", "PCG64", "bit_generator", "numpy.random"
+                    "default_rng",
+                    "SeedSequence",
+                    "PCG64",
+                    "Philox",
+                    "bit_generator",
+                    "numpy.random",
                 )
             ):
                 sites.append(f"{path.name}:{node.lineno}")
