@@ -76,15 +76,20 @@ def rollout_streams(prefix: SeedLike) -> Callable[..., Rng]:
 
     The key is ``SeedSequence(_words(prefix)).generate_state(2, uint64)``.
     Draws advance the counter from its low word, so two streams of distinct
-    indices meet only after one has drawn 2**64 blocks of four words. Each
-    index must fit one 32-bit word. Every stream is the one generator: a
-    caller may draw from a stream only until it asks for the next.
+    indices meet only after one has drawn 2**64 blocks of four words. The
+    salt must fit one 64-bit word and each other index one 32-bit word: one
+    past its word would share its counter with another rollout's, so it
+    raises. Every stream is the one generator: a caller may draw from a
+    stream only until it asks for the next.
     """
     key = np.random.SeedSequence(_words(prefix)).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     state = rng.bit_generator.state
 
     def stream(salt: int, b: int, h: int, i: int, j: int) -> Rng:
+        # A negative int shifts to -1, so this also refuses negative indices.
+        if salt >> 64 or (b | h | i | j) >> 32:
+            raise ValueError(f"rollout stream index past its word: {(salt, b, h, i, j)}")
         state["state"]["counter"] = [0, salt, b << 32 | h, i << 32 | j]
         rng.bit_generator.state = state
         return rng

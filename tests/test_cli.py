@@ -89,7 +89,7 @@ OUT_OF_RANGE = [
     "planner.guard_threshold=Infinity",
     "planner.policy_temperature=Infinity",
     "planner.beams=0",
-    # A seed grid's index is one uint32 word.
+    # Each index of a rollout stream's counter is one uint32 word.
     "planner.beams=5000000000",
     "planner.video_branch=5000000000",
     "planner.horizon=5000000000",

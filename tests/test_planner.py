@@ -55,6 +55,10 @@ class TestPlannerConfig:
             {"guard_threshold": 0.0},
             {"guard_threshold": -2.0},
             {"policy_temperature": -0.1},
+            # Each index of a rollout stream's counter is one uint32 word.
+            {"beams": 2**32},
+            {"video_branch": 2**32},
+            {"horizon": 2**32},
         ],
     )
     def test_rejects_invalid(self, kwargs):

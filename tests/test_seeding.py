@@ -139,6 +139,71 @@ def test_distinct_indices_give_distinct_streams(a, b):
     assert (stream(*b).bit_generator.random_raw(4).tolist() == first) == (a == b)
 
 
+def _plain(state):
+    """A Philox state with its arrays as lists, so that two compare."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return np.asarray(state).tolist()
+
+
+LAST = (2**64 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
+    + [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (3, 1, 16, 2, 3), LAST],
+)
+def test_stream_is_a_fresh_philox_at_its_counter(idx):
+    """The oracle builds its own Philox from the key numpy's list seeding
+    makes of the prefix and the counter as one 256-bit int, words little
+    end first: ``salt`` in word 1, ``b, h`` in word 2, ``i, j`` in word 3."""
+    salt, b, h, i, j = idx
+    key = np.random.SeedSequence([5, 2**40, 2]).generate_state(2, np.uint64)
+    counter = salt << 64 | (b << 32 | h) << 128 | (i << 32 | j) << 192
+    want = np.random.Philox(key=key, counter=counter)
+    stream = rollout_streams((5, 2**40, 2))
+    stream(*((0,) * 5 if idx == LAST else LAST)).random(3)
+    got = stream(*idx).bit_generator
+    assert _plain(got.state) == _plain(want.state)
+    assert got.random_raw(9).tolist() == want.random_raw(9).tolist()
+
+
+PAST_A_WORD = [
+    pytest.param(pos, value, id=f"{name}={value}")
+    for pos, (name, past) in enumerate([("salt", 2**64), *((n, 2**32) for n in "bhij")])
+    for value in (past, -1)
+]
+
+
+@pytest.mark.parametrize("pos, value", PAST_A_WORD)
+def test_stream_refuses_an_index_past_its_word(pos, value):
+    """``h = 2**32`` would carry into ``b``'s half of the word and draw beam
+    b + 1's stream, and a negative index wraps to another's: both raise."""
+    idx = [0] * 5
+    idx[pos] = value
+    stream = rollout_streams((0, 2))
+    with pytest.raises(ValueError, match="rollout stream index past its word"):
+        stream(*idx)
+    assert stream(*LAST).random() == stream(*LAST).random()
+
+
+@pytest.mark.parametrize(
+    "component",
+    [0, True, np.uint8(200), np.int16(7), np.uint32(2**32 - 1)]
+    + [np.int64(2**40), np.uint64(2**64 - 1), 2**100],
+    ids=repr,
+)
+def test_key_equals_numpy_list_seeding(component):
+    """The key is the first two uint64 words numpy's own list seeding makes
+    of the prefix, whatever integer type and however many words a component
+    has."""
+    prefix = (component, 2)
+    want = np.random.SeedSequence([int(component), 2]).generate_state(2, np.uint64)
+    got = rollout_streams(prefix)(0, 0, 0, 0, 0).bit_generator.state["state"]["key"]
+    assert got.tolist() == want.tolist()
+
+
 def test_distinct_prefixes_give_distinct_keys():
     """A plan's key prefix ends in the nonzero rollout salt, so it is never
     the zero-padded form of another prefix."""
@@ -171,6 +236,37 @@ def test_a_stream_depends_only_on_its_key_and_indices(before, target):
         _draw(stream(*idx), kind)
     got = [_draw(stream(*target), k) for k in kinds]
     assert got == want
+
+
+DRAW_KINDS = {
+    "random": lambda rng: rng.random(3).tolist(),
+    "standard_normal": lambda rng: rng.standard_normal(3).tolist(),
+    "normal": lambda rng: rng.normal(0.0, 0.003, (15, 2)).tolist(),
+    "int64": lambda rng: rng.integers(0, 2**40, 3).tolist(),
+    "uint32_odd": lambda rng: rng.integers(0, 7, 1, dtype=np.uint32).tolist(),
+    "uint16": lambda rng: rng.integers(0, 7, 5, dtype=np.uint16).tolist(),
+    "uint8": lambda rng: rng.integers(0, 7, 5, dtype=np.uint8).tolist(),
+    "bool": lambda rng: rng.integers(0, 2, 5, dtype=bool).tolist(),
+    "exponential": lambda rng: rng.exponential(1.0, 3).tolist(),
+    "choice": lambda rng: rng.choice(9, 4, replace=False).tolist(),
+    "permutation": lambda rng: rng.permutation(6).tolist(),
+    "bytes": lambda rng: list(rng.bytes(5)),
+}
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS)
+def test_a_stream_resets_after_each_draw_kind(kind):
+    """Each kind of draw leaves the generator in its own state (a part-used
+    block, a cached half of a 32-bit draw); a stream asked for after it,
+    its own or another's, still starts fresh."""
+    after = [DRAW_KINDS[k] for k in ("uint32_odd", "random", "normal", kind)]
+    fresh = rollout_streams((4, 2))(1, 0, 3, 2, 1)
+    want = [f(fresh) for f in after]
+    stream = rollout_streams((4, 2))
+    for idx in [(0, 1, 1, 1, 1), (1, 0, 3, 2, 1)]:
+        DRAW_KINDS[kind](stream(*idx))
+        rng = stream(1, 0, 3, 2, 1)
+        assert [f(rng) for f in after] == want
 
 
 def test_import_leaves_numpy_random_unloaded():
