@@ -400,7 +400,8 @@ def idealized_outcome(
     target = action.target.resolve(state, action.subject, wcfg)
     pos = state.positions.copy()
     delta = target - pos[i]
-    d = np.sqrt(np.add.reduce(delta * delta, -1))
+    sq = delta * delta
+    d = np.sqrt(sq[..., 0] + sq[..., 1])
     pos[i] = target if d <= mcfg.push_reach or d < 1e-15 else pos[i] + delta / d * mcfg.push_reach
     return state.with_positions(pos)
 
@@ -430,7 +431,8 @@ def idealized_outcomes(
     targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
     start = p[subjects]
     delta = targets - start
-    d = np.sqrt(np.add.reduce(delta * delta, -1))
+    sq = delta * delta
+    d = np.sqrt(sq[..., 0] + sq[..., 1])
     reached = (d <= mcfg.push_reach) | (d < 1e-15)
     moved = start + delta / np.where(reached, 1.0, d)[:, None] * mcfg.push_reach
     out = np.empty((len(subjects), *p.shape))

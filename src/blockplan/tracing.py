@@ -16,6 +16,7 @@ configuration and its hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any
@@ -78,8 +79,25 @@ def state_from_dict(d: dict) -> WorldState:
     )
 
 
+_SLOT = "\0"  # a positions value whose JSON no ids or colors JSON contains
+
+
+@functools.lru_cache(maxsize=256)
+def _state_json_ends(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple[str, str]:
+    """The canonical JSON of a `state_to_dict` of these blocks before and
+    after its positions, cut from the dict itself at a stand-in value."""
+    fields = state_to_dict(WorldState(ids, colors, np.zeros((len(ids), 2))))
+    head, tail = _encode({**fields, "positions": _SLOT}).split(_encode(_SLOT))
+    return head, tail
+
+
 def state_digest(state: WorldState) -> str:
-    return digest(state_to_dict(state))
+    """``digest(state_to_dict(state))``. A state's ids and colors never
+    change along a run, so their part of the JSON is encoded once per block
+    set and only the positions are encoded per call."""
+    head, tail = _state_json_ends(state.ids, state.colors)
+    text = head + canonical_json(wire_positions(state.positions)) + tail
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # --- Plan --------------------------------------------------------------------

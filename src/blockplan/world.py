@@ -343,12 +343,15 @@ def goal_distance(
     if goal.kind is GoalKind.MOVE_TO_AREA:
         gap = np.abs(own - cfg.corner_xy(goal.corner)) - (cfg.area_dx, cfg.area_dy)
         gap = np.maximum(0.0, gap)
-        return np.sqrt(np.add.reduce(gap * gap, -1))
+        sq = gap * gap
+        return np.sqrt(sq[..., 0] + sq[..., 1])
     if goal.kind is GoalKind.MAKE_LINE:
         return np.maximum(0.0, np.abs(own[..., 0] - cfg.width / 2.0) - cfg.line_dist)
     rows, real = _peer_rows(colors)
     diff = positions[..., rows, :] - own[..., :, None, :]
-    d = np.sqrt(np.add.reduce(diff * diff, -1))  # np.linalg.norm(diff, axis=-1), bit for bit
+    # np.linalg.norm(diff, axis=-1), bit for bit: two rounded squares, summed.
+    sq = diff * diff
+    d = np.sqrt(sq[..., 0] + sq[..., 1])
     farthest = np.where(real, d, -np.inf).max(axis=-1, initial=-np.inf)
     return np.maximum(0.0, farthest - cfg.group_dist)
 

@@ -4,7 +4,8 @@ from unittest import mock
 
 import pytest
 
-from blockplan.cli import main
+from blockplan import cli
+from blockplan.cli import build_parser, main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.planner import Planner
 from blockplan.seeding import derive
@@ -234,6 +235,60 @@ class TestConfigBoundary:
         taken.write_text("")
         assert run(["plan", "--set", f"output_dir={taken}", "--set", "planner.horizon=1"]) == 2
         assert_config_error(capsys)
+
+
+class TestParserReuse:
+    """`build_parser` builds the parser once per process, so the ``main``
+    calls of one process share it. Calls that share it end with the codes and
+    write the output that calls with a parser each do, and ``--set`` values
+    do not pile up from one call to the next."""
+
+    # A plan with an override, a usage error, a plan with none and an
+    # ablation over the default cells, with the exit code each ends with.
+    CALLS = [
+        (["plan", "--seed", "3", "--set", "n_blocks=6"], 0),
+        (["plan", "--seed", "x"], 2),
+        (["plan", "--seed", "4"], 0),
+        (["ablate", "--episodes", "1"], 0),
+    ]
+
+    def run_calls(self, root, monkeypatch, capsys, parser_each):
+        build_parser.cache_clear()
+        results = []
+        for k, (argv, _) in enumerate(self.CALLS):
+            out = root / str(k)
+            monkeypatch.setenv("BLOCKPLAN_OUT", str(out))
+            if parser_each:
+                build_parser.cache_clear()
+            code = main(argv)
+            printed = capsys.readouterr()
+            files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
+            text = [printed.out.replace(str(out), "<out>"), printed.err]
+            if argv[0] == "ablate":  # rows without wall_clock_s, a timing
+                text[0] = [row.rsplit(",", 1)[0] for row in text[0].splitlines()]
+                rows = files["ablation.csv"].splitlines()
+                files["ablation.csv"] = [row.rsplit(",", 1)[0] for row in rows]
+            results.append((code, text, files))
+        return results
+
+    def test_shared_parser_runs_as_a_parser_each(self, tmp_path, monkeypatch, capsys):
+        sets = []
+        load = cli._load
+
+        def spy(args):
+            sets.append(list(args.set))
+            return load(args)
+
+        monkeypatch.setattr(cli, "_load", spy)
+        each = self.run_calls(tmp_path / "each", monkeypatch, capsys, parser_each=True)
+        sets.clear()
+        shared = self.run_calls(tmp_path / "shared", monkeypatch, capsys, parser_each=False)
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in shared] == [code for _, code in self.CALLS]
+        assert shared == each
+        assert all(files for code, _, files in shared if code == 0)
+        assert sets == [["n_blocks=6"], [], []]
+        assert build_parser().parse_args(["plan"]).set == []
 
 
 class TestPlanCommand:

@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockplan.config import (
     RunConfig,
@@ -29,8 +32,11 @@ from blockplan.tracing import (
     write_trace,
 )
 from blockplan.world import (
+    SENTINEL_POS,
+    Color,
     GoalKind,
     WorldConfig,
+    WorldState,
     group_by_color,
     make_line,
     sample_initial_state,
@@ -92,6 +98,22 @@ class TestCanonicalJson:
         assert len(digest({"a": 1})) == 16
 
 
+DIGEST_PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+# A coordinate on the board, -0.0, or one of a wide board whose count of
+# 1e-9 units passes 2**63; a block is also lost at the sentinel.
+COORD = st.floats(0.0, 1.0) | st.just(-0.0) | st.floats(9.3e9, 1e154)
+POINT = st.tuples(COORD, COORD) | st.just(SENTINEL_POS)
+
+
+@st.composite
+def states(draw):
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
+    positions = draw(st.lists(POINT, min_size=n, max_size=n))
+    return WorldState(tuple(ids), tuple(colors), np.array(positions))
+
+
 class TestStateSerialization:
     def test_round_trip(self):
         s = sample_initial_state(6, seed=7)
@@ -105,6 +127,22 @@ class TestStateSerialization:
         s = sample_initial_state(3, seed=0)
         moved = s.with_positions(s.positions + 0.001)
         assert state_digest(moved) != state_digest(s)
+
+    @DIGEST_PROPERTY
+    @given(st.lists(states(), min_size=2, max_size=2))
+    def test_digest_equals_digest_of_dict(self, pair):
+        """`state_digest` encodes a block set's ids and colors once: hashing
+        two states of any block sets in turn gives each the digest of its
+        `state_to_dict`, as a head shared across block sets would not."""
+        for s in [*pair, *pair]:
+            assert state_digest(s) == digest(state_to_dict(s))
+
+    def test_digest_of_every_color_mix(self):
+        """Every color tuple of one to three blocks, one after another."""
+        for n in (1, 2, 3):
+            for colors in itertools.product(Color, repeat=n):
+                s = WorldState(tuple(range(n)), colors, np.full((n, 2), 0.125))
+                assert state_digest(s) == digest(state_to_dict(s))
 
 
 class TestPlanSerialization:

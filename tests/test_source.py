@@ -181,15 +181,30 @@ def test_no_numpy_hypot_or_einsum_in_the_geometry():
     assert not sites, sites
 
 
+def _reduces_last_axis(node) -> bool:
+    """Whether ``node`` calls a ``.reduce`` over axis -1."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "reduce"
+    ):
+        return False
+    axes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "axis"]
+    return any(ast.unparse(axis) == "-1" for axis in axes)
+
+
 def test_one_spelling_per_norm_and_draw():
     """One rule for every norm: the square root of the sum of two rounded
-    squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and
-    ``np.sqrt(np.add.reduce(d * d, -1))`` on arrays, which round alike on
-    every IEEE host (``tests/test_numpy_forms.py``). So no module names a
-    ``dot``, bound or called, multiplies with ``@`` or names anything
-    ``hypot``, ``linalg`` or ``einsum``: a BLAS dot product rounds as its CPU
-    kernel does, and ``hypot`` and ``einsum`` differ from the rule in the
-    last bit. Nor does a module call a ``.choice(``: a proposal draw searches
+    squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and, with
+    ``sq = d * d``, ``np.sqrt(sq[..., 0] + sq[..., 1])`` on arrays, which
+    round alike on every IEEE host (``tests/test_numpy_forms.py``). So no
+    module names a ``dot``, bound or called, multiplies with ``@`` or names
+    anything ``hypot``, ``linalg`` or ``einsum``: a BLAS dot product rounds
+    as its CPU kernel does, and ``hypot`` and ``einsum`` differ from the rule
+    in the last bit. No module calls a ``.reduce`` over axis -1 either: over
+    the 2-wide last axis of a norm it adds the same two squares, at several
+    times the cost of the two-column sum (the centroid sums over axes 0 and
+    1 stay). Nor does a module call a ``.choice(``: a proposal draw searches
     the cumulative weights, equal to ``Generator.choice`` without its
     per-call checks."""
     sites = []
@@ -200,6 +215,7 @@ def test_one_spelling_per_norm_and_draw():
                 parts & {"dot", "hypot", "linalg", "einsum"}
                 or isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult)
+                or _reduces_last_axis(node)
                 or isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "choice"
