@@ -13,7 +13,6 @@ variable.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from dataclasses import replace
@@ -173,11 +172,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole parser, built once per process: ``parse_args`` keeps no
-    state between calls, and ``--set``'s append action copies its default
-    list before it appends."""
     parser = _Parser(
         prog="blockplan",
         description="Tree-search planning over model rollouts on a block tabletop",

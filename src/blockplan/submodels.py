@@ -30,6 +30,7 @@ from .world import (
     WorldState,
     goal_distance,
     lost_rows,
+    norms,
     require,
 )
 
@@ -400,8 +401,7 @@ def idealized_outcome(
     target = action.target.resolve(state, action.subject, wcfg)
     pos = state.positions.copy()
     delta = target - pos[i]
-    sq = delta * delta
-    d = np.sqrt(sq[..., 0] + sq[..., 1])
+    d = norms(delta)
     pos[i] = target if d <= mcfg.push_reach or d < 1e-15 else pos[i] + delta / d * mcfg.push_reach
     return state.with_positions(pos)
 
@@ -431,8 +431,7 @@ def idealized_outcomes(
     targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
     start = p[subjects]
     delta = targets - start
-    sq = delta * delta
-    d = np.sqrt(sq[..., 0] + sq[..., 1])
+    d = norms(delta)
     reached = (d <= mcfg.push_reach) | (d < 1e-15)
     moved = start + delta / np.where(reached, 1.0, d)[:, None] * mcfg.push_reach
     out = np.empty((len(subjects), *p.shape))

@@ -45,8 +45,12 @@ def canonical_json(obj: Any) -> str:
     return _encode(obj)
 
 
+def _hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def digest(obj: Any) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+    return _hash(canonical_json(obj))
 
 
 _round = np.frompyfunc(round, 1, 1)  # to a Python int, elementwise
@@ -96,8 +100,7 @@ def state_digest(state: WorldState) -> str:
     change along a run, so their part of the JSON is encoded once per block
     set and only the positions are encoded per call."""
     head, tail = _state_json_ends(state.ids, state.colors)
-    text = head + canonical_json(wire_positions(state.positions)) + tail
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _hash(head + canonical_json(wire_positions(state.positions)) + tail)
 
 
 # --- Plan --------------------------------------------------------------------

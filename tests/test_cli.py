@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from blockplan import cli
-from blockplan.cli import build_parser, main
+from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.planner import Planner
 from blockplan.seeding import derive
@@ -237,11 +237,10 @@ class TestConfigBoundary:
         assert_config_error(capsys)
 
 
-class TestParserReuse:
-    """`build_parser` builds the parser once per process, so the ``main``
-    calls of one process share it. Calls that share it end with the codes and
-    write the output that calls with a parser each do, and ``--set`` values
-    do not pile up from one call to the next."""
+class TestRepeatedMain:
+    """``main`` calls in one process share no state: each ends with the code
+    and writes the output it does when run in the other order, and
+    ``--set`` values do not pile up from one call to the next."""
 
     # A plan with an override, a usage error, a plan with none and an
     # ablation over the default cells, with the exit code each ends with.
@@ -252,14 +251,12 @@ class TestParserReuse:
         (["ablate", "--episodes", "1"], 0),
     ]
 
-    def run_calls(self, root, monkeypatch, capsys, parser_each):
-        build_parser.cache_clear()
-        results = []
-        for k, (argv, _) in enumerate(self.CALLS):
+    def run_calls(self, root, monkeypatch, capsys, order):
+        results = {}
+        for k in order:
+            argv = self.CALLS[k][0]
             out = root / str(k)
             monkeypatch.setenv("BLOCKPLAN_OUT", str(out))
-            if parser_each:
-                build_parser.cache_clear()
             code = main(argv)
             printed = capsys.readouterr()
             files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
@@ -268,10 +265,10 @@ class TestParserReuse:
                 text[0] = [row.rsplit(",", 1)[0] for row in text[0].splitlines()]
                 rows = files["ablation.csv"].splitlines()
                 files["ablation.csv"] = [row.rsplit(",", 1)[0] for row in rows]
-            results.append((code, text, files))
+            results[k] = (code, text, files)
         return results
 
-    def test_shared_parser_runs_as_a_parser_each(self, tmp_path, monkeypatch, capsys):
+    def test_calls_in_either_order_run_alike(self, tmp_path, monkeypatch, capsys):
         sets = []
         load = cli._load
 
@@ -280,16 +277,14 @@ class TestParserReuse:
             return load(args)
 
         monkeypatch.setattr(cli, "_load", spy)
-        each = self.run_calls(tmp_path / "each", monkeypatch, capsys, parser_each=True)
-        sets.clear()
-        shared = self.run_calls(tmp_path / "shared", monkeypatch, capsys, parser_each=False)
-        assert build_parser() is build_parser()
-        assert [code for code, _, _ in shared] == [code for _, code in self.CALLS]
-        assert shared == each
-        assert all(files for code, _, files in shared if code == 0)
+        order = range(len(self.CALLS))
+        forward = self.run_calls(tmp_path / "forward", monkeypatch, capsys, order)
         assert sets == [["n_blocks=6"], [], []]
-        assert build_parser().parse_args(["plan"]).set == []
-
+        backward = self.run_calls(tmp_path / "backward", monkeypatch, capsys, order[::-1])
+        assert [forward[k][0] for k in order] == [code for _, code in self.CALLS]
+        assert forward == backward
+        assert all(files for code, _, files in forward.values() if code == 0)
+        assert sets[3:] == [[], [], ["n_blocks=6"]]
 
 class TestPlanCommand:
     def test_writes_trace_and_exits_zero(self, outdir, capsys):

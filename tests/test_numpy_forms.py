@@ -1,10 +1,11 @@
 """Oracle tests of the forms that stand in for numpy's Python-level wrappers
 on the per-call paths: the proposal draw for ``Generator.choice``, the
-centroid sum for ``.mean``, the two-column norm for ``np.linalg.norm`` and
-the 2-wide ``np.add.reduce``, and the one-pass rounding of lengths to the
-wire. Each oracle is the wrapper the form replaced, and each form must equal
-it byte for byte; the scalar norm's oracle is the column norm, and the
-rounding's is Python's per-element ``round``."""
+centroid sum for ``.mean``, the two-column `world.norms` for
+``np.linalg.norm`` and the 2-wide ``np.add.reduce``, and the one-pass
+rounding of lengths to the wire. Each oracle is the wrapper the form
+replaced, and each form must equal it byte for byte; the scalar norm's
+oracle is `world.norms`, and the rounding's is Python's per-element
+``round``."""
 
 import math
 from unittest import mock
@@ -36,6 +37,7 @@ from blockplan.world import (
     is_complete,
     make_line,
     move_to_area,
+    norms,
     sample_initial_state,
     satisfied,
 )
@@ -206,30 +208,23 @@ def test_centroids_equal_mean(positions, data):
 # --- Norms ---------------------------------------------------------------------
 
 
-def column_norm(d):
-    """The program's array norm over a last axis of two columns."""
-    sq = d * d
-    return np.sqrt(sq[..., 0] + sq[..., 1])
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scalar_norm_equals_array_norm():
     """``math.sqrt(dx * dx + dy * dy)`` on Python floats, the form of the
     rollout loop, `step_true`, the collision pass, `sample_initial_state`,
-    `replay_plan` and `_goal_discrepancies`, equals the column norm
-    ``np.sqrt(sq[..., 0] + sq[..., 1])``, the form of `idealized_outcomes`
-    and `goal_distance`, on 5,000 seeded vectors whose components span
+    `replay_plan` and `_goal_discrepancies`, equals `world.norms`, the array
+    norm of `idealized_outcomes` and `goal_distance`, on 5,000 seeded vectors whose components span
     eight decades and on every pair of edge components."""
     rng = np.random.default_rng(22)
     panel = 10.0 ** rng.uniform(-6.0, 2.0, (5000, 2)) * rng.choice([-1.0, 1.0], (5000, 2))
     d = np.concatenate([panel, EDGE_VECTORS])
-    want = column_norm(d).tolist()
+    want = norms(d).tolist()
     got = [math.sqrt(dx * dx + dy * dy) for dx, dy in d.tolist()]
     bad = [v for v, g, w in zip(d.tolist(), got, want) if not same_bytes(g, w)]
     assert not bad, bad
 
 
-# The shapes the column norm takes in the program: the subject deltas of an
+# The shapes `world.norms` takes in the program: the subject deltas of an
 # outcome stack (G, 2), the same-color gaps of a group-by-color stack
 # (G, n, k, 2) and the move-to-area gaps of R frames (R, n, 2).
 NORM_SHAPES = [(66, 2), (84, 6, 1, 2), (84, 12, 3, 2), (512, 6, 2)]
@@ -238,18 +233,18 @@ NORM_SHAPES = [(66, 2), (84, 6, 1, 2), (84, 12, 3, 2), (512, 6, 2)]
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", [None, *NORM_SHAPES], ids=str)
 def test_column_norm_equals_reduce_and_scalar_norm(shape):
-    """The column norm equals the 2-wide ``np.sqrt(np.add.reduce(d * d,
+    """`world.norms` equals the 2-wide ``np.sqrt(np.add.reduce(d * d,
     -1))`` it replaced, and the scalar norm, byte for byte: on the edge
     vectors (``None``), one at a time as well, and on a seeded stack of each
     shape, whose components span eight decades."""
     if shape is None:
         d = np.array(EDGE_VECTORS)
         for v in d:
-            assert same_bytes(column_norm(v), np.sqrt(np.add.reduce(v * v, -1)))
+            assert same_bytes(norms(v), np.sqrt(np.add.reduce(v * v, -1)))
     else:
         rng = np.random.default_rng(37)
         d = 10.0 ** rng.uniform(-6.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
-    got = column_norm(d)
+    got = norms(d)
     assert got.shape == d.shape[:-1]
     assert same_bytes(got, np.sqrt(np.add.reduce(d * d, -1)))
     scalar = [math.sqrt(dx * dx + dy * dy) for dx, dy in d.reshape(-1, 2).tolist()]
@@ -258,16 +253,16 @@ def test_column_norm_equals_reduce_and_scalar_norm(shape):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_row_norms_equal_linalg_norm():
-    """The column norm, and the Python-float norms of `_goal_discrepancies`
+    """`world.norms`, and the Python-float norms of `_goal_discrepancies`
     checked through it, equal ``np.linalg.norm(d, axis=1)`` on displacements
     made of the edge components."""
     d = np.array(EDGE_VECTORS)
-    assert same_bytes(column_norm(d), np.linalg.norm(d, axis=1))
+    assert same_bytes(norms(d), np.linalg.norm(d, axis=1))
     start = make_state(np.zeros_like(d))
     # No coordinate is negative, so no block is lost and every delta counts.
     goal_frame = start.with_positions(np.abs(d))
-    _, norms = _goal_discrepancies(start, goal_frame)
-    assert same_bytes(norms, np.linalg.norm(goal_frame.positions - start.positions, axis=1))
+    _, lengths = _goal_discrepancies(start, goal_frame)
+    assert same_bytes(lengths, np.linalg.norm(goal_frame.positions - start.positions, axis=1))
 
 
 # --- Tracing -------------------------------------------------------------------

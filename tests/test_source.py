@@ -195,16 +195,16 @@ def _reduces_last_axis(node) -> bool:
 
 def test_one_spelling_per_norm_and_draw():
     """One rule for every norm: the square root of the sum of two rounded
-    squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and, with
-    ``sq = d * d``, ``np.sqrt(sq[..., 0] + sq[..., 1])`` on arrays, which
-    round alike on every IEEE host (``tests/test_numpy_forms.py``). So no
+    squares, ``math.sqrt(dx * dx + dy * dy)`` on Python floats and
+    `world.norms` on arrays, which round alike on every IEEE host
+    (``tests/test_numpy_forms.py``). So no
     module names a ``dot``, bound or called, multiplies with ``@`` or names
     anything ``hypot``, ``linalg`` or ``einsum``: a BLAS dot product rounds
     as its CPU kernel does, and ``hypot`` and ``einsum`` differ from the rule
     in the last bit. No module calls a ``.reduce`` over axis -1 either: over
-    the 2-wide last axis of a norm it adds the same two squares, at several
-    times the cost of the two-column sum (the centroid sums over axes 0 and
-    1 stay). Nor does a module call a ``.choice(``: a proposal draw searches
+    the 2-wide last axis of a norm it adds the same two squares as
+    `world.norms`, at several times the cost of its two-column sum (the
+    centroid sums over axes 0 and 1 stay). Nor does a module call a ``.choice(``: a proposal draw searches
     the cumulative weights, equal to ``Generator.choice`` without its
     per-call checks."""
     sites = []
