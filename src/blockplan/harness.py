@@ -106,7 +106,7 @@ def replay_plan(
     """Re-execute the plan's chosen actions in the true environment.
 
     Each abstract action gets the control budget a real push is worth,
-    ceil(push_reach / u_max) controls toward the action's resolved target, so
+    ceil(push_reach / u_max) controls toward the action's `Target.point`, so
     teleported or hidden progress in the plan's frames cannot be reproduced.
     The controls draw in turn from one generator, seeded
     ``derive(seed, _SEED_CONTROL)``. Success iff any replayed state completes
@@ -119,7 +119,7 @@ def replay_plan(
     if is_complete(state, goal, wcfg):
         return True
     for action in plan.actions:
-        tx, ty = action.target.resolve(state, action.subject, wcfg).tolist()
+        tx, ty = action.target.point(state, action.subject, wcfg)
         for _ in range(controls_per_action):
             x, y = state.pos(action.subject).tolist()
             dx, dy = tx - x, ty - y

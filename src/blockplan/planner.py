@@ -136,9 +136,10 @@ class Planner:
         seed is ``derive(cfg.root_seed, *unit)``: ``unit`` holds the indices of
         the caller's work unit (a run seed, an episode, a replan).
 
-        Each step appends to each beam the best surviving rollout of its
-        A x D candidates (on ties the first: `max` and `min` return the first
-        extreme).
+        Each step builds every beam's A x D candidates first and values all
+        the new ones in one `value` call (a guard resample makes its own),
+        then appends to each beam its best surviving rollout (on ties the
+        first: `max` and `min` return the first extreme).
 
         ``memo`` lets plans share their candidate sets: a set is keyed by
         every input it depends on but its grid, ``(root, salt, b, h,
@@ -160,36 +161,45 @@ class Planner:
         stream = rollout_streams(derive(root, _SEED_ROLLOUT))
         events: list[dict] = []
 
-        def candidates(beam: Plan, b: int, h: int, salt: int) -> list[Rollout]:
-            """A x D rollouts from the beam's last frame, whose value is
-            ``final_value``, valued in one call once all are made. Rollout
-            (i, j) draws from ``stream(salt, b, h, i, j)``."""
-            frame = beam.last_frame
-            if memo is not None:
-                key = (root, salt, b, h, cfg.policy_temperature, frame.positions.tobytes())
-                A0, D0, stored = memo.get(key, (0, 0, None))
-                if A <= A0 and D <= D0:
-                    return [stored[i * D0 + j] for i in range(A) for j in range(D)]
-            actions = sm.propose(
-                frame, goal, A, cfg.policy_temperature, derive(root, salt, _SEED_PROPOSE, b, h)
-            )
-            rollouts = [
-                sm.rollout(frame, action, stream(salt, b, h, i, j))
-                for i, action in enumerate(actions)
-                for j in range(D)
-            ]
-            for r, v in zip(rollouts, sm.value([r.last for r in rollouts], goal)):
-                r.start_heuristic = beam.final_value
-                r.end_heuristic = v
-            if memo is not None:
-                memo[key] = (A, D, rollouts)
-            return rollouts
+        def candidates(todo: list[tuple[int, Plan]], h: int, salt: int) -> list[list[Rollout]]:
+            """The A x D rollouts from each listed beam's last frame, whose
+            value is the beam's ``final_value``. A set the memo lacks is built
+            unvalued, and every rollout built for the list is then valued in
+            one call. Rollout (i, j) of beam b draws from ``stream(salt, b, h,
+            i, j)``."""
+            sets, fresh = [], []
+            for b, beam in todo:
+                frame = beam.last_frame
+                if memo is not None:
+                    key = (root, salt, b, h, cfg.policy_temperature, frame.positions.tobytes())
+                    A0, D0, stored = memo.get(key, (0, 0, None))
+                    if A <= A0 and D <= D0:
+                        sets.append([stored[i * D0 + j] for i in range(A) for j in range(D)])
+                        continue
+                actions = sm.propose(
+                    frame, goal, A, cfg.policy_temperature, derive(root, salt, _SEED_PROPOSE, b, h)
+                )
+                rollouts = [
+                    sm.rollout(frame, action, stream(salt, b, h, i, j))
+                    for i, action in enumerate(actions)
+                    for j in range(D)
+                ]
+                for r in rollouts:
+                    r.start_heuristic = beam.final_value
+                if memo is not None:
+                    memo[key] = (A, D, rollouts)
+                sets.append(rollouts)
+                fresh += rollouts
+            if fresh:
+                for r, v in zip(fresh, sm.value([r.last for r in fresh], goal)):
+                    r.end_heuristic = v
+            return sets
 
         v0 = sm.value([x0], goal)[0]
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
-            for b, beam in enumerate(beams):
-                found = candidates(beam, b, h, 0)
+            step = candidates(list(enumerate(beams)), h, 0)
+            for b, (beam, found) in enumerate(zip(beams, step)):
                 kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
                 if len(kept) < len(found):
                     events.append(
@@ -204,7 +214,7 @@ class Planner:
                 if not kept:
                     # Total discard is not covered by the search rule: resample once
                     # with fresh seeds, then fall back to the least-suspect candidate.
-                    resampled = candidates(beam, b, h, _SEED_RESAMPLE)
+                    (resampled,) = candidates([(b, beam)], h, _SEED_RESAMPLE)
                     kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
                     if not kept:
                         kept = [min(resampled, key=lambda r: r.end_heuristic - r.start_heuristic)]

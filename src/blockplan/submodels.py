@@ -109,23 +109,29 @@ class Target:
             return f"{state.color_of(self.block).value}{self.block}"
         return f"{self.color.value}_group"
 
-    def resolve(self, state: WorldState, subject: int, cfg: WorldConfig) -> np.ndarray:
-        """Concrete board point the subject block is pushed toward. A color
-        centroid with no peer is the subject itself; a target naming a block
-        or a color that the state lacks raises `InvalidActionError`."""
+    def point(self, state: WorldState, subject: int, cfg: WorldConfig) -> tuple[float, float]:
+        """Concrete board point the subject block is pushed toward, as two
+        floats. A color centroid sums its peers in index order from ``+0.0``,
+        as ``np.add.reduce`` does (never with ``sum``, which compensates float
+        sums from Python 3.12), over their count; with no peer it is the
+        subject itself. A target naming a block or a color that the state
+        lacks raises `InvalidActionError`."""
         if self.kind == "corner":
-            return np.array(cfg.corner_xy(self.corner))
+            return cfg.corner_xy(self.corner)
         if self.kind == "center":
             return cfg.center_point
         if self.kind == "block":
-            return state.pos(self.block).copy()
+            return tuple(state.pos(self.block).tolist())
         peers = _grammar(state.ids, state.colors)[4].get((subject, self.color))
         if peers is None:
             if self.color not in state.colors:
                 raise InvalidActionError(f"no {self.color.value} block for a centroid target")
-            return state.pos(subject).copy()
-        # .mean(axis=0) is this sum over the same axis, divided by the count.
-        return np.add.reduce(state.positions[peers], 0) / len(peers)
+            return tuple(state.pos(subject).tolist())
+        rows, x, y = state.positions.tolist(), 0.0, 0.0
+        for j in peers:
+            x += rows[j][0]
+            y += rows[j][1]
+        return x / len(peers), y / len(peers)
 
 
 @dataclass(frozen=True)
@@ -156,9 +162,9 @@ def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
     its target's row of the stack [positions; the four corners; the center;
     the color centroids] of `idealized_outcomes`; those centroids' peer rows,
     one ``(m, k)`` array per peer count k, in that order; and the peer rows
-    of each ``(subject, color)`` centroid target, which `Target.resolve`
-    reads. A centroid with no peer is the subject itself and has no entry.
-    Every part is read-only."""
+    of each ``(subject, color)`` centroid target, as a tuple, which
+    `Target.point` reads. A centroid with no peer is the subject itself and
+    has no entry. Every part is read-only."""
     n, order = len(ids), sorted(range(len(ids)), key=ids.__getitem__)
     actions, subjects, targets, peers_of, by_count = [], [], [], {}, {}
     for i in order:
@@ -168,7 +174,7 @@ def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
         for color in (c for c in Color if c in colors):
             peers = [j for j, c in enumerate(colors) if c == color and j != i]
             if peers:
-                peers_of[ids[i], color] = np.array(peers)
+                peers_of[ids[i], color] = tuple(peers)
                 by_count.setdefault(len(peers), []).append((len(actions) + len(rows), peers))
             rows.append((Target("color_centroid", color=color), i))  # with peers, replaced below
         for target, row in rows:
@@ -180,7 +186,7 @@ def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
         targets[g] = row
     groups = [np.array([peers for _, peers in group]) for group in groups]
     subjects, targets = np.array(subjects), np.array(targets)
-    for a in (subjects, targets, *groups, *peers_of.values()):
+    for a in (subjects, targets, *groups):
         a.flags.writeable = False
     return tuple(actions), subjects, targets, tuple(groups), MappingProxyType(peers_of)
 
@@ -231,7 +237,7 @@ def rollout_dynamics(
 ) -> Rollout:
     """Predict S frames for one action, drawing from ``rng``.
 
-    The pushed block interpolates toward the resolved target at per-frame speed
+    The pushed block interpolates toward its `Target.point` at per-frame speed
     ``v_model`` with noise ``sigma_model``. With probability ``p_teleport`` the
     pushed block jumps the whole remaining distance at a random frame; with
     probability ``p_vanish`` a random block drops to the off-board sentinel for
@@ -239,12 +245,12 @@ def rollout_dynamics(
     deliberately an imperfect stand-in for the true dynamics.
 
     The fault draws come first, then the noise of every frame but a teleport
-    one, in a single draw. The subject's track is stepped in floats, each
+    one, in a single flat draw. The subject's track is stepped in floats, each
     frame's distance the square root of two rounded squares, and written as
     two columns into the rollout's one read-only ``(S, n, 2)`` array.
     """
     subj = state.index_of(action.subject)
-    target = action.target.resolve(state, action.subject, wcfg)
+    tx, ty = action.target.point(state, action.subject, wcfg)
     S = mcfg.frames_per_rollout
 
     # Fault draws are fixed up front (stable per generator, independent of frames).
@@ -256,9 +262,9 @@ def rollout_dynamics(
     if faults.p_vanish > 0 and rng.random() < faults.p_vanish:
         vanish_frame = int(rng.integers(1, S))
         vanish_idx = int(rng.integers(0, state.n_blocks))
-    noise = iter(rng.normal(0.0, mcfg.sigma_model, (S - 1 - (teleport_frame > 0), 2)).tolist())
+    noise = iter(rng.normal(0.0, mcfg.sigma_model, 2 * (S - 1 - (teleport_frame > 0))).tolist())
 
-    (tx, ty), (px, py) = target.tolist(), state.positions[subj].tolist()
+    px, py = state.positions[subj].tolist()
     v, (w, h) = mcfg.v_model, wcfg.board
     xs, ys = [], []
     for t in range(1, S):
@@ -269,8 +275,7 @@ def rollout_dynamics(
             d = math.sqrt(dx * dx + dy * dy)
             if d > v:
                 dx, dy = dx / d * v, dy / d * v
-            nx, ny = next(noise)
-            dx, dy = dx + nx, dy + ny
+            dx, dy = dx + next(noise), dy + next(noise)
             px, py = px + dx, py + dy
             # min(w, max(0.0, px)), -0.0 and NaN to +0.0 included; likewise py.
             px = px if px > 0.0 else 0.0
@@ -398,7 +403,7 @@ def idealized_outcome(
     last frame of `rollout_dynamics` (tested). The reference that tests pin
     `idealized_outcomes` to; it stays here while the benchmark patches it."""
     i = state.index_of(action.subject)
-    target = action.target.resolve(state, action.subject, wcfg)
+    target = np.array(action.target.point(state, action.subject, wcfg), dtype=float)
     pos = state.positions.copy()
     delta = target - pos[i]
     d = norms(delta)
@@ -484,22 +489,23 @@ def propose_actions(
         order = sorted(range(len(grammar)), key=lambda i: (-scores[i], i))
         return [grammar[i] for i in order[:k]]
     rng = rng_from(seed)
-    remaining = list(range(len(grammar)))
+    remaining, s = list(range(len(grammar))), scores
     chosen: list[AbstractAction] = []
     # A subnormal temperature overflows a score gap to -inf: its weight is 0.
     with np.errstate(over="ignore"):
         for _ in range(k):
-            s = scores[remaining]
-            w = np.exp((s - s.max()) / temperature)
+            w = np.exp((s - np.maximum.reduce(s)) / temperature)
             # rng.choice(len(w), p=w / w.sum()) draws this, without its checks
             # of p: each weight is in [0, 1] or NaN, so a finite total is the
-            # one check left.
-            cdf = (w / w.sum()).cumsum()
+            # one check left. The ufuncs are those .max(), .sum() and
+            # .cumsum() call.
+            cdf = np.add.accumulate(w / np.add.reduce(w))
             if not math.isfinite(cdf[-1]):
                 raise ValueError(f"proposal weights must be finite, got {w}")
             cdf /= cdf[-1]
             pick = int(cdf.searchsorted(rng.random(), "right"))
             chosen.append(grammar[remaining.pop(pick)])
+            s = np.concatenate((s[:pick], s[pick + 1 :]))
     return chosen
 
 
@@ -521,8 +527,9 @@ class Submodels:
     Every stream of a plan is that one generator, reset to the rollout's
     counter, so a rollout may draw from ``rng`` only during its call.
 
-    ``value(frames, goal)`` returns one float per frame of a sequence, so the
-    planner values all A x D rollouts of a search step in one call.
+    ``value(frames, goal)`` returns one float per frame of a sequence, the
+    same whatever else the sequence holds, so the planner values all new
+    B x A x D rollouts of a search step in one call.
 
     A memo shared by plans (`Planner.plan`) relies on two more rules: propose
     is nested (the first k actions of a request for more equal a request for

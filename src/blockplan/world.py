@@ -109,8 +109,8 @@ class WorldConfig:
         return x, y
 
     @property
-    def center_point(self) -> np.ndarray:
-        return np.array([self.width / 2.0, self.height / 2.0])
+    def center_point(self) -> tuple[float, float]:
+        return self.width / 2.0, self.height / 2.0
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Fixtures shared by the test modules, and `greedy_chain`, the no-search
-reference that criterion 7 pins the degenerate `Planner.plan` to."""
+"""Fixtures shared by the test modules; `greedy_chain`, the no-search
+reference that criterion 7 pins the degenerate `Planner.plan` to; and
+`reference_resolve`, the array target rule that `Target.point` is pinned to."""
 
 import numpy as np
 
 from blockplan.planner import _SEED_PROPOSE, _SEED_ROLLOUT, Plan, PlannerConfig
 from blockplan.seeding import derive, rollout_streams
-from blockplan.submodels import ModelConfig, Submodels
+from blockplan.errors import InvalidActionError
+from blockplan.submodels import ModelConfig, Submodels, Target
 from blockplan.world import Color, TaskGoal, WorldConfig, WorldState
 
 EXACT_WORLD = WorldConfig(sigma_env=0.0)
@@ -45,3 +47,23 @@ def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConf
         beam.segments.append(r)
         beam.final_value = r.end_heuristic
     return beam
+
+
+def reference_resolve(target: Target, state: WorldState, subject: int, cfg: WorldConfig):
+    """The target point as the array rule before `Target.point` gave it as
+    two floats: a centroid is ``np.add.reduce`` over its peers' rows, divided
+    by their count, and with no peer the subject's own row. A target naming
+    a block or a color that the state lacks raises `InvalidActionError`."""
+    if target.kind == "corner":
+        return np.array(cfg.corner_xy(target.corner))
+    if target.kind == "center":
+        return np.array([cfg.width / 2.0, cfg.height / 2.0])
+    if target.kind == "block":
+        return state.pos(target.block).copy()
+    if target.color not in state.colors:
+        raise InvalidActionError(f"no {target.color.value} block for a centroid target")
+    i = state.index_of(subject)
+    peers = [j for j, c in enumerate(state.colors) if c == target.color and j != i]
+    if not peers:
+        return state.positions[i].copy()
+    return np.add.reduce(state.positions[peers], 0) / len(peers)

@@ -12,17 +12,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockplan import submodels
+from blockplan.errors import InvalidActionError
 from blockplan.planner import Plan, Planner, PlannerConfig
 from blockplan.seeding import rng_from
 from blockplan.submodels import (
     FaultConfig,
     ModelConfig,
     Rollout,
+    Target,
+    _fixed_targets,
     _goal_discrepancies,
+    _grammar,
     action_grammar,
     idealized_outcomes,
     propose_actions,
@@ -30,6 +34,7 @@ from blockplan.submodels import (
 )
 from blockplan.tracing import canonical_json, plan_to_dict, state_to_dict, wire_positions
 from blockplan.world import (
+    SENTINEL_POS,
     Color,
     Corner,
     WorldConfig,
@@ -42,10 +47,11 @@ from blockplan.world import (
     satisfied,
 )
 
-from helpers import make_state
+from helpers import make_state, reference_resolve
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 GOALS = [move_to_area(Corner.TOP_LEFT), group_by_color(), make_line()]
+WCFG = WorldConfig()
 
 # Components a norm must survive: zeros of both signs, subnormals, squares
 # that underflow or overflow, infinities and NaN.
@@ -183,7 +189,7 @@ COORD = st.one_of(
 @PROPERTY
 @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=8), st.data())
 def test_centroids_equal_mean(positions, data):
-    """`Target.resolve` and the centroid rows of `idealized_outcomes` equal
+    """`Target.point` and the centroid rows of `idealized_outcomes` equal
     ``.mean`` of the peers' positions. The outcomes are read through a reach
     that takes every subject to its target, where the distance is finite."""
     colors = data.draw(
@@ -200,9 +206,76 @@ def test_centroids_equal_mean(positions, data):
         if not peers:
             continue
         want = s.positions[peers].mean(axis=0)
-        assert same_bytes(action.target.resolve(s, action.subject, WorldConfig()), want)
+        assert same_bytes(action.target.point(s, action.subject, WorldConfig()), want)
         if reachable:
             assert same_bytes(outcomes[g, i], want)
+
+
+# Coordinates a target point must survive: zeros of both signs, the smallest
+# subnormal, a huge finite value, an infinity, NaN and the lost-block sentinel.
+POINT_COORD = st.one_of(
+    st.floats(0.0, 0.6), st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, math.nan])
+)
+POINT_ROW = st.one_of(st.tuples(POINT_COORD, POINT_COORD), st.just(SENTINEL_POS))
+
+
+@st.composite
+def point_states(draw):
+    """1-40 blocks of up to four colors, so that a color can have 8 or more
+    peers, past the block size of numpy's pairwise sum."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(POINT_ROW, min_size=n, max_size=n))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
+    return make_state(rows, colors)
+
+
+def stacked_targets(s, wcfg):
+    """Every grammar action's target row as `idealized_outcomes` stacks it,
+    each centroid ``np.add.reduce(p[peers], 1) / k``."""
+    _, _, target_rows, peer_groups, _ = _grammar(s.ids, s.colors)
+    p = s.positions
+    centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
+    return np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
+
+
+# A lone -0.0 peer: the sum starts from +0.0, so the centroid is +0.0.
+LONE_NEGATIVE_ZERO = make_state([(0.3, 0.2), (-0.0, -0.0)], [Color.RED] * 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(PROPERTY, max_examples=150)
+@given(point_states())
+@example(LONE_NEGATIVE_ZERO)
+@example(make_state([(0.05 * i, 0.3 - 0.02 * i) for i in range(12)], [Color.BLUE] * 12))
+def test_point_equals_the_stacked_row_and_the_array_rule(s):
+    """``np.array(point)`` of every grammar action is byte-equal to the row
+    `idealized_outcomes` stacks for its target and to `reference_resolve`."""
+    for action, row in zip(action_grammar(s), stacked_targets(s, WCFG)):
+        got = np.array(action.target.point(s, action.subject, WCFG))
+        assert got.tobytes() == row.tobytes(), action
+        want = reference_resolve(action.target, s, action.subject, WCFG)
+        assert got.tobytes() == want.tobytes(), action
+
+
+def test_a_lone_negative_zero_peer_is_positive_zero():
+    x, y = Target("color_centroid", color=Color.RED).point(LONE_NEGATIVE_ZERO, 0, WCFG)
+    assert (math.copysign(1.0, x), math.copysign(1.0, y)) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "target, subject",
+    [
+        (Target("color_centroid", color=Color.YELLOW), 0),
+        (Target("color_centroid", color=Color.RED), 99),
+        (Target("block", block=99), 0),
+    ],
+    ids=["absent-color", "absent-subject", "absent-block"],
+)
+def test_point_refuses_what_the_state_lacks(target, subject):
+    s = make_state([(0.1, 0.1), (0.3, 0.1)], [Color.RED, Color.BLUE])
+    for rule in (target.point, lambda *args: reference_resolve(target, *args)):
+        with pytest.raises(InvalidActionError):
+            rule(s, subject, WCFG)
 
 
 # --- Norms ---------------------------------------------------------------------

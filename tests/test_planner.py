@@ -5,6 +5,9 @@ import pytest
 
 from blockplan.errors import ConfigError
 from blockplan.planner import (
+    _SEED_PROPOSE,
+    _SEED_RESAMPLE,
+    _SEED_ROLLOUT,
     Plan,
     Planner,
     PlannerConfig,
@@ -23,7 +26,7 @@ from blockplan.submodels import (
     heuristic,
     simulator_submodels,
 )
-from blockplan.tracing import canonical_json, plan_to_dict
+from blockplan.tracing import canonical_json, plan_to_dict, round9
 from blockplan.world import (
     Color,
     Corner,
@@ -184,6 +187,140 @@ class TestGuardResample:
         assert not apply_guard(plan.segments[0], self.CFG.guard_threshold)
         fallback = {"kind": "GuardFallback", "beam": 0, "step": 1, "improvement": 4.0}
         assert events == self._events(plan, 4.0, [fallback])
+
+
+def per_beam_plan(sm, x0, goal, cfg, *unit):
+    """`Planner.plan` with no memo, as it was before a search step valued all
+    its beams in one call: each beam's candidate set is built and valued on
+    its own. Returns the plan and its events; the reference of that rewrite."""
+    root = derive(cfg.root_seed, *unit)
+    A, D = min(cfg.text_branch, len(action_grammar(x0))), cfg.video_branch
+    stream = rollout_streams(derive(root, _SEED_ROLLOUT))
+    events = []
+
+    def candidates(beam, b, h, salt):
+        frame = beam.last_frame
+        seed = derive(root, salt, _SEED_PROPOSE, b, h)
+        actions = sm.propose(frame, goal, A, cfg.policy_temperature, seed)
+        found = [
+            sm.rollout(frame, a, stream(salt, b, h, i, j))
+            for i, a in enumerate(actions)
+            for j in range(D)
+        ]
+        for r, v in zip(found, sm.value([r.last for r in found], goal)):
+            r.start_heuristic, r.end_heuristic = beam.final_value, v
+        return found
+
+    def gain(r):
+        return r.end_heuristic - r.start_heuristic
+
+    beams = [Plan(start=x0, final_value=sm.value([x0], goal)[0]) for _ in range(cfg.beams)]
+    for h in range(1, cfg.horizon + 1):
+        for b, beam in enumerate(beams):
+            found = candidates(beam, b, h, 0)
+            kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
+            if len(kept) < len(found):
+                discarded, of = len(found) - len(kept), len(found)
+                events.append(
+                    {"kind": "GuardDiscard", "beam": b, "step": h, "discarded": discarded, "of": of}
+                )
+            if not kept:
+                resampled = candidates(beam, b, h, _SEED_RESAMPLE)
+                kept = [r for r in resampled if apply_guard(r, cfg.guard_threshold)]
+                if not kept:
+                    kept = [min(resampled, key=gain)]
+                    improvement = round9(gain(kept[0]))
+                    events.append(
+                        {"kind": "GuardFallback", "beam": b, "step": h, "improvement": improvement}
+                    )
+            chosen = max(kept, key=lambda r: r.end_heuristic)
+            action, value = chosen.action.text(beam.last_frame), round9(chosen.end_heuristic)
+            events.append(
+                {"kind": "PlanStep", "beam": b, "step": h, "action": action, "value": value}
+            )
+            beam.segments.append(chosen)
+            beam.final_value = chosen.end_heuristic
+        if h % cfg.replace_period == 0:
+            beams, src, dst = replace_beams(beams)
+            if src != dst:
+                events.append({"kind": "BeamReplace", "step": h, "src": src, "dst": dst})
+    best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
+    return replace(beams[best], beam_index=best), events
+
+
+def frame_bytes(frames):
+    return [f.positions.tobytes() for f in frames]
+
+
+def total_discards(events):
+    """The guard's total discards among ``events``: one resample each."""
+    return sum(e["kind"] == "GuardDiscard" and e["discarded"] == e["of"] for e in events)
+
+
+class TestOneValueCallPerStep:
+    """A search step builds every beam's candidate set, then values all the
+    new rollouts in one call; a guard resample values its set in its own."""
+
+    # The teleporting model under a tight guard resamples (see test_harness).
+    SM = simulator_submodels(faults=FaultConfig(p_teleport=0.5))
+    GOAL = group_by_color()
+    X0 = sample_initial_state(5, seed=0)
+
+    def _logged(self):
+        """`SM` with each rollout it makes and each frame list it values
+        appended, in call order, to one log."""
+        log = []
+
+        def rollout(*args):
+            log.append(self.SM.rollout(*args))
+            return log[-1]
+
+        def value(frames, goal):
+            log.append(list(frames))
+            return self.SM.value(frames, goal)
+
+        return replace(self.SM, rollout=rollout, value=value), log
+
+    @pytest.mark.parametrize("beams", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_each_call_values_every_rollout_made_since_the_last(self, beams, horizon):
+        cfg = PlannerConfig(beams, 2, 2, horizon, guard_threshold=0.5, replace_period=2)
+        sm, log = self._logged()
+        planner = Planner(sm)
+        plan = planner.plan(self.X0, self.GOAL, cfg, 0)
+        # The log ends with a value call: nothing is made after the last one.
+        calls = [k for k, entry in enumerate(log) if isinstance(entry, list)]
+        assert calls[0] == 0 and calls[-1] == len(log) - 1
+        assert frame_bytes(log[0]) == frame_bytes([self.X0])
+        sizes = []
+        for last, call in zip(calls, calls[1:]):
+            made = log[last + 1 : call]
+            assert frame_bytes(log[call]) == frame_bytes(r.last for r in made)
+            sizes.append(len(made))
+        resamples = total_discards(planner.events)
+        assert sorted(sizes) == sorted([beams * 2 * 2] * horizon + [2 * 2] * resamples)
+        assert len(calls) == 1 + horizon + resamples
+
+        want, events = per_beam_plan(self.SM, self.X0, self.GOAL, cfg, 0)
+        assert canonical_json(planner.events) == canonical_json(events)
+        assert canonical_json(plan_to_dict(plan)) == canonical_json(plan_to_dict(want))
+
+    def test_the_cases_above_resample(self):
+        cfg = PlannerConfig(3, 2, 2, 4, guard_threshold=0.5, replace_period=2)
+        planner = Planner(self.SM)
+        planner.plan(self.X0, self.GOAL, cfg, 0)
+        assert total_discards(planner.events) > 0
+
+    @pytest.mark.parametrize("beams", [1, 2, 3])
+    def test_a_repeated_plan_values_only_its_start(self, beams):
+        cfg = PlannerConfig(beams, 2, 2, 4, guard_threshold=0.5, replace_period=2)
+        sm, log = self._logged()
+        memo = {}
+        first = Planner(sm).plan(self.X0, self.GOAL, cfg, 0, memo=memo)
+        log.clear()
+        again = Planner(sm).plan(self.X0, self.GOAL, cfg, 0, memo=memo)
+        assert [frame_bytes(entry) for entry in log] == [frame_bytes([self.X0])]
+        assert canonical_json(plan_to_dict(again)) == canonical_json(plan_to_dict(first))
 
 
 class TestReplaceBeams:

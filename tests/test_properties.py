@@ -139,7 +139,7 @@ def states_with_a_reached_target(draw):
     if draw(st.booleans()):
         a = draw(st.sampled_from(action_grammar(s)))
         p = s.positions.copy()
-        p[s.index_of(a.subject)] = a.target.resolve(s, a.subject, WCFG)
+        p[s.index_of(a.subject)] = a.target.point(s, a.subject, WCFG)
         s = s.with_positions(p)
     return s
 

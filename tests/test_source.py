@@ -288,3 +288,25 @@ def test_the_control_path_runs_on_python_floats():
                 )
     assert found == set().union(*wanted.values())
     assert not sites, sites
+
+
+def test_target_point_and_rollout_sum_without_compensation():
+    """``Target.point`` and ``rollout_dynamics`` call neither the built-in
+    ``sum`` nor ``math.fsum``. From Python 3.12 ``sum`` compensates float
+    sums, and ``fsum`` always does, so either would move a centroid's bits
+    away from ``np.add.reduce``'s plain sum on an interpreter CI does not
+    run."""
+    tree = ast.parse((PACKAGE / "submodels.py").read_text(), filename="submodels.py")
+    (target,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Target"]
+    funcs = [f for f in target.body if isinstance(f, ast.FunctionDef) and f.name == "point"]
+    funcs += [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "rollout_dynamics"
+    ]
+    assert [f.name for f in funcs] == ["point", "rollout_dynamics"]
+    sites = [
+        f"{func.name}:{node.lineno} {ast.unparse(node.func)}"
+        for func in funcs
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("sum", "fsum", "math.fsum")
+    ]
+    assert not sites, sites

@@ -45,7 +45,7 @@ from blockplan.world import (
     step_true,
 )
 
-from helpers import EXACT_WORLD, make_state
+from helpers import EXACT_WORLD, make_state, reference_resolve
 
 WCFG = WorldConfig()
 EXACT = ModelConfig(sigma_model=0.0)
@@ -109,14 +109,14 @@ class TestGrammar:
             colors=[Color.RED, Color.RED, Color.RED],
         )
         t = Target("color_centroid", color=Color.RED)
-        resolved = t.resolve(s, subject=0, cfg=WCFG)
+        resolved = t.point(s, subject=0, cfg=WCFG)
         assert np.allclose(resolved, [(0.3 + 0.5) / 2, (0.1 + 0.3) / 2])
 
     def test_centroid_of_a_missing_subject_rejected(self):
         # As for a block target: block 99 has no peers because it is absent.
         s = make_state([(0.1, 0.1), (0.3, 0.1)], colors=[Color.RED, Color.RED])
         with pytest.raises(InvalidActionError):
-            Target("color_centroid", color=Color.RED).resolve(s, 99, WCFG)
+            Target("color_centroid", color=Color.RED).point(s, 99, WCFG)
 
     def test_centroid_of_an_absent_color_rejected(self):
         # No block is yellow, so the push has no target; it is not a
@@ -128,8 +128,8 @@ class TestGrammar:
 
     def test_own_color_centroid_without_peers_is_the_subject(self):
         s = make_state([(0.1, 0.1), (0.3, 0.1)], colors=[Color.RED, Color.BLUE])
-        resolved = Target("color_centroid", color=Color.RED).resolve(s, 0, WCFG)
-        assert resolved.tolist() == [0.1, 0.1]
+        resolved = Target("color_centroid", color=Color.RED).point(s, 0, WCFG)
+        assert resolved == (0.1, 0.1)
 
 
 class TestRollout:
@@ -235,7 +235,7 @@ def reference_rollout(state, action, faults, seed, wcfg=WCFG, mcfg=ModelConfig()
     frame, kept as the bit-exact reference of that rewrite."""
     subj = state.index_of(action.subject)
     rng = rng_from(seed)
-    target = action.target.resolve(state, action.subject, wcfg)
+    target = reference_resolve(action.target, state, action.subject, wcfg)
     S = mcfg.frames_per_rollout
     teleport_frame = -1
     if faults.p_teleport > 0 and rng.random() < faults.p_teleport:
