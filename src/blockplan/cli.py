@@ -6,8 +6,9 @@ capacity error / an allocation the machine cannot make / unreadable path /
 a JSON object whose key repeats (in a config file, a ``--set`` value or a
 trace line) / a trace of another schema version or whose ``config_hash`` is
 not the digest of its stored config, 3 replay divergence.
-The output directory can be overridden with the ``BLOCKPLAN_OUT`` environment
-variable.
+Output goes to ``out`` or to the ``BLOCKPLAN_OUT`` environment variable's
+directory. ``plan`` and ``execute`` write one trace per seed, whose header
+lists that seed alone; ``ablate`` and ``oracle`` refuse more than one seed.
 """
 
 from __future__ import annotations
@@ -33,38 +34,41 @@ def _load(args) -> RunConfig:
         cfg = apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
+    if len(cfg.seeds) > 1 and args.command in ("ablate", "oracle"):
+        raise ConfigError(f"{args.command} runs one seed, got seeds {list(cfg.seeds)}")
     return cfg
 
 
-def _outdir(cfg: RunConfig) -> str:
-    out = os.environ.get("BLOCKPLAN_OUT", cfg.output_dir)
+def _outdir() -> str:
+    out = os.environ.get("BLOCKPLAN_OUT", "out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _header_config(cfg: RunConfig, mode: str, seed: int) -> dict:
-    return {"run": config_to_dict(cfg), "mode": mode, "seed": seed}
+    """A trace's run: ``cfg`` with ``seed`` as its whole seed list."""
+    return {"run": config_to_dict(replace(cfg, seeds=(seed,))), "mode": mode}
 
 
 def cmd_plan(args) -> int:
     cfg = _load(args)
-    out = _outdir(cfg)
-    seed = cfg.seeds[0]
-    records = plan_records(cfg, seed)
-    path = os.path.join(out, f"plan_{seed}.jsonl")
-    write_trace(path, _header_config(cfg, "plan", seed), records)
-    plan = records[-1]["plan"]
-    print(
-        f"plan: {len(plan['actions'])} actions, final value {plan['final_value']}, "
-        f"final-frame reward {records[-2]['value']}\n  " + "\n  ".join(plan["actions"])
-    )
-    print(f"trace written to {path}")
+    out = _outdir()
+    for seed in cfg.seeds:
+        records = plan_records(cfg, seed)
+        path = os.path.join(out, f"plan_{seed}.jsonl")
+        write_trace(path, _header_config(cfg, "plan", seed), records)
+        plan = records[-1]["plan"]
+        print(
+            f"plan: {len(plan['actions'])} actions, final value {plan['final_value']}, "
+            f"final-frame reward {records[-2]['value']}\n  " + "\n  ".join(plan["actions"])
+        )
+        print(f"trace written to {path}")
     return 0
 
 
 def cmd_execute(args) -> int:
     cfg = _load(args)
-    out = _outdir(cfg)
+    out = _outdir()
     rows = ["seed,reward,completed,steps_used,replan_count"]
     for seed in cfg.seeds:
         records = episode_records(cfg, seed)
@@ -103,7 +107,7 @@ def _parse_cells(spec: str, planner: PlannerConfig) -> list[PlannerConfig]:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    out = _outdir(cfg)
+    out = _outdir()
     rows = scaling_suite(cfg, _parse_cells(args.cells, cfg.planner), args.episodes)
     lines = ["label,episodes,naive_success,replay_success,wall_clock_s"]
     lines += [
@@ -140,9 +144,8 @@ def cmd_replay(args) -> int:
         version = header.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
-        cfg, mode, seed = config_from_dict(run["run"]), run["mode"], run["seed"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        cfg, mode = config_from_dict(run["run"]), run["mode"]
+        (seed,) = cfg.seeds
         if header.get("config_hash") != digest(run):
             raise ValueError("config_hash is not the digest of the stored config")
     except (ValueError, KeyError, TypeError, RecursionError) as e:

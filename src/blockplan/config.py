@@ -30,7 +30,6 @@ class RunConfig:
     task: TaskGoal = field(default_factory=TaskGoal)
     n_blocks: int = 4
     seeds: tuple[int, ...] = (0,)
-    output_dir: str = "out"
 
     def __post_init__(self):
         require(self, ">= 1", "n_blocks")
@@ -71,9 +70,9 @@ def _typed(path: str, hint, value):
     """``value`` checked against the type ``hint`` of the field at ``path``.
 
     Enum values are converted, an int for a float field becomes a float, a
-    list of ints for a tuple field becomes a tuple, and a section (a
-    dataclass-typed field) is built from its object; anything else is
-    returned unchanged or rejected with `ConfigError`.
+    list of ints for a tuple field becomes a tuple, a section (a
+    dataclass-typed field) is built from its object, and an int field keeps
+    an int that is not a bool; anything else is rejected with `ConfigError`.
     """
     options = get_args(hint)
     if type(None) in options:  # an optional field
@@ -96,11 +95,7 @@ def _typed(path: str, hint, value):
             return float(value)
         except OverflowError:
             raise ConfigError(f"{path}: integer too large for a float") from None
-    if hint is int:
-        ok = _is_int(value)
-    else:
-        ok = isinstance(value, hint)
-    if not ok:
+    if not _is_int(value):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
     return value
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def round9(x: float) -> float:

@@ -9,7 +9,7 @@ from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.planner import Planner
 from blockplan.seeding import derive
-from blockplan.tracing import read_trace
+from blockplan.tracing import digest, read_trace
 from blockplan.world import WorldConfig, sample_initial_state
 
 
@@ -230,11 +230,32 @@ class TestConfigBoundary:
         assert not outdir.exists()
 
     def test_output_dir_naming_a_file_exit_two(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("BLOCKPLAN_OUT", raising=False)
         taken = tmp_path / "taken"
         taken.write_text("")
-        assert run(["plan", "--set", f"output_dir={taken}", "--set", "planner.horizon=1"]) == 2
+        monkeypatch.setenv("BLOCKPLAN_OUT", str(taken))
+        assert run(["plan", "--set", "planner.horizon=1"]) == 2
         assert_config_error(capsys)
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_output_dir_is_no_config_field_exit_two(self, outdir, capsys, tmp_path, source):
+        # BLOCKPLAN_OUT alone places output, so no header names a directory.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"output_dir": "elsewhere"}')
+        options = {"set": ["--set", "output_dir=elsewhere"], "config": ["--config", str(path)]}
+        assert run(["plan", *options[source]]) == 2
+        assert_config_error(capsys)
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ablate", "--episodes", "1", "--cells", "1,1,1,1"], ["oracle", "--horizon", "0"]],
+        ids=["ablate", "oracle"],
+    )
+    def test_one_seed_command_refuses_a_seed_list_exit_two(self, outdir, capsys, argv):
+        # Each runs one seed, so a longer list must not run its first alone.
+        assert run([*argv, "--set", "n_blocks=2", "--set", "seeds=[0,1]"]) == 2
+        assert_config_error(capsys)
+        assert not outdir.exists()
 
 
 class TestRepeatedMain:
@@ -298,6 +319,15 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert "plan: 4 actions" in out
 
+    def test_seed_list_writes_a_trace_per_seed(self, outdir, capsys):
+        assert run(["plan", "--set", "seeds=[3,4]", "--set", "planner.horizon=2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("plan: 2 actions") == 2
+        for seed in (3, 4):
+            path = outdir / f"plan_{seed}.jsonl"
+            assert f"trace written to {path}\n" in out
+            assert read_trace(str(path))[0]["config"]["run"]["seeds"] == [seed]
+
     def test_seed_changes_output_bytes(self, outdir):
         run(["plan", "--seed", "1", "--set", "planner.horizon=2"])
         run(["plan", "--seed", "2", "--set", "planner.horizon=2"])
@@ -346,6 +376,17 @@ class TestExecuteCommand:
         assert len(csv) == 3
         assert (outdir / "episode_1.jsonl").exists()
         assert (outdir / "episode_2.jsonl").exists()
+
+    def test_seed_list_and_lone_seed_write_the_same_trace(self, tmp_path, monkeypatch):
+        # A header records the trace's own seed and no output directory, so
+        # the same run hashes alike wherever it was written and whatever
+        # other seeds its command line listed.
+        argvs = {"list": ["--set", "seeds=[0,1]"], "lone": ["--seed", "1"]}
+        for name, argv in argvs.items():
+            monkeypatch.setenv("BLOCKPLAN_OUT", str(tmp_path / name))
+            assert run(["execute", *argv, "--set", "n_blocks=3", "--set", "planner.horizon=2"]) == 0
+        traces = [(tmp_path / name / "episode_1.jsonl").read_bytes() for name in argvs]
+        assert traces[0] == traces[1]
 
 
 class TestAblateCommand:
@@ -499,37 +540,52 @@ class TestReplayCommand:
         assert code == 3
         assert "divergence at ordinal 2" in capsys.readouterr().err
 
-    # Traces kept from an earlier commit, so a header or record layout that
-    # drifts between commits fails here; a deliberate schema change
-    # regenerates them. Written by
-    #   blockplan plan --seed 2 --set n_blocks=3 --set planner.horizon=2
-    #     --set task.kind=move_to_area --set task.corner=top_left
-    #     --set faults.p_teleport=0.5
-    #   blockplan execute --seed 1 --set n_blocks=3 --set planner.horizon=2
-    #     --set task.kind=make_line
-    #   blockplan plan --seed 10 --set n_blocks=5 --set planner.horizon=4
-    #     --set planner.replace_period=2 --set faults.p_teleport=1.0
-    #   blockplan plan --seed 0 --set n_blocks=6 --set planner.horizon=4
-    #   blockplan execute --seed 4 --set n_blocks=6 --set planner.horizon=2
+    # Traces kept from an earlier commit, each with the command that wrote it,
+    # so a header or record layout that drifts between commits fails here; a
+    # deliberate schema change regenerates them with these commands.
     # The third holds three guard discards, one of them total and followed by
     # a guard fallback, and a beam replacement. The fourth is the benchmark's
     # block count, and its plan pushes to a color centroid that has peers.
     # The last is one episode of the benchmark's execute workload: three
     # replans, and controls whose collision pass moves a block.
-    GOLDEN_TRACES = [
-        "golden_plan_move_to_area.jsonl",
-        "golden_episode_make_line.jsonl",
-        "golden_plan_guard_fallback.jsonl",
-        "golden_plan_group_by_color.jsonl",
-        "golden_episode_group_by_color.jsonl",
-    ]
+    GOLDEN_TRACES = {
+        "golden_plan_move_to_area.jsonl": [
+            "plan", "--seed", "2", "--set", "n_blocks=3", "--set", "planner.horizon=2",
+            "--set", "task.kind=move_to_area", "--set", "task.corner=top_left",
+            "--set", "faults.p_teleport=0.5",
+        ],
+        "golden_episode_make_line.jsonl": [
+            "execute", "--seed", "1", "--set", "n_blocks=3", "--set", "planner.horizon=2",
+            "--set", "task.kind=make_line",
+        ],
+        "golden_plan_guard_fallback.jsonl": [
+            "plan", "--seed", "10", "--set", "n_blocks=5", "--set", "planner.horizon=4",
+            "--set", "planner.replace_period=2", "--set", "faults.p_teleport=1.0",
+        ],
+        "golden_plan_group_by_color.jsonl": [
+            "plan", "--seed", "0", "--set", "n_blocks=6", "--set", "planner.horizon=4",
+        ],
+        "golden_episode_group_by_color.jsonl": [
+            "execute", "--seed", "4", "--set", "n_blocks=6", "--set", "planner.horizon=2",
+        ],
+    }
+    FIRST_GOLDEN = next(iter(GOLDEN_TRACES))
 
     @pytest.mark.parametrize("name", GOLDEN_TRACES)
     def test_golden_trace_verifies(self, name):
         path = os.path.join(os.path.dirname(__file__), "data", name)
         assert run(["replay", path]) == 0
 
-    # Each edits the header of a golden trace: a schema-1 to schema-6 trace,
+    @pytest.mark.parametrize("name", GOLDEN_TRACES)
+    def test_golden_trace_is_a_fresh_run(self, outdir, name):
+        # Replay alone misses a stale header: a config field the header lacks
+        # takes its default.
+        assert run(self.GOLDEN_TRACES[name]) == 0
+        (written,) = outdir.glob("*.jsonl")
+        with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
+            assert written.read_bytes() == fh.read()
+
+    # Each edits the header of a golden trace: a schema-1 to schema-7 trace,
     # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
@@ -538,12 +594,13 @@ class TestReplayCommand:
         "schema_version_4": lambda header: header.update(schema_version=4),
         "schema_version_5": lambda header: header.update(schema_version=5),
         "schema_version_6": lambda header: header.update(schema_version=6),
+        "schema_version_7": lambda header: header.update(schema_version=7),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 
     @pytest.mark.parametrize("edit", HEADER_EDITS)
     def test_edited_golden_header_exit_two(self, capsys, tmp_path, edit):
-        with open(os.path.join(os.path.dirname(__file__), "data", self.GOLDEN_TRACES[0])) as fh:
+        with open(os.path.join(os.path.dirname(__file__), "data", self.FIRST_GOLDEN)) as fh:
             lines = fh.read().splitlines()
         header = json.loads(lines[0])
         self.HEADER_EDITS[edit](header)
@@ -574,7 +631,7 @@ class TestReplayCommand:
     def test_repeated_key_in_golden_record_exit_two(self, capsys, tmp_path):
         # The Reward record reads -1.0 and then its true 100.0: json would
         # keep the 100.0 and verify the trace.
-        with open(os.path.join(os.path.dirname(__file__), "data", self.GOLDEN_TRACES[0])) as fh:
+        with open(os.path.join(os.path.dirname(__file__), "data", self.FIRST_GOLDEN)) as fh:
             text = fh.read()
         record = '"kind":"Reward","ordinal":6,"value":100.0}'
         assert record in text
@@ -614,14 +671,20 @@ class TestReplayCommand:
         assert run(["replay", str(plan_trace)]) == 2
         assert_config_error(capsys)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_header_seed_not_a_seed_exit_two(self, plan_trace, capsys, seed):
+    @pytest.mark.parametrize(
+        "seeds", [[-1], [1.5], [True], [], [1, 2]], ids=["-1", "1.5", "True", "none", "two"]
+    )
+    def test_header_seed_not_a_seed_exit_two(self, plan_trace, capsys, seeds):
+        # The hash is rewritten to match, so only the seed list is wrong.
         lines = plan_trace.read_text().splitlines()
         header = json.loads(lines[0])
-        header["config"]["seed"] = seed
+        header["config"]["run"]["seeds"] = seeds
+        header["config_hash"] = digest(header["config"])
         plan_trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         assert run(["replay", str(plan_trace)]) == 2
-        assert_config_error(capsys)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "config_hash" not in err
 
     def test_non_object_record_exit_two(self, plan_trace, capsys):
         plan_trace.write_text(plan_trace.read_text() + "[1, 2]\n")

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -196,10 +199,10 @@ class TestTraceFiles:
     def test_write_read_round_trip(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         records = [{"kind": "A", "x": 1.5}, {"kind": "B", "y": [1, 2]}]
-        write_trace(path, {"run": {}, "mode": "plan", "seed": 0}, records)
+        write_trace(path, {"run": {}, "mode": "plan"}, records)
         back = read_trace(path)
         assert back[0]["kind"] == "Header"
-        assert back[0]["schema_version"] == 7
+        assert back[0]["schema_version"] == 8
         assert "config_hash" in back[0]
         assert [r["ordinal"] for r in back] == [0, 1, 2]
         assert back[1]["x"] == 1.5
@@ -230,6 +233,33 @@ class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig()
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_every_field_type_is_one_the_loader_checks(self):
+        # `config._typed` checks ints, floats, enums, optional enums, int
+        # tuples and sections, and refuses what is left as "expected int": a
+        # str or bool field must fail here first.
+        def kind(hint):
+            args = get_args(hint)
+            if get_origin(hint) is tuple:
+                return "int tuple" if args == (int, ...) else None
+            if type(None) in args:
+                (hint,) = [t for t in args if t is not type(None)]
+                return "optional enum" if kind(hint) == "enum" else None
+            if hint in (int, float):
+                return hint.__name__
+            if dataclasses.is_dataclass(hint):
+                return "section"
+            return "enum" if isinstance(hint, type) and issubclass(hint, Enum) else None
+
+        def fields(cls, prefix=""):
+            for name, hint in get_type_hints(cls).items():
+                yield prefix + name, hint
+                if dataclasses.is_dataclass(hint):
+                    yield from fields(hint, f"{prefix}{name}.")
+
+        assert kind(str) is kind(bool) is kind(str | None) is kind(tuple[str, ...]) is None
+        unchecked = {path: hint for path, hint in fields(RunConfig) if kind(hint) is None}
+        assert unchecked == {}
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "c.json"
@@ -279,13 +309,10 @@ class TestRunConfig:
             load_config(str(path))
 
     def test_overrides(self):
-        cfg = apply_overrides(
-            RunConfig(), ["planner.beams=4", "n_blocks=7", "seeds=[3,4]", "output_dir=elsewhere"]
-        )
+        cfg = apply_overrides(RunConfig(), ["planner.beams=4", "n_blocks=7", "seeds=[3,4]"])
         assert cfg.planner.beams == 4
         assert cfg.n_blocks == 7
         assert cfg.seeds == (3, 4)
-        assert cfg.output_dir == "elsewhere"
 
     def test_override_unknown_path(self):
         with pytest.raises(ConfigError):

@@ -391,7 +391,6 @@ def run_configs(draw, n_blocks=counts):
             task=TaskGoal(kind, corner),
             n_blocks=draw(n_blocks),
             seeds=tuple(draw(st.lists(seeds, min_size=1, max_size=4))),
-            output_dir=draw(st.text()),
         )
     except ConfigError:  # a board too large for the heuristic to measure
         assume(False)
