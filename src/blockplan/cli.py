@@ -4,8 +4,9 @@ Subcommands: ``plan``, ``execute``, ``ablate``, ``oracle``, ``replay``.
 Exit codes: 0 success, 1 runtime failure, 2 usage error / invalid config /
 capacity error / an allocation the machine cannot make / unreadable path /
 a JSON object whose key repeats (in a config file, a ``--set`` value or a
-trace line) / a trace of another schema version or whose ``config_hash`` is
-not the digest of its stored config, 3 replay divergence.
+trace line) / a trace of another schema version, whose ``config_hash`` is
+not the digest of its stored config or whose run is not one seed, 3 replay
+divergence.
 Output goes to ``out`` or to the ``BLOCKPLAN_OUT`` environment variable's
 directory. ``plan`` and ``execute`` write one trace per seed, whose header
 lists that seed alone; ``ablate`` and ``oracle`` refuse more than one seed.
@@ -60,8 +61,10 @@ def cmd_plan(args) -> int:
         plan = records[-1]["plan"]
         print(
             f"plan: {len(plan['actions'])} actions, final value {plan['final_value']}, "
-            f"final-frame reward {records[-2]['value']}\n  " + "\n  ".join(plan["actions"])
+            f"final-frame reward {records[-2]['value']}"
         )
+        for action in plan["actions"]:
+            print(f"  {action}")
         print(f"trace written to {path}")
     return 0
 
@@ -144,11 +147,14 @@ def cmd_replay(args) -> int:
         version = header.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
-        cfg, mode = config_from_dict(run["run"]), run["mode"]
-        (seed,) = cfg.seeds
         if header.get("config_hash") != digest(run):
             raise ValueError("config_hash is not the digest of the stored config")
-    except (ValueError, KeyError, TypeError, RecursionError) as e:
+        seeds = run["run"]["seeds"]
+        if not isinstance(seeds, list) or len(seeds) != 1:
+            raise ValueError(f"a trace holds one seed, got seeds {seeds!r}")
+        cfg, mode = config_from_dict(run["run"]), run["mode"]
+        (seed,) = cfg.seeds
+    except (ConfigError, ValueError, KeyError, TypeError, RecursionError) as e:
         reason = f"{type(e).__name__}: {e}"
         raise ConfigError(f"{args.trace}: not a replayable trace ({reason})") from None
     if mode == "plan":

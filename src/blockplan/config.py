@@ -37,6 +37,8 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {list(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         # The heuristic measures distances with squared coordinates and counts up
         # to sqrt(w * w + h * h) / push_reach steps per block, inf if a square is.
         w, h = self.world.width, self.world.height

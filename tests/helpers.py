@@ -28,11 +28,14 @@ def make_state(positions, colors=None):
 def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
     """No-search baseline over the bundle ``sm``: chain propose(1) -> rollout
     -> append with no selection and no guard (the "no value function"
-    structure). With beams = text_branch = video_branch = 1 and a non-binding
-    guard, ``Planner(sm).plan`` reduces to exactly this chain."""
+    structure), stopping at a frame whose value is 0, a complete one. With
+    beams = text_branch = video_branch = 1 and a non-binding guard,
+    ``Planner(sm).plan`` reduces to exactly this chain."""
     beam = Plan(start=x0, final_value=sm.value([x0], goal)[0])
     stream = rollout_streams(derive(cfg.root_seed, _SEED_ROLLOUT))
     for h in range(1, cfg.horizon + 1):
+        if beam.final_value == 0:
+            break
         frame = beam.last_frame
         action = sm.propose(
             frame,

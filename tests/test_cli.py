@@ -9,7 +9,8 @@ from blockplan.cli import main
 from blockplan.config import RunConfig, config_to_dict
 from blockplan.planner import Planner
 from blockplan.seeding import derive
-from blockplan.tracing import digest, read_trace
+from blockplan.tracing import digest, read_trace, state_from_dict
+from blockplan.submodels import parse_action
 from blockplan.world import WorldConfig, sample_initial_state
 
 
@@ -195,7 +196,9 @@ class TestConfigBoundary:
     def test_allocation_past_any_address_space_exit_two(self, outdir, capsys):
         # A rollout's noise would take 14 PiB, more than any 64-bit user
         # address space: refused at once, whatever the overcommit setting.
-        assert run(["plan", "--set", "model.frames_per_rollout=1000000000000000"]) == 2
+        # Six blocks, so that the start is not complete and a rollout is made.
+        overrides = ["n_blocks=6", "model.frames_per_rollout=1000000000000000"]
+        assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 2
         assert_config_error(capsys)
 
     def test_directory_as_config_exit_two(self, outdir, capsys, tmp_path):
@@ -309,7 +312,7 @@ class TestRepeatedMain:
 
 class TestPlanCommand:
     def test_writes_trace_and_exits_zero(self, outdir, capsys):
-        code = run(["plan", "--seed", "3", "--set", "planner.horizon=4"])
+        code = run(["plan", "--seed", "3", "--set", "planner.horizon=4", "--set", "n_blocks=6"])
         assert code == 0
         trace = read_trace(str(outdir / "plan_3.jsonl"))
         kinds = [r["kind"] for r in trace]
@@ -320,13 +323,24 @@ class TestPlanCommand:
         assert "plan: 4 actions" in out
 
     def test_seed_list_writes_a_trace_per_seed(self, outdir, capsys):
-        assert run(["plan", "--set", "seeds=[3,4]", "--set", "planner.horizon=2"]) == 0
+        argv = ["plan", "--set", "seeds=[3,4]", "--set", "planner.horizon=2", "--set", "n_blocks=6"]
+        assert run(argv) == 0
         out = capsys.readouterr().out
         assert out.count("plan: 2 actions") == 2
         for seed in (3, 4):
             path = outdir / f"plan_{seed}.jsonl"
             assert f"trace written to {path}\n" in out
             assert read_trace(str(path))[0]["config"]["run"]["seeds"] == [seed]
+
+    def test_complete_start_prints_a_plan_of_no_actions(self, outdir, capsys):
+        # Seed 0's four blocks start grouped by color, so no beam expands.
+        assert run(["plan", "--seed", "0"]) == 0
+        path = outdir / "plan_0.jsonl"
+        assert capsys.readouterr().out == (
+            "plan: 0 actions, final value -0.0, final-frame reward 100.0\n"
+            f"trace written to {path}\n"
+        )
+        assert read_trace(str(path))[-1]["plan"]["actions"] == []
 
     def test_seed_changes_output_bytes(self, outdir):
         run(["plan", "--seed", "1", "--set", "planner.horizon=2"])
@@ -376,6 +390,13 @@ class TestExecuteCommand:
         assert len(csv) == 3
         assert (outdir / "episode_1.jsonl").exists()
         assert (outdir / "episode_2.jsonl").exists()
+
+    def test_repeated_seed_exit_two(self, outdir, capsys):
+        # A repeated seed would run, write its trace and print its row twice.
+        argv = ["execute", "--set", "seeds=[1,1]", "--set", "planner.horizon=1"]
+        assert run([*argv, "--set", "n_blocks=2"]) == 2
+        assert_config_error(capsys)
+        assert not outdir.exists()
 
     def test_seed_list_and_lone_seed_write_the_same_trace(self, tmp_path, monkeypatch):
         # A header records the trace's own seed and no output directory, so
@@ -571,6 +592,49 @@ class TestReplayCommand:
     }
     FIRST_GOLDEN = next(iter(GOLDEN_TRACES))
 
+    @staticmethod
+    def golden(name):
+        return read_trace(os.path.join(os.path.dirname(__file__), "data", name))
+
+    def test_each_golden_holds_the_case_it_was_kept_for(self):
+        # A regenerated golden must not lose the case named above.
+        fallback = self.golden("golden_plan_guard_fallback.jsonl")
+        kinds = [r["kind"] for r in fallback]
+        discards = [r for r in fallback if r["kind"] == "GuardDiscard"]
+        assert sum(r["discarded"] == r["of"] for r in discards) == 1
+        assert kinds.count("GuardFallback") == kinds.count("BeamReplace") == 1
+
+        plan = self.golden("golden_plan_group_by_color.jsonl")[-1]["plan"]
+        x0 = state_from_dict({**plan, "positions": plan["frames"][0]})
+        peers = []
+        for text in plan["actions"]:
+            action = parse_action(text, x0)
+            if action.target.kind == "color_centroid":
+                subject = x0.index_of(action.subject)
+                peers += [
+                    j for j, c in enumerate(x0.colors) if c == action.target.color and j != subject
+                ]
+        assert peers
+
+        episode = self.golden("golden_episode_group_by_color.jsonl")
+        assert [r["kind"] for r in episode].count("PlanStep") == 3
+        assert episode[-1]["replan_count"] == 3
+
+    @pytest.mark.parametrize("seeds", [[], [1, 2]], ids=["no_seed", "two_seeds"])
+    def test_header_of_other_than_one_seed_exit_two(self, capsys, tmp_path, seeds):
+        # The hash is rewritten to match: only the seed list is wrong.
+        with open(os.path.join(os.path.dirname(__file__), "data", self.FIRST_GOLDEN)) as fh:
+            lines = fh.read().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["run"]["seeds"] = seeds
+        header["config_hash"] = digest(header["config"])
+        path = tmp_path / "seeds.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert run(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "a trace holds one seed" in err
+
     @pytest.mark.parametrize("name", GOLDEN_TRACES)
     def test_golden_trace_verifies(self, name):
         path = os.path.join(os.path.dirname(__file__), "data", name)
@@ -585,7 +649,7 @@ class TestReplayCommand:
         with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
             assert written.read_bytes() == fh.read()
 
-    # Each edits the header of a golden trace: a schema-1 to schema-7 trace,
+    # Each edits the header of a golden trace: a schema-1 to schema-8 trace,
     # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
@@ -595,6 +659,7 @@ class TestReplayCommand:
         "schema_version_5": lambda header: header.update(schema_version=5),
         "schema_version_6": lambda header: header.update(schema_version=6),
         "schema_version_7": lambda header: header.update(schema_version=7),
+        "schema_version_8": lambda header: header.update(schema_version=8),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 

@@ -396,7 +396,8 @@ class TestSharedCandidates:
 
     def test_nothing_survives_a_cli_call(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BLOCKPLAN_OUT", str(tmp_path))
-        argv = ["ablate", "--cells", "1,2,2,4;2,2,2,4", "--episodes", "2", "--set", "n_blocks=4"]
+        # Six blocks, so that the episodes' starts are not complete.
+        argv = ["ablate", "--cells", "1,2,2,4;2,2,2,4", "--episodes", "2", "--set", "n_blocks=6"]
         with counted_bundles() as bundles:
             assert main(argv) == 0
             assert main(argv) == 0

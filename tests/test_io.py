@@ -150,7 +150,8 @@ class TestStateSerialization:
 
 class TestPlanSerialization:
     def test_fields_and_action_text(self):
-        s = sample_initial_state(5, seed=2)
+        # Eight blocks, so that no beam finishes in three steps.
+        s = sample_initial_state(8, seed=2)
         plan = Planner().plan(s, group_by_color(), PlannerConfig(beams=1, horizon=3))
         d = plan_to_dict(plan)
         assert len(d["actions"]) == 3
@@ -175,7 +176,7 @@ class TestRoundOnce:
     the wire precision, from plain Python values only."""
 
     RUNS = {
-        "plan": (plan_records, 0, []),
+        "plan": (plan_records, 0, ["n_blocks=6"]),
         "plan_teleport": (
             plan_records,
             10,
@@ -202,7 +203,7 @@ class TestTraceFiles:
         write_trace(path, {"run": {}, "mode": "plan"}, records)
         back = read_trace(path)
         assert back[0]["kind"] == "Header"
-        assert back[0]["schema_version"] == 8
+        assert back[0]["schema_version"] == 9
         assert "config_hash" in back[0]
         assert [r["ordinal"] for r in back] == [0, 1, 2]
         assert back[1]["x"] == 1.5
@@ -313,6 +314,10 @@ class TestRunConfig:
         assert cfg.planner.beams == 4
         assert cfg.n_blocks == 7
         assert cfg.seeds == (3, 4)
+
+    def test_repeated_seed_refused(self):
+        with pytest.raises(ConfigError, match=r"seeds must not repeat, got \[1, 2, 1\]"):
+            RunConfig(seeds=(1, 2, 1))
 
     def test_override_unknown_path(self):
         with pytest.raises(ConfigError):

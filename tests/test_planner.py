@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestGuard:
         assert apply_guard(r, 3.0)
 
 
+def stream_key(rng):
+    """The Philox key and counter of a rollout stream, which name its unit."""
+    state = rng.bit_generator.state["state"]
+    return tuple(state["key"].tolist()), tuple(state["counter"].tolist())
+
+
 class TestGuardResample:
     """A total discard resamples once with salt 3; if that is discarded too,
     the least-suspect resampled candidate is kept."""
@@ -123,21 +130,18 @@ class TestGuardResample:
     CFG = PlannerConfig(beams=1, text_branch=2, video_branch=2, horizon=1)
 
     def _plan(self, gains):
-        # Stub bundle: the value of a state is block 0's x; rollout (i, j) of
-        # the round salted ``salt`` moves block 0 by gains[salt][i * D + j].
+        # Stub bundle: the value of a state is block 0's x, 0.5 at the start,
+        # so that the start is not complete; rollout (i, j) of the round
+        # salted ``salt`` moves block 0 by gains[salt][i * D + j].
         # It reads (salt, i, j) back from its generator's Philox key and
         # counter, which must be those of stream (salt, beam, step, i, j) of
         # `rollout_streams(derive(root, 2))`.
         made = {}
         D = self.CFG.video_branch
 
-        def key(rng):
-            state = rng.bit_generator.state["state"]
-            return tuple(state["key"].tolist()), tuple(state["counter"].tolist())
-
         stream = rollout_streams(derive(0, 2))
         units = {
-            key(stream(salt, 0, 1, i, j)): (salt, i, j)
+            stream_key(stream(salt, 0, 1, i, j)): (salt, i, j)
             for salt in gains
             for i in range(self.CFG.text_branch)
             for j in range(D)
@@ -147,7 +151,7 @@ class TestGuardResample:
             return action_grammar(state)[:A]
 
         def rollout(state, action, rng):
-            salt, i, j = units[key(rng)]
+            salt, i, j = units[stream_key(rng)]
             pos = state.positions.copy()
             pos[0, 0] += gains[salt][i * D + j]
             made[(salt, i, j)] = Rollout(state, np.stack([state.positions, pos]), action)
@@ -157,7 +161,7 @@ class TestGuardResample:
             return [float(state.positions[0, 0]) for state in frames]
 
         planner = Planner(Submodels(propose, rollout, value, controller=None))
-        x0 = make_state([(0.0, 0.1), (0.3, 0.2)])
+        x0 = make_state([(0.5, 0.1), (0.3, 0.2)])
         return planner.plan(x0, group_by_color(), self.CFG), made, planner.events
 
     def _events(self, plan, value, fallback=()):
@@ -179,20 +183,23 @@ class TestGuardResample:
         plan, made, events = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [1.0, 10.0, 2.5, 4.0]})
         assert plan.segments == [made[(3, 1, 0)]]
         assert apply_guard(plan.segments[0], self.CFG.guard_threshold)
-        assert events == self._events(plan, 2.5)
+        assert events == self._events(plan, 3.0)
 
     def test_fallback_keeps_least_suspect(self):
         plan, made, events = self._plan({0: [5.0, 6.0, 7.0, 8.0], 3: [9.0, 4.0, 7.0, 4.0]})
         assert plan.segments == [made[(3, 0, 1)]]
         assert not apply_guard(plan.segments[0], self.CFG.guard_threshold)
         fallback = {"kind": "GuardFallback", "beam": 0, "step": 1, "improvement": 4.0}
-        assert events == self._events(plan, 4.0, [fallback])
+        assert events == self._events(plan, 4.5, [fallback])
 
 
 def per_beam_plan(sm, x0, goal, cfg, *unit):
     """`Planner.plan` with no memo, as it was before a search step valued all
     its beams in one call: each beam's candidate set is built and valued on
-    its own. Returns the plan and its events; the reference of that rewrite."""
+    its own. A beam of value 0 is skipped, the search ends once every beam
+    is, and the plan returned is the beam of highest value, then fewest
+    segments, then lowest index. Returns the plan and its events; the
+    reference of that rewrite."""
     root = derive(cfg.root_seed, *unit)
     A, D = min(cfg.text_branch, len(action_grammar(x0))), cfg.video_branch
     stream = rollout_streams(derive(root, _SEED_ROLLOUT))
@@ -216,7 +223,11 @@ def per_beam_plan(sm, x0, goal, cfg, *unit):
 
     beams = [Plan(start=x0, final_value=sm.value([x0], goal)[0]) for _ in range(cfg.beams)]
     for h in range(1, cfg.horizon + 1):
+        if all(beam.final_value == 0 for beam in beams):
+            break
         for b, beam in enumerate(beams):
+            if beam.final_value == 0:
+                continue
             found = candidates(beam, b, h, 0)
             kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
             if len(kept) < len(found):
@@ -244,7 +255,8 @@ def per_beam_plan(sm, x0, goal, cfg, *unit):
             beams, src, dst = replace_beams(beams)
             if src != dst:
                 events.append({"kind": "BeamReplace", "step": h, "src": src, "dst": dst})
-    best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
+    ranks = [(beam.final_value, -len(beam.segments), -b) for b, beam in enumerate(beams)]
+    best = ranks.index(max(ranks))
     return replace(beams[best], beam_index=best), events
 
 
@@ -297,9 +309,18 @@ class TestOneValueCallPerStep:
             made = log[last + 1 : call]
             assert frame_bytes(log[call]) == frame_bytes(r.last for r in made)
             sizes.append(len(made))
+        # A step values the A x D = 4 rollouts of each beam it expands, one
+        # PlanStep each; the search runs all H steps unless every beam ends
+        # finished, at value 0.
         resamples = total_discards(planner.events)
-        assert sorted(sizes) == sorted([beams * 2 * 2] * horizon + [2 * 2] * resamples)
-        assert len(calls) == 1 + horizon + resamples
+        expanded = Counter(e["step"] for e in planner.events if e["kind"] == "PlanStep")
+        assert sorted(expanded) == list(range(1, len(expanded) + 1))
+        assert sorted(sizes) == sorted([2 * 2 * n for n in expanded.values()] + [4] * resamples)
+        assert len(calls) == 1 + len(expanded) + resamples
+        if len(expanded) < horizon:
+            assert plan.final_value == 0
+        else:
+            assert expanded[1] == beams
 
         want, events = per_beam_plan(self.SM, self.X0, self.GOAL, cfg, 0)
         assert canonical_json(planner.events) == canonical_json(events)
@@ -321,6 +342,53 @@ class TestOneValueCallPerStep:
         again = Planner(sm).plan(self.X0, self.GOAL, cfg, 0, memo=memo)
         assert [frame_bytes(entry) for entry in log] == [frame_bytes([self.X0])]
         assert canonical_json(plan_to_dict(again)) == canonical_json(plan_to_dict(first))
+
+
+class TestTieRule:
+    """Beams rank by value, then by fewer segments; the lowest index wins a
+    full tie. A stub bundle whose value is block 0's x, from -2, moves it in
+    beam b at step h by ``gains[b][h - 1]``."""
+
+    def _plan(self, gains):
+        cfg = PlannerConfig(beams=len(gains), text_branch=1, video_branch=1, horizon=4)
+
+        stream = rollout_streams(derive(0, 2))
+        units = {
+            stream_key(stream(0, b, h, 0, 0)): (b, h) for b in range(cfg.beams) for h in (1, 2, 3, 4)
+        }
+
+        def rollout(state, action, rng):
+            b, h = units[stream_key(rng)]
+            pos = state.positions.copy()
+            pos[0, 0] += gains[b][h - 1]
+            return Rollout(state, np.stack([state.positions, pos]), action)
+
+        def value(frames, goal):
+            return [float(state.positions[0, 0]) for state in frames]
+
+        def propose(state, goal, A, temperature, seed):
+            return action_grammar(state)[:A]
+
+        planner = Planner(Submodels(propose, rollout, value, controller=None))
+        x0 = make_state([(-2.0, 0.1), (0.3, 0.2)])
+        plan = planner.plan(x0, group_by_color(), cfg)
+        return plan, [(e["beam"], e["step"]) for e in planner.events if e["kind"] == "PlanStep"]
+
+    def test_shorter_finished_beam_wins(self):
+        # Beam 0 finishes at step 2, beam 1 at step 1; neither expands after.
+        plan, steps = self._plan([[1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])
+        assert steps == [(0, 1), (1, 1), (0, 2)]
+        assert (plan.beam_index, len(plan.segments), plan.final_value) == (1, 1, 0.0)
+
+    def test_equal_length_lower_index_wins(self):
+        plan, steps = self._plan([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        assert steps == [(0, 1), (1, 1), (0, 2), (1, 2)]
+        assert (plan.beam_index, len(plan.segments), plan.final_value) == (0, 2, 0.0)
+
+    def test_finished_beam_beats_a_longer_unfinished_one(self):
+        plan, steps = self._plan([[0.25, 0.25, 0.25, 0.25], [2.0, 1.0, 1.0, 1.0]])
+        assert steps == [(0, 1), (1, 1), (0, 2), (0, 3), (0, 4)]
+        assert (plan.beam_index, len(plan.segments), plan.final_value) == (1, 1, 0.0)
 
 
 class TestReplaceBeams:
@@ -359,6 +427,15 @@ class TestReplaceBeams:
     def test_tie_for_best_lowest_index(self):
         beams, src, dst = replace_beams([self._beam(-1.0), self._beam(-1.0), self._beam(-4.0)])
         assert (src, dst) == (0, 2)
+
+    def test_equal_values_rank_by_fewer_segments(self):
+        # Of two finished beams, the shorter is copied over the longer.
+        long, short = self._beam(0.0), self._beam(0.0)
+        long.segments = [None, None]
+        short.segments = [None]
+        beams, src, dst = replace_beams([long, short])
+        assert (src, dst) == (1, 0)
+        assert beams[0].segments == [None] and beams[0].segments is not short.segments
 
 
 class TestPlan:
@@ -402,11 +479,30 @@ class TestPlanner:
         assert t1 != t2
 
     def test_trace_and_segments_lengths(self):
-        s = sample_initial_state(4, seed=2)
+        # Eight blocks are not in a line after H steps: the plan is H long.
+        s = sample_initial_state(8, seed=2)
         p = Planner().plan(s, make_line(), self.CFG)
+        assert p.final_value != 0
         assert len(p.segments) == self.CFG.horizon
         assert len(p.heuristic_trace) == self.CFG.horizon
         assert p.beam_index in (0, 1)
+
+    def test_finished_plan_ends_at_its_first_complete_frame(self):
+        # Four blocks are in a line after five steps: the plan stops there.
+        s = sample_initial_state(4, seed=2)
+        p = Planner().plan(s, make_line(), self.CFG)
+        assert len(p.segments) == len(p.heuristic_trace) == 5 < self.CFG.horizon
+        assert p.heuristic_trace[-1] == p.final_value == 0
+        assert 0 not in p.heuristic_trace[:-1]
+        assert p.beam_index in (0, 1)
+
+    def test_complete_start_gives_no_segments(self):
+        s = sample_initial_state(4, derive(0))
+        assert heuristic([s], group_by_color())[0] == 0
+        planner = Planner()
+        p = planner.plan(s, group_by_color(), self.CFG, 0)
+        assert p.segments == [] and p.final_value == 0 and p.beam_index == 0
+        assert planner.events == []
 
     def test_final_value_matches_last_frame(self):
         s = sample_initial_state(4, seed=3)

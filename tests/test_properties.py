@@ -2,7 +2,8 @@
 agreement of the batched proposal outcomes and heuristic with their one-at-a-
 time forms, the agreement of the goal predicate, the reward and the
 heuristic, their agreement with a scalar oracle of the array region geometry,
-that the degenerate search is the greedy chain over drawn configs, what the
+that the degenerate search is the greedy chain over drawn configs, that the
+search and the greedy chain stop at a complete frame, what the
 true dynamics keep and the controls they refuse, the serialization
 round-trips of configs and states, that the CLI runs every config it loads
 or refuses it with exit 2, and that ``replay`` of a mutated copy of each
@@ -14,6 +15,7 @@ import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -282,6 +284,53 @@ def test_degenerate_search_is_the_greedy_chain(example):
 
 
 @st.composite
+def searches(draw):
+    """A search over a drawn or sampled start, often complete: 1-3 beams,
+    ``replace_period`` 1-3, any goal, with and without faults."""
+    sampled = st.builds(sample_initial_state, st.integers(1, 8), st.integers(0, 2**32 - 1))
+    x0 = draw(states | sampled)
+    cfg = PlannerConfig(
+        beams=draw(st.integers(1, 3)),
+        text_branch=draw(st.integers(1, 3)),
+        video_branch=draw(st.integers(1, 3)),
+        horizon=draw(st.integers(1, 6)),
+        guard_threshold=draw(st.sampled_from([0.5, 3.0, 1e9])),
+        replace_period=draw(st.integers(1, 3)),
+        root_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    faults = draw(st.sampled_from([FaultConfig(), FAULTS]))
+    return simulator_submodels(WCFG, faults=faults), x0, draw(st.sampled_from(GOALS)), cfg
+
+
+def assert_stops_at_a_complete_frame(sm, x0, goal, cfg, plan):
+    """No segment starts from a frame of value 0, a plan that does not end
+    on one has H segments, and a complete start gives no segment."""
+    starts = [x0, *(seg.last for seg in plan.segments)]
+    values = sm.value(starts, goal)
+    assert 0 not in values[:-1]
+    assert values[-1] == plan.final_value
+    if plan.final_value != 0:
+        assert len(plan.segments) == cfg.horizon
+    if values[0] == 0:
+        assert plan.segments == []
+
+
+@settings(PROPERTY, max_examples=150)
+@given(searches())
+def test_search_stops_at_a_complete_frame(example):
+    sm, x0, goal, cfg = example
+    assert_stops_at_a_complete_frame(sm, x0, goal, cfg, Planner(sm).plan(x0, goal, cfg))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(searches())
+def test_greedy_chain_stops_at_a_complete_frame(example):
+    sm, x0, goal, cfg = example
+    cfg = replace(cfg, beams=1, text_branch=1, video_branch=1)
+    assert_stops_at_a_complete_frame(sm, x0, goal, cfg, greedy_chain(sm, x0, goal, cfg))
+
+
+@st.composite
 def control_chains(draw):
     """A state of 1-12 sampled blocks and a chain of up to 20 controls, each
     within u_max, with the seed its true steps derive from."""
@@ -390,7 +439,7 @@ def run_configs(draw, n_blocks=counts):
             execution=draw(execution),
             task=TaskGoal(kind, corner),
             n_blocks=draw(n_blocks),
-            seeds=tuple(draw(st.lists(seeds, min_size=1, max_size=4))),
+            seeds=tuple(draw(st.lists(seeds, min_size=1, max_size=4, unique=True))),
         )
     except ConfigError:  # a board too large for the heuristic to measure
         assume(False)
