@@ -3,9 +3,9 @@
 Each planning step proposes A text actions from a beam's last frame, rolls
 each D times through the dynamics model, discards rollouts whose heuristic
 improvement exceeds the exploitation guard threshold, and appends the best
-survivor, until every beam is finished (of value 0: its last frame is complete)
-or step H. Every ``replace_period`` steps the worst beam is overwritten by the
-best (`beam_rank`), and the best is the plan returned.
+survivor, until a beam is finished (of value 0: its last frame is complete) or
+step H. Every ``replace_period`` steps the worst beam is overwritten by the
+best. The returned plan is the beam with the highest final heuristic.
 
 Every draw depends only on the root seed and the indices of its work unit,
 so the result is independent of evaluation order: a step's proposal is seeded
@@ -101,18 +101,14 @@ def apply_guard(rollout: Rollout, guard_threshold: float) -> bool:
     return (rollout.end_heuristic - rollout.start_heuristic) <= guard_threshold
 
 
-def beam_rank(beam: Plan) -> tuple[float, int]:
-    """A beam's rank: higher value first, then fewer segments. Over beam
-    indices, ``max`` and ``min`` break a full tie toward the lowest index."""
-    return beam.final_value, -len(beam.segments)
-
-
 def replace_beams(beams: list[Plan]) -> tuple[list[Plan], int, int]:
-    """Overwrite the lowest-ranked beam with a copy of the highest-ranked.
-    Returns (beams, src, dst); a single beam is returned unchanged.
+    """Overwrite the lowest-value beam with a copy of the highest-value beam.
+
+    Ties break toward the lowest beam index. Returns (beams, src, dst);
+    a single beam is returned unchanged.
     """
-    src = max(range(len(beams)), key=lambda i: beam_rank(beams[i]))
-    dst = min(range(len(beams)), key=lambda i: beam_rank(beams[i]))
+    src = max(range(len(beams)), key=lambda i: beams[i].final_value)
+    dst = min(range(len(beams)), key=lambda i: beams[i].final_value)
     if src != dst:
         beams[dst] = replace(beams[src], segments=list(beams[src].segments))
     return beams, src, dst
@@ -141,12 +137,14 @@ class Planner:
         Its root seed is ``derive(cfg.root_seed, *unit)``: ``unit`` holds the
         indices of the caller's work unit (a run seed, an episode, a replan).
 
-        Each step builds the A x D candidates of every beam whose value is not
-        0 and values all the new ones in one `value` call (a guard resample
-        makes its own), then appends to each such beam its best surviving
-        rollout (on ties the first: `max` and `min` return the first extreme).
-        A finished beam keeps its segments and value, so a complete ``x0``
-        gives a plan with no segments.
+        Each step builds every beam's A x D candidates first and values all
+        the new ones in one `value` call (a guard resample makes its own),
+        then appends to each beam its best surviving rollout (on ties the
+        first: `max` and `min` return the first extreme). The search stops
+        before a step once a beam has value 0: no value is higher (see
+        `Submodels`), and a later finish would be longer. So the returned
+        plan ends at the search's first complete frame, and a complete
+        ``x0`` gives a plan with no segments.
 
         ``memo`` lets plans share their candidate sets: a set is keyed by
         every input it depends on but its grid, ``(root, salt, b, h,
@@ -205,10 +203,10 @@ class Planner:
         v0 = sm.value([x0], goal)[0]
         beams = [Plan(start=x0, final_value=v0) for _ in range(cfg.beams)]
         for h in range(1, cfg.horizon + 1):
-            todo = [(b, beam) for b, beam in enumerate(beams) if beam.final_value != 0]
-            if not todo:
+            if any(beam.final_value == 0 for beam in beams):
                 break
-            for (b, beam), found in zip(todo, candidates(todo, h, 0)):
+            step = candidates(list(enumerate(beams)), h, 0)
+            for b, (beam, found) in enumerate(zip(beams, step)):
                 kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
                 if len(kept) < len(found):
                     events.append(
@@ -248,6 +246,6 @@ class Planner:
                 if src != dst:
                     events.append({"kind": "BeamReplace", "step": h, "src": src, "dst": dst})
         self.events = events
-        best = max(range(cfg.beams), key=lambda i: beam_rank(beams[i]))
+        best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
         return replace(beams[best], beam_index=best)
 

@@ -529,8 +529,9 @@ class Submodels:
 
     ``value(frames, goal)`` returns one float per frame of a sequence, the
     same whatever else the sequence holds, so the planner values all new
-    B x A x D rollouts of a search step in one call. A value of 0 means the
-    frame is complete: the planner expands no beam that ends on one.
+    B x A x D rollouts of a search step in one call. A value is at most 0,
+    and 0 means the frame is complete: the planner stops its search once a
+    beam ends on one.
 
     A memo shared by plans (`Planner.plan`) relies on two more rules: propose
     is nested (the first k actions of a request for more equal a request for

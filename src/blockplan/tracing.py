@@ -2,16 +2,16 @@
 
 Each record rounds its numbers once, where it is built: a length (a
 position, a plan frame, a control's displacement) becomes with
-`wire_positions` (`wire_pair` for two floats) the nearest integer count of
-1e-9 board units, exact on the wire at any board size, and every other
-float becomes with `round9` a decimal of 9 significant digits. Records are
-written as sorted-key, compact JSON, and hashes are computed over that form.
-Every distance is the square root of the sum of two rounded squares, which
-round alike on every IEEE host, so replay rests on no BLAS build or CPU
-kernel; it still rests on numpy's SIMD ``np.exp`` (the proposal softmax) and
-its ``SeedSequence``, ``PCG64`` and ``Philox`` algorithms. Trace files are one
-JSON object per line with a leading header record: the schema version, the
-run configuration and its hash.
+`wire_positions` the nearest integer count of 1e-9 board units, exact on the
+wire at any board size, and every other float becomes with `round9` a
+decimal of 9 significant digits. Records are written as sorted-key, compact
+JSON, and hashes are computed over that form. Every distance is the square
+root of the sum of two rounded squares, which round alike on every IEEE
+host, so replay rests on no BLAS build or CPU kernel; it still rests on
+numpy's SIMD ``np.exp`` (the proposal softmax) and its ``SeedSequence``,
+``PCG64`` and ``Philox`` algorithms. Trace files are one JSON object per
+line with a leading header record: the schema version, the run
+configuration and its hash.
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ def wire_positions(x) -> list:
     wide for int64 still writes exactly; a NaN or infinity raises
     `ValueError` or `OverflowError`."""
     return _round(np.multiply(x, 1e9)).tolist()
-
-
-def wire_pair(x: float, y: float) -> list:
-    """`wire_positions` of one ``(x, y)`` pair of Python floats, rounded as
-    floats: the same ints, and the same error for a NaN or an infinity."""
-    return [round(x * 1e9), round(y * 1e9)]
 
 
 # --- WorldState --------------------------------------------------------------

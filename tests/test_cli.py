@@ -166,8 +166,10 @@ class TestConfigBoundary:
             "model.sigma_model=0",
             "model.goal_eps=0",
             "planner.horizon=1",
+            "n_blocks=6",
         ]
         assert run(["plan", *(a for o in overrides for a in ("--set", o))]) == 0
+        assert len(read_trace(str(outdir / "plan_0.jsonl"))[-1]["plan"]["actions"]) == 1
 
     @pytest.mark.parametrize(
         "overrides",
@@ -343,16 +345,18 @@ class TestPlanCommand:
         assert read_trace(str(path))[-1]["plan"]["actions"] == []
 
     def test_seed_changes_output_bytes(self, outdir):
-        run(["plan", "--seed", "1", "--set", "planner.horizon=2"])
-        run(["plan", "--seed", "2", "--set", "planner.horizon=2"])
+        run(["plan", "--seed", "1", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
+        run(["plan", "--seed", "2", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
         a = (outdir / "plan_1.jsonl").read_text()
         b = (outdir / "plan_2.jsonl").read_text()
         assert a != b
+        assert '"kind":"PlanStep"' in a and '"kind":"PlanStep"' in b
 
     def test_same_seed_reproduces_bytes(self, outdir):
-        run(["plan", "--seed", "1", "--set", "planner.horizon=2"])
+        run(["plan", "--seed", "1", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
         a = (outdir / "plan_1.jsonl").read_text()
-        run(["plan", "--seed", "1", "--set", "planner.horizon=2"])
+        assert '"kind":"PlanStep"' in a
+        run(["plan", "--seed", "1", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
         assert (outdir / "plan_1.jsonl").read_text() == a
 
     def test_invalid_override_exit_two(self, outdir, capsys):
@@ -364,9 +368,11 @@ class TestPlanCommand:
 
     def test_config_file_used(self, outdir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"planner": {"horizon": 2, "beams": 1}, "seeds": [9]}))
+        config = {"planner": {"horizon": 2, "beams": 1}, "seeds": [9], "n_blocks": 6}
+        cfg.write_text(json.dumps(config))
         assert run(["plan", "--config", str(cfg)]) == 0
-        assert (outdir / "plan_9.jsonl").exists()
+        plan = read_trace(str(outdir / "plan_9.jsonl"))[-1]["plan"]
+        assert len(plan["actions"]) == 2
 
 
 class TestExecuteCommand:
@@ -501,7 +507,8 @@ class TestOracleCommand:
 
 class TestReplayCommand:
     def test_fresh_plan_trace_verifies(self, outdir, capsys):
-        run(["plan", "--seed", "4", "--set", "planner.horizon=3"])
+        run(["plan", "--seed", "4", "--set", "planner.horizon=3", "--set", "n_blocks=6"])
+        assert '"kind":"PlanStep"' in (outdir / "plan_4.jsonl").read_text()
         code = run(["replay", str(outdir / "plan_4.jsonl")])
         assert code == 0
         assert "replay verified" in capsys.readouterr().out
@@ -534,21 +541,24 @@ class TestReplayCommand:
     def test_board_past_int64_writes_exact_integers_and_verifies(self, outdir):
         # Lengths are unbounded counts of 1e-9 board units: an int64 count
         # would wrap past 9.2e9 units on this 1e12-wide board.
-        assert run(["plan", "--set", "world.width=1e12", "--set", "planner.horizon=2"]) == 0
+        sets = ["world.width=1e12", "planner.horizon=2", "n_blocks=6"]
+        assert run(["plan", *(a for o in sets for a in ("--set", o))]) == 0
         path = str(outdir / "plan_0.jsonl")
         records = read_trace(path)
-        x0 = sample_initial_state(4, derive(0), WorldConfig(width=1e12))
+        x0 = sample_initial_state(6, derive(0), WorldConfig(width=1e12))
         want = [[round(x * 1e9), round(y * 1e9)] for x, y in x0.positions.tolist()]
         assert records[1]["state"]["positions"] == want
         assert 636961687321448808448 in want[0]
         frames = records[-1]["plan"]["frames"]
-        assert frames[0] == want and max(v for f in frames for row in f for v in row) > 2**63
+        assert frames[0] == want and len(frames) > 1
+        assert max(v for f in frames[1:] for row in f for v in row) > 2**63
         assert run(["replay", path]) == 0
 
     def test_tampered_trace_exit_three(self, outdir, capsys):
-        run(["plan", "--seed", "6", "--set", "planner.horizon=2"])
+        run(["plan", "--seed", "6", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
         path = outdir / "plan_6.jsonl"
         lines = path.read_text().splitlines()
+        assert '"kind":"PlanStep"' in path.read_text()
         rec = json.loads(lines[2])
         # Tamper with whichever payload field exists on this record.
         for k in list(rec):
@@ -718,8 +728,9 @@ class TestReplayCommand:
 
     @pytest.fixture
     def plan_trace(self, outdir, capsys):
-        run(["plan", "--seed", "6", "--set", "planner.horizon=2"])
+        run(["plan", "--seed", "6", "--set", "planner.horizon=2", "--set", "n_blocks=6"])
         capsys.readouterr()
+        assert '"kind":"PlanStep"' in (outdir / "plan_6.jsonl").read_text()
         return outdir / "plan_6.jsonl"
 
     def test_truncated_trace_exit_two(self, plan_trace, capsys):

@@ -190,9 +190,12 @@ class TestExecuteSegmentwise:
         assert peak < 2**20
 
     def test_stops_on_completion(self):
+        # The start is complete, so the plan is made for another corner: the
+        # search would return no segment for this one.
         s = make_state([(0.08, 0.08)])
         goal = move_to_area(Corner.BOTTOM_LEFT)
-        plan = exact_plan(s, goal, horizon=1)
+        plan = exact_plan(s, move_to_area(Corner.TOP_RIGHT), horizon=1)
+        assert len(plan.segments) == 1
         cfg = ExecutionConfig(env_seed=1)
         out, issued = execute_segmentwise(s, plan, goal, cfg, SERVO, EXACT_WORLD)
         assert is_complete(out, goal)

@@ -32,13 +32,7 @@ from blockplan.submodels import (
     propose_actions,
     simulator_submodels,
 )
-from blockplan.tracing import (
-    canonical_json,
-    plan_to_dict,
-    state_to_dict,
-    wire_pair,
-    wire_positions,
-)
+from blockplan.tracing import canonical_json, plan_to_dict, state_to_dict, wire_positions
 from blockplan.world import (
     SENTINEL_POS,
     Color,
@@ -359,22 +353,6 @@ def test_wire_positions_equal_per_element_round(positions):
     got = wire_positions(np.array(positions))
     assert got == [[round(x * 1e9), round(y * 1e9)] for x, y in positions]
     assert {type(v) for row in got for v in row} == {int}
-
-
-@PROPERTY
-@given(LENGTH | st.sampled_from([math.nan, math.inf, -math.inf]), LENGTH)
-def test_wire_pair_equals_wire_positions(x, y):
-    """A control's two floats round as `wire_positions` rounds its array,
-    and a NaN or infinity in either place raises the same error."""
-    for pair in ((x, y), (y, x)):
-        try:
-            want = wire_positions(np.array(pair))
-        except (ValueError, OverflowError) as e:
-            with pytest.raises(type(e)):
-                wire_pair(*pair)
-        else:
-            got = wire_pair(*pair)
-            assert got == want and [type(v) for v in got] == [int, int]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -196,10 +195,8 @@ class TestGuardResample:
 def per_beam_plan(sm, x0, goal, cfg, *unit):
     """`Planner.plan` with no memo, as it was before a search step valued all
     its beams in one call: each beam's candidate set is built and valued on
-    its own. A beam of value 0 is skipped, the search ends once every beam
-    is, and the plan returned is the beam of highest value, then fewest
-    segments, then lowest index. Returns the plan and its events; the
-    reference of that rewrite."""
+    its own. Returns the plan and its events; the reference of that
+    rewrite."""
     root = derive(cfg.root_seed, *unit)
     A, D = min(cfg.text_branch, len(action_grammar(x0))), cfg.video_branch
     stream = rollout_streams(derive(root, _SEED_ROLLOUT))
@@ -223,11 +220,9 @@ def per_beam_plan(sm, x0, goal, cfg, *unit):
 
     beams = [Plan(start=x0, final_value=sm.value([x0], goal)[0]) for _ in range(cfg.beams)]
     for h in range(1, cfg.horizon + 1):
-        if all(beam.final_value == 0 for beam in beams):
+        if any(beam.final_value == 0 for beam in beams):
             break
         for b, beam in enumerate(beams):
-            if beam.final_value == 0:
-                continue
             found = candidates(beam, b, h, 0)
             kept = [r for r in found if apply_guard(r, cfg.guard_threshold)]
             if len(kept) < len(found):
@@ -255,8 +250,7 @@ def per_beam_plan(sm, x0, goal, cfg, *unit):
             beams, src, dst = replace_beams(beams)
             if src != dst:
                 events.append({"kind": "BeamReplace", "step": h, "src": src, "dst": dst})
-    ranks = [(beam.final_value, -len(beam.segments), -b) for b, beam in enumerate(beams)]
-    best = ranks.index(max(ranks))
+    best = max(range(cfg.beams), key=lambda i: beams[i].final_value)
     return replace(beams[best], beam_index=best), events
 
 
@@ -309,18 +303,14 @@ class TestOneValueCallPerStep:
             made = log[last + 1 : call]
             assert frame_bytes(log[call]) == frame_bytes(r.last for r in made)
             sizes.append(len(made))
-        # A step values the A x D = 4 rollouts of each beam it expands, one
-        # PlanStep each; the search runs all H steps unless every beam ends
+        # A step values the A x D = 4 rollouts of every beam and adds one
+        # segment to each; the search runs all H steps unless a beam ends
         # finished, at value 0.
         resamples = total_discards(planner.events)
-        expanded = Counter(e["step"] for e in planner.events if e["kind"] == "PlanStep")
-        assert sorted(expanded) == list(range(1, len(expanded) + 1))
-        assert sorted(sizes) == sorted([2 * 2 * n for n in expanded.values()] + [4] * resamples)
-        assert len(calls) == 1 + len(expanded) + resamples
-        if len(expanded) < horizon:
-            assert plan.final_value == 0
-        else:
-            assert expanded[1] == beams
+        steps = len(plan.segments)
+        assert steps == horizon or 0 < steps < horizon and plan.final_value == 0
+        assert sorted(sizes) == sorted([beams * 2 * 2] * steps + [2 * 2] * resamples)
+        assert len(calls) == 1 + steps + resamples
 
         want, events = per_beam_plan(self.SM, self.X0, self.GOAL, cfg, 0)
         assert canonical_json(planner.events) == canonical_json(events)
@@ -344,13 +334,14 @@ class TestOneValueCallPerStep:
         assert canonical_json(plan_to_dict(again)) == canonical_json(plan_to_dict(first))
 
 
-class TestTieRule:
-    """Beams rank by value, then by fewer segments; the lowest index wins a
-    full tie. A stub bundle whose value is block 0's x, from -2, moves it in
-    beam b at step h by ``gains[b][h - 1]``."""
+class TestFirstFinishStops:
+    """The search stops before a step once a beam has value 0, and returns
+    the first such beam. A stub bundle whose value is block 0's x, from -2,
+    moves it in beam b at step h by ``gains[b][h - 1]``."""
 
     def _plan(self, gains):
         cfg = PlannerConfig(beams=len(gains), text_branch=1, video_branch=1, horizon=4)
+        made = {}
 
         stream = rollout_streams(derive(0, 2))
         units = {
@@ -361,7 +352,8 @@ class TestTieRule:
             b, h = units[stream_key(rng)]
             pos = state.positions.copy()
             pos[0, 0] += gains[b][h - 1]
-            return Rollout(state, np.stack([state.positions, pos]), action)
+            made[(b, h)] = Rollout(state, np.stack([state.positions, pos]), action)
+            return made[(b, h)]
 
         def value(frames, goal):
             return [float(state.positions[0, 0]) for state in frames]
@@ -372,23 +364,20 @@ class TestTieRule:
         planner = Planner(Submodels(propose, rollout, value, controller=None))
         x0 = make_state([(-2.0, 0.1), (0.3, 0.2)])
         plan = planner.plan(x0, group_by_color(), cfg)
-        return plan, [(e["beam"], e["step"]) for e in planner.events if e["kind"] == "PlanStep"]
+        return plan, made, [(e["beam"], e["step"]) for e in planner.events]
 
-    def test_shorter_finished_beam_wins(self):
-        # Beam 0 finishes at step 2, beam 1 at step 1; neither expands after.
-        plan, steps = self._plan([[1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])
-        assert steps == [(0, 1), (1, 1), (0, 2)]
-        assert (plan.beam_index, len(plan.segments), plan.final_value) == (1, 1, 0.0)
-
-    def test_equal_length_lower_index_wins(self):
-        plan, steps = self._plan([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_a_finished_beam_ends_the_search_for_all(self):
+        # Beam 1 finishes at step 2; beam 0, still at -1.5, expands no more.
+        plan, made, steps = self._plan([[0.25, 0.25, 0.25, 0.25], [1.0, 1.0, 1.0, 1.0]])
         assert steps == [(0, 1), (1, 1), (0, 2), (1, 2)]
-        assert (plan.beam_index, len(plan.segments), plan.final_value) == (0, 2, 0.0)
+        assert set(made) == {(0, 1), (1, 1), (0, 2), (1, 2)}
+        assert plan.beam_index == 1 and plan.final_value == 0
+        assert plan.segments == [made[(1, 1)], made[(1, 2)]]
 
-    def test_finished_beam_beats_a_longer_unfinished_one(self):
-        plan, steps = self._plan([[0.25, 0.25, 0.25, 0.25], [2.0, 1.0, 1.0, 1.0]])
-        assert steps == [(0, 1), (1, 1), (0, 2), (0, 3), (0, 4)]
-        assert (plan.beam_index, len(plan.segments), plan.final_value) == (1, 1, 0.0)
+    def test_beams_finishing_together_return_the_lowest_index(self):
+        plan, made, steps = self._plan([[2.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])
+        assert steps == [(0, 1), (1, 1)]
+        assert plan.beam_index == 0 and plan.segments == [made[(0, 1)]]
 
 
 class TestReplaceBeams:
@@ -427,16 +416,6 @@ class TestReplaceBeams:
     def test_tie_for_best_lowest_index(self):
         beams, src, dst = replace_beams([self._beam(-1.0), self._beam(-1.0), self._beam(-4.0)])
         assert (src, dst) == (0, 2)
-
-    def test_equal_values_rank_by_fewer_segments(self):
-        # Of two finished beams, the shorter is copied over the longer.
-        long, short = self._beam(0.0), self._beam(0.0)
-        long.segments = [None, None]
-        short.segments = [None]
-        beams, src, dst = replace_beams([long, short])
-        assert (src, dst) == (1, 0)
-        assert beams[0].segments == [None] and beams[0].segments is not short.segments
-
 
 class TestPlan:
     def test_frames_dedup_junctions(self):
@@ -605,11 +584,12 @@ class TestSelection:
     def test_text_branch_beyond_the_grammar_plans_as_the_grammar(self):
         # Propose returns at most the grammar's G actions, so a larger
         # text_branch plans as text_branch=G.
-        s = sample_initial_state(2, seed=4)
+        s = sample_initial_state(6, seed=4)
         G = len(action_grammar(s))
         cfg = PlannerConfig(beams=1, text_branch=10_000, video_branch=1, horizon=2, root_seed=5)
         wide = Planner().plan(s, group_by_color(), cfg)
         exact = Planner().plan(s, group_by_color(), replace(cfg, text_branch=G))
+        assert len(wide.segments) == 2
         assert canonical_json(plan_to_dict(wide)) == canonical_json(plan_to_dict(exact))
 
 

@@ -559,7 +559,7 @@ cell_specs = st.lists(cells.map(",".join), min_size=1, max_size=3).map(";".join)
 @given(cell_specs)
 def test_every_cell_spec_runs_or_exits_two(spec):
     argv = ["ablate", "--cells", spec, "--episodes", "1"]
-    argv += ["--set", "n_blocks=1", "--set", "planner.horizon=1"]
+    argv += ["--set", "n_blocks=5", "--set", "planner.horizon=1"]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, BLOCKPLAN_OUT=tmp):
         assert_runs_or_exits_two(argv)
 
