@@ -26,14 +26,13 @@ from .submodels import (
     action_grammar,
     idealized_outcomes,
     simulator_submodels,
-    steps_needed,
+    steps_to_go,
 )
 from .world import (
     TaskGoal,
     WorldConfig,
     WorldState,
     ControlAction,
-    goal_distance,
     is_complete,
     sample_initial_state,
     satisfied,
@@ -86,8 +85,7 @@ def brute_force_oracle(
     leaves = x0.positions[None]
     for _ in range(H):
         leaves = np.concatenate([idealized_outcomes(x0.with_view(p), wcfg, mcfg) for p in leaves])
-    d = goal_distance(leaves, x0.colors, goal, wcfg)
-    values = -steps_needed(d, mcfg.push_reach).sum(axis=-1)
+    values = steps_to_go(leaves, x0.colors, goal, wcfg, mcfg)
     best = int(np.argmax(values))
     return float(values[best]), [grammar[i] for i in np.unravel_index(best, (g,) * H)]
 

@@ -304,32 +304,41 @@ def steps_needed(distance: np.ndarray, push_reach: float) -> np.ndarray:
     return np.where(distance <= GOAL_TOL, 0.0, steps)
 
 
+def steps_to_go(
+    positions: np.ndarray,
+    colors: tuple[Color, ...],
+    goal: TaskGoal,
+    wcfg: WorldConfig,
+    mcfg: ModelConfig,
+) -> np.ndarray:
+    """The value rule: the negated sum of each block's `steps_needed` of its
+    `goal_distance`, for each position set of a ``(..., n, 2)`` stack. Terms
+    are whole numbers, so each value equals what its set scores alone, the
+    ``-0.0`` of a complete set included."""
+    d = goal_distance(positions, colors, goal, wcfg)
+    return -steps_needed(d, mcfg.push_reach).sum(axis=-1)
+
+
 def heuristic(
     states: Sequence[WorldState],
     goal: TaskGoal,
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
 ) -> list[float]:
-    """Negated estimate of abstract actions remaining until goal completion,
-    one float per state of a sequence of states of the same blocks.
-
-    Zero exactly when `world.is_complete` holds, more negative the farther
-    blocks sit from their satisfying regions: each block's term is the
-    `steps_needed` of its `goal_distance`. The states are scored as one
-    ``(R, n, 2)`` stack. Terms are whole numbers, so each value equals what
-    its state scores alone, the ``-0.0`` of a complete state included.
-    """
-    d = goal_distance(np.array([s.positions for s in states]), states[0].colors, goal, wcfg)
-    return (-steps_needed(d, mcfg.push_reach).sum(axis=-1)).tolist()
+    """Negated estimate of abstract actions remaining until goal completion:
+    the `steps_to_go` of a sequence of states of the same blocks, scored as
+    one ``(R, n, 2)`` stack, one float per state. Zero exactly when
+    `world.is_complete` holds."""
+    positions = np.array([s.positions for s in states])
+    return steps_to_go(positions, states[0].colors, goal, wcfg, mcfg).tolist()
 
 
 # --- Low-level controllers ---------------------------------------------------
 
 
-Discrepancies = tuple[list[tuple[float, float]], list[float]]
-
-
-def _goal_discrepancies(state: WorldState, goal_state: WorldState) -> Discrepancies:
+def _goal_discrepancies(
+    state: WorldState, goal_state: WorldState
+) -> tuple[list[tuple[float, float]], list[float]]:
     """Per-block displacement to the goal frame and its length, as Python
     floats; a block lost in either frame counts as not displaced."""
     if state.ids != goal_state.ids:
@@ -359,17 +368,17 @@ def goal_policy(
     wcfg: WorldConfig = WorldConfig(),
     mcfg: ModelConfig = ModelConfig(),
     *,
-    discrepancies: Discrepancies | None = None,
-) -> ControlAction:
+    reach: float = math.inf,
+) -> ControlAction | None:
     """Servo toward a goal frame: push the block with the largest positional
-    discrepancy, displacement clipped to u_max. A block lost in either frame
-    is ignored. Emits a zero-displacement control within ``goal_eps``.
-    Exact at any distance; `simulator_submodels` limits its reach and passes
-    the frames' `_goal_discrepancies` it has already built."""
-    if discrepancies is None:
-        discrepancies = _goal_discrepancies(state, goal_state)
-    deltas, norms = discrepancies
+    discrepancy, displacement clipped to u_max, or emit a zero control within
+    ``goal_eps``. A block lost in either frame is ignored. A discrepancy past
+    ``reach`` gets ``None``: exact at any distance by default, the controller
+    of `simulator_submodels` binds ``mcfg.controller_reach``."""
+    deltas, norms = _goal_discrepancies(state, goal_state)
     idx = _largest(norms)
+    if norms[idx] > reach:
+        return None
     if norms[idx] <= mcfg.goal_eps:
         return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
     return ControlAction.bounded(state.ids[idx], *deltas[idx], norms[idx], wcfg.u_max)
@@ -445,21 +454,6 @@ def idealized_outcomes(
     return out
 
 
-def proposal_scores(
-    state: WorldState,
-    goal: TaskGoal,
-    wcfg: WorldConfig = WorldConfig(),
-    mcfg: ModelConfig = ModelConfig(),
-) -> np.ndarray:
-    """The `heuristic` of every grammar action's `idealized_outcome`, in grammar
-    order, scored as the one ``(G, n, 2)`` array of `idealized_outcomes`.
-    Terms are whole numbers, so each score equals the outcome's `heuristic`
-    exactly.
-    """
-    d = goal_distance(idealized_outcomes(state, wcfg, mcfg), state.colors, goal, wcfg)
-    return -steps_needed(d, mcfg.push_reach).sum(axis=-1)
-
-
 def propose_actions(
     state: WorldState,
     goal: TaskGoal,
@@ -483,7 +477,7 @@ def propose_actions(
     if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     grammar = action_grammar(state)
-    scores = proposal_scores(state, goal, wcfg, mcfg)
+    scores = steps_to_go(idealized_outcomes(state, wcfg, mcfg), state.colors, goal, wcfg, mcfg)
     k = min(A, len(grammar))
     if temperature == 0.0:
         order = sorted(range(len(grammar)), key=lambda i: (-scores[i], i))
@@ -556,22 +550,14 @@ def simulator_submodels(
     faults: FaultConfig = FaultConfig(),
 ) -> Submodels:
     """Reference submodels backed by the simulated environment: the module's
-    role functions with these configs bound.
-
-    The controller is `goal_policy` limited to goal frames within
-    ``mcfg.controller_reach``; farther goal frames get ``None``.
-    """
-
-    def _controller(state, goal_state):
-        discrepancies = _goal_discrepancies(state, goal_state)
-        norms = discrepancies[1]
-        if norms[_largest(norms)] > mcfg.controller_reach:
-            return None
-        return goal_policy(state, goal_state, wcfg, mcfg, discrepancies=discrepancies)
-
+    role functions with these configs bound. The controller is `goal_policy`
+    with ``reach`` bound to ``mcfg.controller_reach``: farther goal frames get
+    ``None``."""
     return Submodels(
         propose=functools.partial(propose_actions, wcfg=wcfg, mcfg=mcfg),
         rollout=functools.partial(rollout_dynamics, faults=faults, wcfg=wcfg, mcfg=mcfg),
         value=functools.partial(heuristic, wcfg=wcfg, mcfg=mcfg),
-        controller=_controller,
+        controller=functools.partial(
+            goal_policy, wcfg=wcfg, mcfg=mcfg, reach=mcfg.controller_reach
+        ),
     )

@@ -116,7 +116,7 @@ def test_draw_equals_generator_choice(scores, A, temperature, seed):
         return generators[-1]
 
     with (
-        mock.patch.object(submodels, "proposal_scores", return_value=scores),
+        mock.patch.object(submodels, "steps_to_go", return_value=scores),
         mock.patch.object(submodels, "rng_from", recording_rng_from),
     ):
         if want is ValueError:
@@ -154,7 +154,7 @@ def test_draw_at_each_boundary_equals_generator_choice(scores, temperature):
     for u in {u for u in [*cdf.tolist(), *np.nextafter(cdf, -1.0).tolist()] if u < 1.0}:
         want = GRAMMAR[FixedUniform(u).choice(len(p), p=p)]
         with (
-            mock.patch.object(submodels, "proposal_scores", return_value=scores),
+            mock.patch.object(submodels, "steps_to_go", return_value=scores),
             mock.patch.object(submodels, "rng_from", lambda seed: FixedUniform(u)),
         ):
             assert propose_actions(STATE, make_line(), 1, temperature, 0) == [want], u
@@ -165,7 +165,7 @@ def test_draw_at_each_boundary_equals_generator_choice(scores, temperature):
 def test_non_finite_weight_raises(bad):
     scores = np.zeros(len(GRAMMAR))
     scores[5] = bad
-    with mock.patch.object(submodels, "proposal_scores", return_value=scores):
+    with mock.patch.object(submodels, "steps_to_go", return_value=scores):
         with pytest.raises(ValueError, match="proposal weights must be finite"):
             propose_actions(STATE, make_line(), 2, 0.3, 0)
 

@@ -4,10 +4,11 @@ time forms, the agreement of the goal predicate, the reward and the
 heuristic, their agreement with a scalar oracle of the array region geometry,
 that the degenerate search is the greedy chain over drawn configs, that the
 search and the greedy chain stop at a complete frame, what the
-true dynamics keep and the controls they refuse, the serialization
-round-trips of configs and states, that the CLI runs every config it loads
-or refuses it with exit 2, and that ``replay`` of a mutated copy of each
-golden trace verifies, refuses or reports a divergence."""
+true dynamics keep and the controls they refuse, the goal frames the
+simulator controller declines, the serialization round-trips of configs
+and states, that the CLI runs every config it loads or refuses it with
+exit 2, and that ``replay`` of a mutated copy of each golden trace
+verifies, refuses or reports a divergence."""
 
 import io
 import json
@@ -32,14 +33,16 @@ from blockplan.seeding import derive, rng_from
 from blockplan.submodels import (
     FaultConfig,
     ModelConfig,
+    _goal_discrepancies,
     action_grammar,
+    goal_policy,
     heuristic,
     idealized_outcome,
     idealized_outcomes,
     parse_action,
-    proposal_scores,
     rollout_dynamics,
     simulator_submodels,
+    steps_to_go,
 )
 from blockplan.tracing import (
     canonical_json,
@@ -79,11 +82,11 @@ MAX_BLOCKS = 12  # sampling a state is O(n_blocks**2)
 
 
 @st.composite
-def drawn_states(draw):
+def drawn_states(draw, n_blocks=st.integers(1, 8)):
     """1-8 blocks with any distinct ids and colors, each at the off-board
     sentinel of a vanished block or in a box on the board. A small box lies
     inside some goal regions, so that complete states are drawn often."""
-    n = draw(st.integers(1, 8))
+    n = draw(n_blocks)
     ids = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
     colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
     size = draw(st.sampled_from([0.05, 0.2, WCFG.width]))
@@ -126,7 +129,7 @@ def test_grammar_round_trips(s):
 @given(states)
 def test_proposal_scores_equal_full_heuristic(s):
     for goal in GOALS:
-        scores = proposal_scores(s, goal, WCFG)
+        scores = steps_to_go(idealized_outcomes(s, WCFG), s.colors, goal, WCFG, ModelConfig())
         full = [
             heuristic([idealized_outcome(s, a, WCFG)], goal, WCFG)[0] for a in action_grammar(s)
         ]
@@ -376,6 +379,38 @@ def test_step_true_refuses_a_non_finite_control(n, seed, bad, other, bad_first, 
     u = ControlAction(data.draw(st.sampled_from(s.ids)), (bad, other) if bad_first else (other, bad))
     with pytest.raises(InvalidActionError):
         step_true(s, u, rng_from(seed), WCFG)
+
+
+REACH = ModelConfig().controller_reach
+
+
+@st.composite
+def frame_pairs(draw):
+    """A drawn state and a goal frame of its blocks: the positions of another
+    drawn state, or each block of the state moved by up to twice the
+    controller's reach per axis, a quarter of them lost. Goal frames of the
+    second kind fall on either side of the reach."""
+    s = draw(drawn_states())
+    if draw(st.booleans()):
+        return s, s.with_positions(draw(drawn_states(st.just(s.n_blocks))).positions)
+    step = st.floats(-2 * REACH, 2 * REACH)
+    rows = [
+        SENTINEL_POS if draw(st.integers(0, 3)) == 0 else (x + draw(step), y + draw(step))
+        for x, y in s.positions.tolist()
+    ]
+    return s, s.with_positions(np.array(rows))
+
+
+@PROPERTY
+@given(frame_pairs())
+def test_simulator_controller_declines_exactly_past_its_reach(pair):
+    # Lost blocks in either frame included: they count as not displaced.
+    s, g = pair
+    controller = simulator_submodels(WCFG).controller
+    if max(_goal_discrepancies(s, g)[1]) > REACH:
+        assert controller(s, g) is None
+    else:
+        assert controller(s, g) == goal_policy(s, g, WCFG)
 
 
 nonneg = st.floats(0.0, allow_infinity=False)

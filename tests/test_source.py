@@ -1,9 +1,11 @@
 """Source-level checks on the blockplan package."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import blockplan
+from blockplan.submodels import Submodels
 
 PACKAGE = Path(blockplan.__file__).parent
 
@@ -236,6 +238,29 @@ def test_no_module_calls_idealized_outcome():
     assert not sites, sites
 
 
+def test_the_simulator_bundle_binds_module_functions():
+    """Each of the four roles in the ``Submodels`` that ``simulator_submodels``
+    returns is a ``functools.partial`` of a module-level function of
+    ``submodels.py``: the reference bundle is the module's role functions
+    with their configs bound, and no role is a function of its own."""
+    tree = ast.parse((PACKAGE / "submodels.py").read_text(), filename="submodels.py")
+    funcs = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+    (factory,) = [f for f in tree.body if getattr(f, "name", None) == "simulator_submodels"]
+    returned = factory.body[-1]
+    assert isinstance(returned, ast.Return), ast.unparse(returned)
+    bundle = returned.value
+    assert _dotted(bundle.func) == ["Submodels"] and not bundle.args, ast.unparse(bundle)
+
+    def bound(value):
+        if isinstance(value, ast.Call) and _dotted(value.func) == ["functools.partial"]:
+            return ast.unparse(value.args[0])
+        return ast.unparse(value)
+
+    roles = {kw.arg: bound(kw.value) for kw in bundle.keywords}
+    assert roles.keys() == {f.name for f in dataclasses.fields(Submodels)}
+    assert all(name in funcs for name in roles.values()), roles
+
+
 def test_the_true_step_runs_on_python_floats():
     """``world.step_true``, ``_resolve_collisions`` and ``_clamp`` call no
     ``np.*`` function but the one ``np.array`` that ``step_true`` returns:
@@ -270,9 +295,7 @@ def test_the_control_path_runs_on_python_floats():
     function. Each reads a state's positions with one ``tolist``."""
     wanted = {
         "world.py": {"is_complete", "reward", "satisfied_rows", "lost_rows", "bounded"},
-        "submodels.py": {
-            "_goal_discrepancies", "_largest", "goal_policy", "inverse_dynamics", "_controller"
-        },
+        "submodels.py": {"_goal_discrepancies", "_largest", "goal_policy", "inverse_dynamics"},
     }
     sites, found = [], set()
     for name, funcs in wanted.items():

@@ -504,10 +504,19 @@ class TestControllers:
         g = make_state([SENTINEL_POS, (0.42, 0.2)])
         assert controller(s, g) == goal_policy(s, g)
 
+    def test_reach_is_checked_before_goal_eps(self):
+        # A reach inside goal_eps (push_reach / 2 < goal_eps) declines a goal
+        # frame that goal_eps alone would answer with a zero control.
+        mcfg = ModelConfig(push_reach=1e-3, goal_eps=1e-3)
+        s = make_state([(0.2, 0.2)])
+        g = make_state([(0.2007, 0.2)])
+        assert goal_policy(s, g, mcfg=mcfg).displacement == (0.0, 0.0)
+        assert simulator_submodels(mcfg=mcfg).controller(s, g) is None
+
     def test_simulator_controller_measures_once_through_the_module_global(self):
-        """One control builds the frames' discrepancies once, and still calls
-        the `goal_policy` a caller finds in `blockplan.submodels`."""
-        controller = simulator_submodels().controller
+        """One control builds the frames' discrepancies once, and calls the
+        `goal_policy` that `blockplan.submodels` holds when the bundle is
+        built."""
         s = make_state([(0.2, 0.2), (0.4, 0.2)])
         g = make_state([(0.2, 0.2), (0.43, 0.21)])
         with (
@@ -516,7 +525,7 @@ class TestControllers:
             ) as measure,
             mock.patch.object(submodels, "goal_policy", wraps=goal_policy) as policy,
         ):
-            u = controller(s, g)
+            u = simulator_submodels().controller(s, g)
         assert measure.call_count == 1 and policy.call_count == 1
         assert u == goal_policy(s, g)
 
