@@ -25,9 +25,9 @@ def main():
     x0 = sample_initial_state(6, seed=seed)
 
     print(f"seed {seed}: 6 blocks, goal '{goal.text}'")
-    for bid, color in zip(x0.ids, x0.colors):
-        x, y = x0.positions[bid]
-        print(f"  {color.value}{bid} at ({x:.3f}, {y:.3f})")
+    for block, color in enumerate(x0.colors):
+        x, y = x0.positions[block]
+        print(f"  {color.value}{block} at ({x:.3f}, {y:.3f})")
     print(f"start heuristic: {heuristic([x0], goal)[0]:.0f} (0 means done)")
     print()
 

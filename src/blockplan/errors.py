@@ -11,7 +11,7 @@ class InvalidActionError(BlockplanError):
 
 
 class InvalidGoalError(BlockplanError):
-    """Two states that must share a block id set do not."""
+    """Two states that must hold the same blocks do not: their colors differ."""
 
 
 class CapacityError(BlockplanError):

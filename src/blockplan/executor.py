@@ -139,7 +139,7 @@ def run_episode(
     while steps_used < ecfg.total_budget and not is_complete(env_state, goal, wcfg):
         plan = planner.plan(env_state, goal, pcfg, replan_count)
         if open_loop:
-            ecfg = replace(ecfg, frames_per_plan=len(plan.frames()) - 1)
+            ecfg = replace(ecfg, frames_per_plan=sum(len(s.positions) - 1 for s in plan.segments))
         replan_count += 1
         if trace is not None:
             trace.append(

@@ -119,7 +119,7 @@ def replay_plan(
     for action in plan.actions:
         tx, ty = action.target.point(state, action.subject, wcfg)
         for _ in range(controls_per_action):
-            x, y = state.pos(action.subject).tolist()
+            x, y = state.positions[state.index_of(action.subject)].tolist()
             dx, dy = tx - x, ty - y
             d = math.sqrt(dx * dx + dy * dy)
             u = ControlAction.bounded(action.subject, dx, dy, d, wcfg.u_max)

@@ -88,7 +88,7 @@ class Plan:
 
     def segment_ends(self) -> list[int]:
         """Index in `frames` of each segment's last frame."""
-        return list(accumulate(len(seg.frames) - 1 for seg in self.segments))
+        return list(accumulate(len(seg.positions) - 1 for seg in self.segments))
 
 
 def apply_guard(rollout: Rollout, guard_threshold: float) -> bool:

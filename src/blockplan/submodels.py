@@ -88,9 +88,9 @@ class FaultConfig:
 
 # --- Abstract action grammar -------------------------------------------------
 #
-# Text form: "push <color><id> to <target-name>" where target-name is one of
-# top_left / top_right / bottom_left / bottom_right / center, another block's
-# <color><id>, or "<color>_group" (centroid of that color's other blocks).
+# Text form: "push <color><n> to <target-name>", n a block's row, where
+# target-name is top_left / top_right / bottom_left / bottom_right / center,
+# another block's <color><n>, or "<color>_group" (its other blocks' centroid).
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class Target:
         if self.kind == "center":
             return "center"
         if self.kind == "block":
-            return f"{state.color_of(self.block).value}{self.block}"
+            return f"{state.colors[state.index_of(self.block)].value}{self.block}"
         return f"{self.color.value}_group"
 
     def point(self, state: WorldState, subject: int, cfg: WorldConfig) -> tuple[float, float]:
@@ -121,12 +121,12 @@ class Target:
         if self.kind == "center":
             return cfg.center_point
         if self.kind == "block":
-            return tuple(state.pos(self.block).tolist())
-        peers = _grammar(state.ids, state.colors)[4].get((subject, self.color))
+            return tuple(state.positions[state.index_of(self.block)].tolist())
+        peers = _grammar(state.colors)[4].get((subject, self.color))
         if peers is None:
             if self.color not in state.colors:
                 raise InvalidActionError(f"no {self.color.value} block for a centroid target")
-            return tuple(state.pos(subject).tolist())
+            return tuple(state.positions[state.index_of(subject)].tolist())
         rows, x, y = state.positions.tolist(), 0.0, 0.0
         for j in peers:
             x += rows[j][0]
@@ -142,22 +142,22 @@ class AbstractAction:
     target: Target
 
     def text(self, state: WorldState) -> str:
-        subj = f"{state.color_of(self.subject).value}{self.subject}"
+        subj = f"{state.colors[state.index_of(self.subject)].value}{self.subject}"
         return f"push {subj} to {self.target.name(state)}"
 
 
 def action_grammar(state: WorldState) -> tuple[AbstractAction, ...]:
     """Enumerate the full closed grammar in a fixed, deterministic order.
 
-    It depends only on ids and colors, which neither the model nor the true
-    dynamics changes, so one shared immutable tuple serves each pair.
+    It depends only on colors, which neither the model nor the true
+    dynamics changes, so one shared immutable tuple serves each color tuple.
     """
-    return _grammar(state.ids, state.colors)[0]
+    return _grammar(state.colors)[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
-    """The grammar table of one block set, enumerated in one pass. In order:
+def _grammar(colors: tuple[Color, ...]) -> tuple:
+    """The grammar table of one block set, in one pass in row order. In order:
     the actions; per action, its subject's row of the positions; per action,
     its target's row of the stack [positions; the four corners; the center;
     the color centroids] of `idealized_outcomes`; those centroids' peer rows,
@@ -165,20 +165,20 @@ def _grammar(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple:
     of each ``(subject, color)`` centroid target, as a tuple, which
     `Target.point` reads. A centroid with no peer is the subject itself and
     has no entry. Every part is read-only."""
-    n, order = len(ids), sorted(range(len(ids)), key=ids.__getitem__)
+    n = len(colors)
     actions, subjects, targets, peers_of, by_count = [], [], [], {}, {}
-    for i in order:
+    for i in range(n):
         rows = [(Target("corner", corner=c), n + k) for k, c in enumerate(Corner)]
         rows.append((Target("center"), n + len(Corner)))
-        rows += [(Target("block", block=ids[j]), j) for j in order if j != i]
+        rows += [(Target("block", block=j), j) for j in range(n) if j != i]
         for color in (c for c in Color if c in colors):
             peers = [j for j, c in enumerate(colors) if c == color and j != i]
             if peers:
-                peers_of[ids[i], color] = tuple(peers)
+                peers_of[i, color] = tuple(peers)
                 by_count.setdefault(len(peers), []).append((len(actions) + len(rows), peers))
             rows.append((Target("color_centroid", color=color), i))  # with peers, replaced below
         for target, row in rows:
-            actions.append(AbstractAction(ids[i], target))
+            actions.append(AbstractAction(i, target))
             subjects.append(i)
             targets.append(row)
     groups = [by_count[k] for k in sorted(by_count)]
@@ -341,8 +341,8 @@ def _goal_discrepancies(
 ) -> tuple[list[tuple[float, float]], list[float]]:
     """Per-block displacement to the goal frame and its length, as Python
     floats; a block lost in either frame counts as not displaced."""
-    if state.ids != goal_state.ids:
-        raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
+    if state.colors != goal_state.colors:
+        raise InvalidGoalError(f"block colors differ: {state.colors} vs {goal_state.colors}")
     a = state.positions.tolist()
     b = goal_state.positions.tolist()
     deltas = [
@@ -380,8 +380,8 @@ def goal_policy(
     if norms[idx] > reach:
         return None
     if norms[idx] <= mcfg.goal_eps:
-        return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
-    return ControlAction.bounded(state.ids[idx], *deltas[idx], norms[idx], wcfg.u_max)
+        return ControlAction(target_block=idx, displacement=(0.0, 0.0))
+    return ControlAction.bounded(idx, *deltas[idx], norms[idx], wcfg.u_max)
 
 
 def inverse_dynamics(
@@ -394,7 +394,7 @@ def inverse_dynamics(
     not displaced, so if no block moves the control is zero."""
     deltas, norms = _goal_discrepancies(frame_a, frame_b)
     idx = _largest(norms)
-    return ControlAction.bounded(frame_a.ids[idx], *deltas[idx], norms[idx], wcfg.u_max)
+    return ControlAction.bounded(idx, *deltas[idx], norms[idx], wcfg.u_max)
 
 
 # --- Scripted proposal policy ------------------------------------------------
@@ -439,7 +439,7 @@ def idealized_outcomes(
     norm is the square root of the sum of its two rounded squares, as in
     `idealized_outcome`, and a centroid is the same sum of its peers'
     positions over their count."""
-    _, subjects, target_rows, peer_groups, _ = _grammar(state.ids, state.colors)
+    _, subjects, target_rows, peer_groups, _ = _grammar(state.colors)
     p = state.positions
     centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
     targets = np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]

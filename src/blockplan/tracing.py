@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .world import Color, WorldState
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def round9(x: float) -> float:
@@ -69,7 +69,6 @@ def wire_positions(x) -> list:
 
 def state_to_dict(state: WorldState) -> dict:
     return {
-        "ids": list(state.ids),
         "colors": [c.value for c in state.colors],
         "positions": wire_positions(state.positions),
     }
@@ -77,29 +76,28 @@ def state_to_dict(state: WorldState) -> dict:
 
 def state_from_dict(d: dict) -> WorldState:
     return WorldState(
-        ids=tuple(int(i) for i in d["ids"]),
         colors=tuple(Color(c) for c in d["colors"]),
         positions=np.array(d["positions"], dtype=float) / 1e9,
     )
 
 
-_SLOT = "\0"  # a positions value whose JSON no ids or colors JSON contains
+_SLOT = "\0"  # a positions value whose JSON no colors JSON contains
 
 
 @functools.lru_cache(maxsize=256)
-def _state_json_ends(ids: tuple[int, ...], colors: tuple[Color, ...]) -> tuple[str, str]:
+def _state_json_ends(colors: tuple[Color, ...]) -> tuple[str, str]:
     """The canonical JSON of a `state_to_dict` of these blocks before and
     after its positions, cut from the dict itself at a stand-in value."""
-    fields = state_to_dict(WorldState(ids, colors, np.zeros((len(ids), 2))))
+    fields = state_to_dict(WorldState(colors, np.zeros((len(colors), 2))))
     head, tail = _encode({**fields, "positions": _SLOT}).split(_encode(_SLOT))
     return head, tail
 
 
 def state_digest(state: WorldState) -> str:
-    """``digest(state_to_dict(state))``. A state's ids and colors never
-    change along a run, so their part of the JSON is encoded once per block
-    set and only the positions are encoded per call."""
-    head, tail = _state_json_ends(state.ids, state.colors)
+    """``digest(state_to_dict(state))``. A state's colors never change
+    along a run, so their part of the JSON is encoded once per color tuple
+    and only the positions are encoded per call."""
+    head, tail = _state_json_ends(state.colors)
     return _hash(head + canonical_json(wire_positions(state.positions)) + tail)
 
 
@@ -107,7 +105,7 @@ def state_digest(state: WorldState) -> str:
 
 
 def plan_to_dict(plan) -> dict:
-    """A `planner.Plan` with its blocks' ids and colors written once and each
+    """A `planner.Plan` with its blocks' colors written once and each
     frame as the bare list of its positions, in one pass over the plan's
     stacked positions."""
     return {
@@ -115,7 +113,6 @@ def plan_to_dict(plan) -> dict:
         "heuristic_trace": [round9(v) for v in plan.heuristic_trace],
         "final_value": round9(plan.final_value),
         "beam_index": plan.beam_index,
-        "ids": list(plan.start.ids),
         "colors": [c.value for c in plan.start.colors],
         "frames": wire_positions(plan.positions()),
     }

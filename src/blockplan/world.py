@@ -115,42 +115,35 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class WorldState:
-    """Positions and colors of all blocks on the board.
+    """Colors and positions of the blocks on the board, block i in row i.
 
     Immutable by convention: `positions` is an (n, 2) array that callers must
     not mutate; use `with_positions` to derive a new state.
     """
 
-    ids: tuple[int, ...]
     colors: tuple[Color, ...]
     positions: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        if self.positions.shape != (len(self.ids), 2):
+        if self.positions.shape != (len(self.colors), 2):
             raise ValueError("positions must be (n_blocks, 2)")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("block ids must be unique")
 
     @property
     def n_blocks(self) -> int:
-        return len(self.ids)
+        return len(self.colors)
 
-    def index_of(self, block_id: int) -> int:
+    def index_of(self, block: int) -> int:
+        """The row of ``block``, which is its number; any number outside
+        ``0..n-1``, a negative one included, raises `InvalidActionError`."""
         try:
-            return self.ids.index(block_id)
+            return range(len(self.colors)).index(block)
         except ValueError:
-            raise InvalidActionError(f"unknown block id {block_id}") from None
-
-    def pos(self, block_id: int) -> np.ndarray:
-        return self.positions[self.index_of(block_id)]
-
-    def color_of(self, block_id: int) -> Color:
-        return self.colors[self.index_of(block_id)]
+            raise InvalidActionError(f"unknown block {block}") from None
 
     def with_positions(self, positions: np.ndarray) -> "WorldState":
         """The same blocks at a copy of ``positions``."""
-        return WorldState(self.ids, self.colors, np.array(positions, dtype=float))
+        return WorldState(self.colors, np.array(positions, dtype=float))
 
     def with_view(self, positions: np.ndarray) -> "WorldState":
         """The same blocks at ``positions`` itself, neither copied nor checked:
@@ -455,4 +448,4 @@ def sample_initial_state(
                 f"failed to place block {len(placed)} after {MAX_TRIES_PER_BLOCK} tries"
             )
     colors = tuple(list(Color)[i % len(Color)] for i in range(n_blocks))
-    return WorldState(ids=tuple(range(n_blocks)), colors=colors, positions=np.array(placed))
+    return WorldState(colors=colors, positions=np.array(placed))

@@ -18,11 +18,7 @@ def make_state(positions, colors=None):
     n = len(positions)
     if colors is None:
         colors = [list(Color)[i % 4] for i in range(n)]
-    return WorldState(
-        ids=tuple(range(n)),
-        colors=tuple(colors),
-        positions=np.array(positions, dtype=float),
-    )
+    return WorldState(colors=tuple(colors), positions=np.array(positions, dtype=float))
 
 
 def greedy_chain(sm: Submodels, x0: WorldState, goal: TaskGoal, cfg: PlannerConfig) -> Plan:
@@ -62,7 +58,7 @@ def reference_resolve(target: Target, state: WorldState, subject: int, cfg: Worl
     if target.kind == "center":
         return np.array([cfg.width / 2.0, cfg.height / 2.0])
     if target.kind == "block":
-        return state.pos(target.block).copy()
+        return state.positions[state.index_of(target.block)].copy()
     if target.color not in state.colors:
         raise InvalidActionError(f"no {target.color.value} block for a centroid target")
     i = state.index_of(subject)

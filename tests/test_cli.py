@@ -659,7 +659,7 @@ class TestReplayCommand:
         with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
             assert written.read_bytes() == fh.read()
 
-    # Each edits the header of a golden trace: a schema-1 to schema-8 trace,
+    # Each edits the header of a golden trace: a schema-1 to schema-9 trace,
     # and a config that no longer matches its hash.
     HEADER_EDITS = {
         "schema_version_1": lambda header: header.update(schema_version=1),
@@ -670,6 +670,7 @@ class TestReplayCommand:
         "schema_version_6": lambda header: header.update(schema_version=6),
         "schema_version_7": lambda header: header.update(schema_version=7),
         "schema_version_8": lambda header: header.update(schema_version=8),
+        "schema_version_9": lambda header: header.update(schema_version=9),
         "horizon_edited": lambda header: header["config"]["run"]["planner"].update(horizon=3),
     }
 

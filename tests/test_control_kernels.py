@@ -54,8 +54,8 @@ EDGE_COORDS = [0.0, -0.0, SENTINEL_POS[0], 5e-324, -5e-324, W, H, W / 2, 0.2, 0.
 
 def numpy_goal_discrepancies(state, goal_state):
     """`_goal_discrepancies` on numpy arrays."""
-    if state.ids != goal_state.ids:
-        raise InvalidGoalError(f"block id sets differ: {state.ids} vs {goal_state.ids}")
+    if state.colors != goal_state.colors:
+        raise InvalidGoalError(f"block colors differ: {state.colors} vs {goal_state.colors}")
     lost = is_lost(state.positions) | is_lost(goal_state.positions)
     deltas = np.where(lost[:, None], 0.0, goal_state.positions - state.positions)
     return deltas, np.sqrt(np.add.reduce(deltas * deltas, 1))
@@ -71,14 +71,14 @@ def numpy_goal_policy(state, goal_state, wcfg, mcfg):
     deltas, norms = numpy_goal_discrepancies(state, goal_state)
     idx = int(np.argmax(norms))
     if norms[idx] <= mcfg.goal_eps:
-        return ControlAction(target_block=state.ids[idx], displacement=(0.0, 0.0))
-    return numpy_bounded(state.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
+        return ControlAction(target_block=idx, displacement=(0.0, 0.0))
+    return numpy_bounded(idx, deltas[idx], norms[idx], wcfg.u_max)
 
 
 def numpy_inverse_dynamics(frame_a, frame_b, wcfg):
     deltas, norms = numpy_goal_discrepancies(frame_a, frame_b)
     idx = int(np.argmax(norms))
-    return numpy_bounded(frame_a.ids[idx], deltas[idx], norms[idx], wcfg.u_max)
+    return numpy_bounded(idx, deltas[idx], norms[idx], wcfg.u_max)
 
 
 def numpy_controller(state, goal_state, wcfg, mcfg):
@@ -132,7 +132,7 @@ def assert_predicate_like_numpy(positions, colors, goal, cfg=WCFG):
         colors,
         goal,
     )
-    state = WorldState(tuple(range(len(colors))), tuple(colors), positions)
+    state = WorldState(tuple(colors), positions)
     assert is_complete(state, goal, cfg) is all(want)
     assert reward(state, goal, cfg) == 100.0 * np.count_nonzero(want) / len(want)
     return want
@@ -395,8 +395,13 @@ def test_controllers_equal_the_numpy_forms_on_non_finite_coordinates(case):
     assert_controls_like_numpy(*case)
 
 
-def test_controllers_refuse_frames_of_other_blocks():
-    a, b = make_state([(0.1, 0.1)]), make_state([(0.1, 0.1), (0.2, 0.2)])
+@pytest.mark.parametrize(
+    "b",
+    [make_state([(0.1, 0.1), (0.2, 0.2)]), make_state([(0.1, 0.1)], [BLUE])],
+    ids=["more_blocks", "other_color"],
+)
+def test_controllers_refuse_frames_of_other_blocks(b):
+    a = make_state([(0.1, 0.1)])
     for control in (goal_policy, inverse_dynamics, simulator_submodels().controller):
         with pytest.raises(InvalidGoalError):
             control(a, b)

@@ -125,15 +125,19 @@ class TestReplayPlan:
         plan = Plan(start=x0, segments=[], final_value=0.0, beam_index=0)
         assert replay_plan(x0, plan, group_by_color())
 
-    def test_absent_block_rejected(self):
+    @pytest.mark.parametrize("block", [2, -1], ids=["past_last_row", "negative"])
+    def test_absent_block_rejected(self, block):
         # The planner never names a block the state lacks; a hand-built plan
         # that does is an error, not an action to skip.
         x0 = make_state([(0.05, 0.15), (0.45, 0.15)], colors=[Color.RED, Color.RED])
-        ghost = AbstractAction(7, Target("corner", corner=Corner.TOP_LEFT))
-        seg = Rollout(start=x0, positions=x0.positions[None], action=ghost)
-        plan = Plan(start=x0, segments=[seg], final_value=0.0, beam_index=0)
-        with pytest.raises(InvalidActionError):
-            replay_plan(x0, plan, group_by_color())
+        for ghost in (
+            AbstractAction(block, Target("corner", corner=Corner.TOP_LEFT)),
+            AbstractAction(0, Target("block", block=block)),
+        ):
+            seg = Rollout(start=x0, positions=x0.positions[None], action=ghost)
+            plan = Plan(start=x0, segments=[seg], final_value=0.0, beam_index=0)
+            with pytest.raises(InvalidActionError):
+                replay_plan(x0, plan, group_by_color())
 
     def test_centroid_of_an_absent_color_rejected(self):
         # The two red blocks are apart, so the start is not complete and the

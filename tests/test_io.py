@@ -111,17 +111,16 @@ POINT = st.tuples(COORD, COORD) | st.just(SENTINEL_POS)
 @st.composite
 def states(draw):
     n = draw(st.integers(1, 12))
-    ids = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
     colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
     positions = draw(st.lists(POINT, min_size=n, max_size=n))
-    return WorldState(tuple(ids), tuple(colors), np.array(positions))
+    return WorldState(tuple(colors), np.array(positions))
 
 
 class TestStateSerialization:
     def test_round_trip(self):
         s = sample_initial_state(6, seed=7)
+        assert list(state_to_dict(s)) == ["colors", "positions"]
         back = state_from_dict(state_to_dict(s))
-        assert back.ids == s.ids
         assert back.colors == s.colors
         assert np.allclose(back.positions, s.positions, atol=1e-8)
         assert state_digest(back) == state_digest(s)
@@ -134,7 +133,7 @@ class TestStateSerialization:
     @DIGEST_PROPERTY
     @given(st.lists(states(), min_size=2, max_size=2))
     def test_digest_equals_digest_of_dict(self, pair):
-        """`state_digest` encodes a block set's ids and colors once: hashing
+        """`state_digest` encodes a block set's colors once: hashing
         two states of any block sets in turn gives each the digest of its
         `state_to_dict`, as a head shared across block sets would not."""
         for s in [*pair, *pair]:
@@ -144,7 +143,7 @@ class TestStateSerialization:
         """Every color tuple of one to three blocks, one after another."""
         for n in (1, 2, 3):
             for colors in itertools.product(Color, repeat=n):
-                s = WorldState(tuple(range(n)), colors, np.full((n, 2), 0.125))
+                s = WorldState(colors, np.full((n, 2), 0.125))
                 assert state_digest(s) == digest(state_to_dict(s))
 
 
@@ -158,7 +157,7 @@ class TestPlanSerialization:
         assert all(t.startswith("push ") for t in d["actions"])
         assert len(d["frames"]) == len(plan.frames())
         x0 = state_to_dict(s)
-        assert (d["ids"], d["colors"]) == (x0["ids"], x0["colors"])
+        assert "ids" not in d and d["colors"] == x0["colors"]
         assert d["frames"][0] == x0["positions"]
         assert len(d["heuristic_trace"]) == 3
 
@@ -203,7 +202,7 @@ class TestTraceFiles:
         write_trace(path, {"run": {}, "mode": "plan"}, records)
         back = read_trace(path)
         assert back[0]["kind"] == "Header"
-        assert back[0]["schema_version"] == 9
+        assert back[0]["schema_version"] == 10
         assert "config_hash" in back[0]
         assert [r["ordinal"] for r in back] == [0, 1, 2]
         assert back[1]["x"] == 1.5

@@ -232,7 +232,7 @@ def point_states(draw):
 def stacked_targets(s, wcfg):
     """Every grammar action's target row as `idealized_outcomes` stacks it,
     each centroid ``np.add.reduce(p[peers], 1) / k``."""
-    _, _, target_rows, peer_groups, _ = _grammar(s.ids, s.colors)
+    _, _, target_rows, peer_groups, _ = _grammar(s.colors)
     p = s.positions
     centroids = (np.add.reduce(p[peers], 1) / peers.shape[1] for peers in peer_groups)
     return np.concatenate([p, _fixed_targets(wcfg), *centroids])[target_rows]
@@ -267,9 +267,11 @@ def test_a_lone_negative_zero_peer_is_positive_zero():
     [
         (Target("color_centroid", color=Color.YELLOW), 0),
         (Target("color_centroid", color=Color.RED), 99),
+        (Target("color_centroid", color=Color.RED), -1),
         (Target("block", block=99), 0),
+        (Target("block", block=-1), 0),
     ],
-    ids=["absent-color", "absent-subject", "absent-block"],
+    ids=["absent-color", "absent-subject", "negative-subject", "absent-block", "negative-block"],
 )
 def test_point_refuses_what_the_state_lacks(target, subject):
     s = make_state([(0.1, 0.1), (0.3, 0.1)], [Color.RED, Color.BLUE])

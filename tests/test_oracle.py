@@ -59,16 +59,15 @@ def recursive_oracle(x0, goal, horizon, wcfg, mcfg):
 
 @st.composite
 def instances(draw):
-    """1-3 blocks with any distinct ids and colors, half the time all on one
+    """1-3 blocks with any colors, half the time all on one
     point, and a horizon of 0-3 whose tree has at most `MAX_NODES` nodes."""
     n = draw(st.integers(1, 3))
-    ids = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
     colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
     point = st.one_of(st.sampled_from(POINTS), st.tuples(st.floats(0.0, W), st.floats(0.0, H)))
     positions = draw(st.lists(point, min_size=n, max_size=n))
     if draw(st.booleans()):
         positions = positions[:1] * n
-    x0 = WorldState(tuple(ids), tuple(colors), np.array(positions, dtype=float))
+    x0 = WorldState(tuple(colors), np.array(positions, dtype=float))
     horizon = draw(st.integers(0, 3))
     g = len(action_grammar(x0))
     assume(sum(g**h for h in range(1, horizon + 1)) <= MAX_NODES)

@@ -192,7 +192,7 @@ def step_cases(draw):
     cfg = dataclasses.replace(cfg, sigma_env=draw(st.sampled_from([0.0, 0.002, 0.05])))
     part = st.one_of(st.sampled_from([0.0, -0.0, 0.02, -0.02]), st.floats(-0.02, 0.02))
     u = ControlAction(draw(st.integers(0, n - 1)), (draw(part), draw(part)))
-    state = WorldState(tuple(range(n)), (Color.RED,) * n, pos)
+    state = WorldState((Color.RED,) * n, pos)
     return state, u, draw(st.integers(0, 2**32 - 1)), cfg
 
 

@@ -83,11 +83,10 @@ MAX_BLOCKS = 12  # sampling a state is O(n_blocks**2)
 
 @st.composite
 def drawn_states(draw, n_blocks=st.integers(1, 8)):
-    """1-8 blocks with any distinct ids and colors, each at the off-board
+    """1-8 blocks with any colors, each at the off-board
     sentinel of a vanished block or in a box on the board. A small box lies
     inside some goal regions, so that complete states are drawn often."""
     n = draw(n_blocks)
-    ids = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
     colors = draw(st.lists(st.sampled_from(Color), min_size=n, max_size=n))
     size = draw(st.sampled_from([0.05, 0.2, WCFG.width]))
     x0 = draw(st.floats(0.0, max(0.0, WCFG.width - size)))
@@ -98,7 +97,7 @@ def drawn_states(draw, n_blocks=st.integers(1, 8)):
     positions = draw(
         st.lists(st.one_of(on_board, st.just(SENTINEL_POS)), min_size=n, max_size=n)
     )
-    return WorldState(tuple(ids), tuple(colors), np.array(positions, dtype=float))
+    return WorldState(tuple(colors), np.array(positions, dtype=float))
 
 
 @st.composite
@@ -339,9 +338,8 @@ def control_chains(draw):
     within u_max, with the seed its true steps derive from."""
     s = sample_initial_state(draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1)), WCFG)
     component = st.floats(-WCFG.u_max, WCFG.u_max)
-    controls = draw(
-        st.lists(st.tuples(st.sampled_from(s.ids), component, component), min_size=1, max_size=20)
-    )
+    block = st.sampled_from(range(s.n_blocks))
+    controls = draw(st.lists(st.tuples(block, component, component), min_size=1, max_size=20))
     chain = [
         ControlAction.bounded(b, dx, dy, float(np.hypot(dx, dy)), WCFG.u_max)
         for b, dx, dy in controls
@@ -355,7 +353,7 @@ def test_step_true_keeps_blocks_on_the_board(example):
     s, chain, seed = example
     for k, u in enumerate(chain):
         nxt = step_true(s, u, rng_from(derive(seed, k)), WCFG)
-        assert nxt.ids == s.ids and nxt.colors == s.colors
+        assert nxt.n_blocks == s.n_blocks and nxt.colors == s.colors
         assert np.all(nxt.positions >= 0.0) and np.all(nxt.positions <= WCFG.board)
         s = nxt
 
@@ -376,7 +374,8 @@ def test_step_true_refuses_a_non_finite_control(n, seed, bad, other, bad_first, 
     # A NaN magnitude is not greater than u_max either, and unrefused it
     # spreads through the collision pass to every block.
     s = sample_initial_state(n, seed, WCFG)
-    u = ControlAction(data.draw(st.sampled_from(s.ids)), (bad, other) if bad_first else (other, bad))
+    block = data.draw(st.sampled_from(range(n)))
+    u = ControlAction(block, (bad, other) if bad_first else (other, bad))
     with pytest.raises(InvalidActionError):
         step_true(s, u, rng_from(seed), WCFG)
 

@@ -103,6 +103,19 @@ class TestGrammar:
             with pytest.raises(InvalidActionError):
                 parse_action(bad, s)
 
+    @pytest.mark.parametrize("block", [2, -1], ids=["past_last_row", "negative"])
+    def test_text_of_an_unknown_block_rejected(self, block):
+        s = make_state([(0.1, 0.1), (0.3, 0.1)])
+        to_block = Target("block", block=block)
+        texts = [
+            lambda: AbstractAction(block, Target("center")).text(s),
+            lambda: AbstractAction(0, to_block).text(s),
+            lambda: to_block.name(s),
+        ]
+        for text in texts:
+            with pytest.raises(InvalidActionError):
+                text()
+
     def test_centroid_resolves_to_peer_mean(self):
         s = make_state(
             [(0.1, 0.1), (0.3, 0.1), (0.5, 0.3)],
@@ -206,10 +219,15 @@ class TestRollout:
         )
         assert np.array_equal(r.last.positions[0], SENTINEL_POS)
 
-    def test_unknown_subject_rejected(self):
+    @pytest.mark.parametrize("block", [1, -1], ids=["past_last_row", "negative"])
+    def test_unknown_block_rejected(self, block):
         s = make_state([(0.3, 0.2)])
-        with pytest.raises(InvalidActionError):
-            rollout_dynamics(s, AbstractAction(9, Target("center")), rng_from(0))
+        for action in (
+            AbstractAction(block, Target("center")),
+            AbstractAction(0, Target("block", block=block)),
+        ):
+            with pytest.raises(InvalidActionError):
+                rollout_dynamics(s, action, rng_from(0))
 
     def test_fault_probability_rejected(self):
         with pytest.raises(ConfigError, match=r"p_teleport must be <= 1, got 1.5"):
@@ -467,7 +485,7 @@ class TestControllers:
         u = goal_policy(s, g)
         assert u.target_block == 1
 
-    def test_goal_policy_id_mismatch(self):
+    def test_goal_policy_block_count_mismatch(self):
         a = sample_initial_state(3, seed=0)
         b = sample_initial_state(4, seed=0)
         with pytest.raises(InvalidGoalError):

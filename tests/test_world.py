@@ -63,10 +63,12 @@ class TestStepTrue:
         out = step_true(s, ControlAction(0, (0.02, 0.0)), rng_from(0), cfg=NOISE_FREE)
         assert out.positions[0][0] == pytest.approx(0.6)
 
-    def test_unknown_block_rejected(self):
+    # Block 1 is one past the last row; -1 is a row only to Python's indexing.
+    @pytest.mark.parametrize("block", [1, -1], ids=["past_last_row", "negative"])
+    def test_unknown_block_rejected(self, block):
         s = make_state([(0.30, 0.20)])
         with pytest.raises(InvalidActionError):
-            step_true(s, ControlAction(5, (0.01, 0.0)), rng_from(0), cfg=NOISE_FREE)
+            step_true(s, ControlAction(block, (0.01, 0.0)), rng_from(0), cfg=NOISE_FREE)
 
     def test_oversized_control_rejected(self):
         s = make_state([(0.30, 0.20)])
@@ -91,8 +93,7 @@ class TestStepTrue:
             if m > cfg.u_max:
                 vec = vec / m * cfg.u_max
             s = step_true(s, ControlAction(bid, (vec[0], vec[1])), rng_from(step), cfg=cfg)
-            assert s.ids == tuple(range(8))
-            assert len(s.colors) == 8
+            assert s.n_blocks == len(s.colors) == 8
             for i in range(8):
                 for j in range(i + 1, 8):
                     d = np.linalg.norm(s.positions[i] - s.positions[j])
@@ -238,9 +239,9 @@ class TestSampleInitialState:
 
 class TestWithPositions:
     def test_keeps_everything_but_positions(self):
-        s = WorldState((3, 7), (Color.RED, Color.BLUE), np.zeros((2, 2)))
+        s = WorldState((Color.RED, Color.BLUE), np.zeros((2, 2)))
         moved = s.with_positions([(0.1, 0.2), (0.3, 0.4)])
-        assert (moved.ids, moved.colors) == (s.ids, s.colors)
+        assert moved.colors == s.colors
         assert moved.positions.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
     def test_copies_its_input(self):
